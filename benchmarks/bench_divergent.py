@@ -63,9 +63,10 @@ def _compare(name, eager_fn, compiled_fn, check):
     eager_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
     wide = run_and_time(f"{name}_wide",
-                        lambda d: compiled_fn(d, wide=True))
+                        lambda d: compiled_fn(d, tier="wide"))
     wide_wall = time.perf_counter() - t0
-    seq = run_and_time(f"{name}_seq", lambda d: compiled_fn(d, wide=False))
+    seq = run_and_time(f"{name}_seq",
+                       lambda d: compiled_fn(d, tier="sequential"))
 
     check(eager.output)
     check(wide.output)
@@ -73,9 +74,12 @@ def _compare(name, eager_fn, compiled_fn, check):
     timing_identical = _identical_timings(wide.device.runs, seq.device.runs)
     assert results_identical, f"{name}: wide output diverged from sequential"
     assert timing_identical, f"{name}: wide timing diverged from sequential"
-    wide_paths = {r.path for r in wide.device.runs}
-    assert wide_paths == {"wide"}, \
-        f"{name}: expected every launch on the wide tier, got {wide_paths}"
+    for label, tier, res in (("wide", "wide", wide),
+                             ("seq", "sequential", seq)):
+        paths = {r.path for r in res.device.runs}
+        assert paths == {tier}, \
+            f"{name}_{label}: expected every launch on the {tier} " \
+            f"tier, got {paths}"
 
     return {
         "workload": name,
@@ -100,7 +104,7 @@ def _bitonic_case(log2n: int):
 
     return (
         lambda d: bitonic.run_cm_bitonic_eager(d, keys),
-        lambda d, wide: bitonic.run_cm_bitonic_compiled(d, keys, wide=wide),
+        lambda d, tier: bitonic.run_cm_bitonic_compiled(d, keys, tier=tier),
         check,
     )
 
@@ -117,8 +121,8 @@ def _kmeans_case(n: int, k: int, iterations: int):
     return (
         lambda d: kmeans.run_cm_kmeans_eager_divergent(
             d, pts, c0, iterations=iterations),
-        lambda d, wide: kmeans.run_cm_kmeans_compiled(
-            d, pts, c0, iterations=iterations, wide=wide),
+        lambda d, tier: kmeans.run_cm_kmeans_compiled(
+            d, pts, c0, iterations=iterations, tier=tier),
         check,
     )
 

@@ -6,9 +6,9 @@ compiled workloads (the JIT SGEMM and the media-block linear filter /
 blur kernel) run the same launch through the top two dispatch tiers of
 ``Device.run_compiled``:
 
-- **wide**: the grid-vectorized interpreter (``wide=True, jit=False``)
+- **wide**: the grid-vectorized interpreter (``tier="wide"``)
   — one interpreter round trip per instruction for the whole grid.
-- **jit**: the megakernel tier (``jit=True``) — the program is compiled
+- **jit**: the megakernel tier (``tier="jit"``) — the program is compiled
   once to a generated Python function (:mod:`repro.isa.jit`) with all
   region plans, dtypes, and predication baked in, and each chunk
   executes with zero per-instruction dispatch.
@@ -16,9 +16,10 @@ blur kernel) run the same launch through the top two dispatch tiers of
 The sequential scalar path is also timed for reference.  Outputs must
 be byte-identical across all three tiers and every simulated-timing
 field of the resulting ``KernelTiming`` must match exactly: the JIT is
-a pure wall-clock optimization, never a model change.  A saxpy scaling
-sweep records how the speedup grows with grid size.  Results land in
-``BENCH_jit.json``.
+a pure wall-clock optimization, never a model change, and each launch
+asserts that ``KernelRun.path`` is the tier its column names.  A saxpy
+scaling sweep records how the speedup grows with grid size.  Results
+land in ``BENCH_jit.json``.
 
 Run directly (``python benchmarks/bench_jit.py [--smoke]``) or via
 pytest (smoke sizes).
@@ -43,12 +44,18 @@ TRIALS = 3
 _VEC = 16
 _BLUR_W, _BLUR_H = 32, 4
 
-#: run_compiled kwargs per dispatch tier.
-_MODES = {
-    "jit": dict(jit=True),
-    "wide": dict(wide=True, jit=False),
-    "scalar": dict(wide=False, jit=False),
-}
+#: run_compiled tier per benchmark column.
+TIERS = {"jit": "jit", "wide": "wide", "scalar": "sequential"}
+
+
+def _launch(dev, kern, grid, surfaces, scalars, name, mode):
+    """One timed launch on the column's tier."""
+    t0 = time.perf_counter()
+    r = dev.run_compiled(kern, grid, surfaces, scalars=scalars, name=name,
+                         validate="off", tier=TIERS[mode])
+    dt = time.perf_counter() - t0
+    assert r.path == TIERS[mode], (mode, r.path)
+    return dt, r.timing
 
 
 def _saxpy_body(cmx, xbuf, ybuf, tid):
@@ -89,13 +96,10 @@ def _sgemm_case(mn, k):
         bbuf = dev.image2d(b.copy(), bytes_per_pixel=4)
         cbuf = dev.image2d(np.zeros((mn, mn), np.float32),
                            bytes_per_pixel=4)
-        t0 = time.perf_counter()
-        r = dev.run_compiled(kern, grid, [abuf, bbuf, cbuf],
-                             scalars=lambda t: {"tx": t[0], "ty": t[1]},
-                             name="cm_sgemm_jit", validate="off",
-                             **_MODES[mode])
-        dt = time.perf_counter() - t0
-        return dt, cbuf.to_numpy().copy(), r.timing
+        dt, timing = _launch(dev, kern, grid, [abuf, bbuf, cbuf],
+                             lambda t: {"tx": t[0], "ty": t[1]},
+                             "cm_sgemm_jit", mode)
+        return dt, cbuf.to_numpy().copy(), timing
 
     return run, grid[0] * grid[1]
 
@@ -110,13 +114,10 @@ def _blur_case(bx, by):
 
     def run(mode):
         buf = dev.image2d(img.copy(), bytes_per_pixel=1)
-        t0 = time.perf_counter()
-        r = dev.run_compiled(kern, (bx, by), [buf],
-                             scalars=lambda t: {"tx": t[0], "ty": t[1]},
-                             name="jit_blur", validate="off",
-                             **_MODES[mode])
-        dt = time.perf_counter() - t0
-        return dt, buf.to_numpy().copy(), r.timing
+        dt, timing = _launch(dev, kern, (bx, by), [buf],
+                             lambda t: {"tx": t[0], "ty": t[1]},
+                             "jit_blur", mode)
+        return dt, buf.to_numpy().copy(), timing
 
     return run, bx * by
 
@@ -131,13 +132,9 @@ def _saxpy_case(n_threads):
 
     def run(mode):
         xbuf, ybuf = dev.buffer(x.copy()), dev.buffer(y.copy())
-        t0 = time.perf_counter()
-        r = dev.run_compiled(kern, (n_threads,), [xbuf, ybuf],
-                             scalars=lambda t: {"tid": t[0]},
-                             name="jit_saxpy", validate="off",
-                             **_MODES[mode])
-        dt = time.perf_counter() - t0
-        return dt, ybuf.to_numpy().copy(), r.timing
+        dt, timing = _launch(dev, kern, (n_threads,), [xbuf, ybuf],
+                             lambda t: {"tid": t[0]}, "jit_saxpy", mode)
+        return dt, ybuf.to_numpy().copy(), timing
 
     return run, n_threads
 

@@ -59,7 +59,7 @@ def _measure():
         t0 = time.perf_counter()
         for _ in range(LAUNCHES):
             run = dev.run_compiled(kern, grid, [abuf, bbuf, cbuf],
-                                   scalars=scalars, wide=False,
+                                   scalars=scalars, tier="sequential",
                                    validate=mode)
         return time.perf_counter() - t0, run.timing
 

@@ -6,17 +6,18 @@ compiled workloads (the JIT SGEMM and the media-block linear filter /
 blur kernel) run the same launch through both dispatch paths of
 ``Device.run_compiled``:
 
-- **scalar**: the pooled sequential path (``wide=False``) — one
+- **scalar**: the pooled sequential tier (``tier="sequential"``) — one
   ``TracingExecutor`` re-interprets the program once per hardware
   thread.
-- **wide**: the grid-vectorized path (``wide=True``) — a
+- **wide**: the grid-vectorized interpreter (``tier="wide"``) — a
   ``WideTracingExecutor`` stacks all thread GRFs and executes each
   instruction once for the whole grid.
 
 Outputs must be byte-identical and every simulated-timing field of the
 resulting ``KernelTiming`` must match exactly: the wide path is a pure
-wall-clock optimization, never a model change.  A saxpy scaling sweep
-records how the speedup grows with grid size.  Results land in
+wall-clock optimization, never a model change.  Each launch asserts
+that ``KernelRun.path`` is the tier its column names.  A saxpy scaling
+sweep records how the speedup grows with grid size.  Results land in
 ``BENCH_wide.json``.
 
 Run directly (``python benchmarks/bench_wide_dispatch.py [--smoke]``)
@@ -66,7 +67,7 @@ def _blur_body(cmx, img, tx, ty):
     cmx.write(img, x0, y0, out)
 
 
-def _launch_sgemm(mn, k, wide):
+def _launch_sgemm(mn, k, tier):
     rng = np.random.default_rng(0)
     a = (rng.random((mn, k), dtype=np.float32) - 0.5).astype(np.float32)
     b = (rng.random((k, mn), dtype=np.float32) - 0.5).astype(np.float32)
@@ -80,12 +81,13 @@ def _launch_sgemm(mn, k, wide):
     t0 = time.perf_counter()
     run = dev.run_compiled(kern, grid, [abuf, bbuf, cbuf],
                            scalars=lambda t: {"tx": t[0], "ty": t[1]},
-                           name="cm_sgemm_jit", wide=wide)
+                           name="cm_sgemm_jit", tier=tier)
     dt = time.perf_counter() - t0
+    assert run.path == tier, (tier, run.path)
     return dt, cbuf.to_numpy().copy(), run.timing, grid[0] * grid[1]
 
 
-def _launch_blur(bx, by, wide):
+def _launch_blur(bx, by, tier):
     rng = np.random.default_rng(1)
     img = rng.integers(0, 200, size=(by * _BLUR_H, bx * _BLUR_W),
                        dtype=np.uint8)
@@ -96,12 +98,13 @@ def _launch_blur(bx, by, wide):
     t0 = time.perf_counter()
     run = dev.run_compiled(kern, (bx, by), [buf],
                            scalars=lambda t: {"tx": t[0], "ty": t[1]},
-                           name="wide_blur", wide=wide)
+                           name="wide_blur", tier=tier)
     dt = time.perf_counter() - t0
+    assert run.path == tier, (tier, run.path)
     return dt, buf.to_numpy().copy(), run.timing, bx * by
 
 
-def _launch_saxpy(n_threads, wide):
+def _launch_saxpy(n_threads, tier):
     rng = np.random.default_rng(2)
     x = rng.standard_normal(n_threads * _VEC).astype(np.float32)
     y = rng.standard_normal(n_threads * _VEC).astype(np.float32)
@@ -112,8 +115,9 @@ def _launch_saxpy(n_threads, wide):
     t0 = time.perf_counter()
     run = dev.run_compiled(kern, (n_threads,), [xbuf, ybuf],
                            scalars=lambda t: {"tid": t[0]},
-                           name="wide_saxpy", wide=wide)
+                           name="wide_saxpy", tier=tier)
     dt = time.perf_counter() - t0
+    assert run.path == tier, (tier, run.path)
     return dt, ybuf.to_numpy().copy(), run.timing, n_threads
 
 
@@ -121,9 +125,9 @@ def _compare(launch, *args):
     """Best-of-TRIALS wall clock for both paths + identity checks."""
     wide_t = scalar_t = float("inf")
     for _ in range(TRIALS):
-        dt, wide_out, wide_tm, threads = launch(*args, True)
+        dt, wide_out, wide_tm, threads = launch(*args, "wide")
         wide_t = min(wide_t, dt)
-        dt, scalar_out, scalar_tm, _ = launch(*args, False)
+        dt, scalar_out, scalar_tm, _ = launch(*args, "sequential")
         scalar_t = min(scalar_t, dt)
     assert np.array_equal(wide_out, scalar_out), "outputs diverged"
     for f in dataclasses.fields(scalar_tm):

@@ -1,13 +1,13 @@
 """repro.sanitize — kernel sanitizer subsystem.
 
 Three checkers over the simulated GPU stack, all running during
-*sequential* dispatch (the wide grid-vectorized path is exactly what
-the verdicts guard):
+*sequential* dispatch (the grid-vectorized wide and JIT tiers are
+exactly what the verdicts guard):
 
 - :class:`~repro.sanitize.race.RaceDetector` — cross-thread data races
   on surfaces/SLM with barrier-based happens-before; its
   :class:`~repro.sanitize.race.RaceVerdict` gates
-  ``Device.run_compiled(wide=None)``'s wide-path auto-selection.
+  ``Device.run_compiled(tier="auto")``'s choice of a vector tier.
 - OOB/clip sanitizer (:mod:`repro.sanitize.oob`) — counts
   silently-clamped out-of-bounds lanes per surface; strict mode raises
   :class:`~repro.memory.surfaces.OOBError`.

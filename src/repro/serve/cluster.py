@@ -118,13 +118,12 @@ class DeviceWorker(threading.Thread):
                                    kernel=batch.kernel_name,
                                    size=batch.size):
             batch_busy_us = 0.0
-            # Pooled JIT-capable wide executor: coalesced compiled
-            # batches reuse one grid-vectorized executor across the
-            # whole batch, and run_compiled binds the kernel's cached
-            # megakernel into it so every request after the first skips
-            # both plan construction and JIT compilation; run_compiled
-            # falls back to a fresh scalar path for programs the wide
-            # path cannot vectorize.
+            # Pooled JIT executor: coalesced compiled batches reuse one
+            # grid-vectorized executor across the whole batch, and
+            # run_compiled binds the kernel's cached megakernel into it
+            # so every request after the first skips both plan
+            # construction and JIT compilation; launches that take
+            # another tier build their own executor.
             pooled = JitTracingExecutor() if (
                 batch.size > 1 and batch.items[0].kind == "compiled") \
                 else None

@@ -14,11 +14,16 @@ Two dispatch paths exist:
   retired trace into a :class:`~repro.sim.timing.TimingAccumulator` so
   memory stays O(1) in the grid size.
 - :meth:`Device.run_compiled` runs a
-  :class:`~repro.compiler.driver.CompiledKernel` over a grid using one
-  pooled :class:`~repro.sim.batch.TracingExecutor` whose operand plans
-  are shared by every thread (a compiled program is identical across
-  threads).  Combined with :meth:`Device.compile`'s kernel cache this is
-  the fast path for repeated launches.
+  :class:`~repro.compiler.driver.CompiledKernel` over a grid in chunks
+  of at most ``max_live_threads`` threads, on one of three bit-identical
+  tiers chosen by its ``tier`` argument and the sanitizer gate
+  (:func:`choose_tier`): ``sequential`` (one pooled
+  :class:`~repro.sim.batch.TracingExecutor`), ``wide`` (every
+  instruction runs once for the whole chunk) or ``jit`` (a compiled
+  megakernel).  Operand plans are shared by every thread (a compiled
+  program is identical across threads); combined with
+  :meth:`Device.compile`'s kernel cache this is the fast path for
+  repeated launches.
 
 Both paths are instrumented through :mod:`repro.obs`: dispatches open
 trace spans, per-kernel :class:`~repro.obs.breakdown.TimeBreakdown`
@@ -38,7 +43,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 import repro.sanitize as sanitize_mod
-from repro.isa.executor import FunctionalExecutor
 from repro.memory.surfaces import BufferSurface, Image2DSurface, Surface
 from repro.obs import get_observability
 from repro.obs.breakdown import BreakdownAccumulator, TimeBreakdown
@@ -75,6 +79,64 @@ class KernelRun:
     @property
     def total_time_us(self) -> float:
         return self.timing.time_us + self.launch_overhead_us
+
+
+#: Values of :meth:`Device.run_compiled`'s ``tier`` argument.
+TIERS = ("auto", "sequential", "wide", "jit")
+
+
+def choose_tier(tier: str, mode: str, ineligible_reason: Optional[str],
+                verdict) -> Tuple[str, str]:
+    """The launch gate: ``(outcome, runs)`` for one compiled launch.
+
+    ``tier`` is the caller's request (:data:`TIERS`), ``mode`` the
+    validate mode, ``ineligible_reason`` why the program cannot run
+    grid-vectorized (``None`` if it can), and ``verdict`` the kernel's
+    :class:`~repro.sanitize.race.RaceVerdict` on file, if any.
+    ``runs`` is ``"sanitized"`` (sequential with the race detector and
+    uninitialized-GRF tracker attached), ``"sequential"`` or
+    ``"vector"`` (the JIT megakernel or the wide interpreter).
+    ``outcome`` names the decision for the profile and the
+    ``sanitize_gate`` span.
+    """
+    if tier not in TIERS:
+        raise ValueError(f"tier must be one of {TIERS}, got {tier!r}")
+    if mode not in sanitize_mod.VALIDATE_MODES:
+        raise ValueError(
+            f"validate must be one of {sanitize_mod.VALIDATE_MODES}, "
+            f"got {mode!r}")
+    eligible = ineligible_reason is None
+    if tier in ("wide", "jit"):
+        if not eligible:
+            raise ValueError(f"program is not wide-eligible "
+                             f"({ineligible_reason}; tier={tier!r})")
+        return "bypassed", "vector"    # the caller asserts race freedom
+    if mode == "always" or (mode == "first" and tier == "auto"
+                            and eligible and verdict is None):
+        return "sanitized", "sanitized"
+    if tier == "sequential":
+        return "forced_scalar", "sequential"
+    if not eligible:
+        return "ineligible", "sequential"
+    if mode == "off":
+        return "trusted", "vector"     # validation disabled
+    if verdict.race_free:
+        return "admitted", "vector"
+    return "refused", "sequential"     # racy verdict: vector denied
+
+
+def _scalar_columns(scalars, bases, ids) -> list:
+    """``(GRF base, int32 column)`` per scalar parameter supplied for
+    any of the threads ``ids`` (a thread missing the value gets 0)."""
+    rows = ([scalars(tid) for tid in ids] if callable(scalars)
+            else [scalars or {}] * len(ids))
+    cols = []
+    for pname, base in bases:
+        vals = [row.get(pname) for row in rows]
+        if any(v is not None for v in vals):
+            cols.append((base, np.asarray(
+                [0 if v is None else v for v in vals], dtype=np.int32)))
+    return cols
 
 
 class DeviceProfile:
@@ -224,8 +286,8 @@ class Device:
         #: package unless the device actually compiles something).
         self.kernel_cache = None
         #: kernel identity -> (kernel, RaceVerdict) from sanitized
-        #: launches; consulted by ``run_compiled(wide=None)`` before
-        #: taking the wide path.  Lifecycle matches the kernel cache
+        #: launches; consulted by ``run_compiled(tier="auto")`` before
+        #: taking a vector tier.  Lifecycle matches the kernel cache
         #: (``reset(clear_cache=True)`` drops it).
         self._race_verdicts: dict = {}
         #: kernel *name* -> RaceVerdict adopted from elsewhere (a peer
@@ -360,14 +422,10 @@ class Device:
                                     Callable[[Tuple[int, ...]],
                                              Dict[str, int]], None] = None,
                      name: Optional[str] = None,
-                     chunk_threads: int = 64,
-                     collect_timing: bool = True,
                      executor: Optional[TracingExecutor] = None,
-                     wide: Optional[bool] = None,
-                     jit: Optional[bool] = None,
+                     tier: str = "auto",
                      max_live_threads: int = 1024,
-                     validate: Optional[str] = None,
-                     ) -> Optional[KernelRun]:
+                     validate: Optional[str] = None) -> KernelRun:
         """Launch a :class:`CompiledKernel` over a grid of hardware threads.
 
         ``surfaces`` bind positionally to the kernel's surface params.
@@ -375,95 +433,64 @@ class Device:
         dict shared by every thread, or a callable mapping a thread id
         tuple to that thread's dict (how per-thread coordinates are fed).
 
-        Dispatch defaults to the *wide* path (``wide=None``): because a
-        compiled program's *static* instruction sequence is identical
-        for every thread (divergence is execution masks, not skipped
-        instructions), a :class:`~repro.isa.wide.WideExecutor` stacks
-        all thread register files and executes each instruction once
-        for the whole grid — grouped by PC under divergent control
-        flow, chunked so at most ``max_live_threads`` threads
-        (GRFs + traces) are live at a time.  Per-thread traces are
-        reconstructed from the wide execution, so timing is
-        bit-identical to the sequential path.  ``wide=False`` forces
-        the sequential per-thread loop (one pooled
-        :class:`TracingExecutor`, retiring traces every
-        ``chunk_threads``); ``wide=True`` raises if the program is not
-        wide-eligible instead of silently falling back.
+        ``tier`` picks the execution tier; all three are bit-identical
+        in results and simulated timing, they differ only in wall clock:
 
-        The wide path is only bit-identical for *race-free* programs,
-        so auto-selection is gated by the sanitizer (``validate``,
-        default from :func:`repro.sanitize.default_validate` /
-        ``REPRO_SANITIZE``):
+        - ``"sequential"`` — one pooled :class:`TracingExecutor` runs
+          the threads one at a time;
+        - ``"wide"`` — a :class:`~repro.isa.wide.WideExecutor` stacks
+          the register files of a chunk of threads and runs each
+          instruction once for the chunk (grouped by PC under
+          divergent control flow);
+        - ``"jit"`` — the program compiled once to a Python megakernel
+          (:mod:`repro.isa.jit`, cached on the kernel) runs each chunk
+          with no per-instruction dispatch; raises ``ValueError`` on a
+          program the JIT declines (e.g. SIMD control flow);
+        - ``"auto"`` (default) — the sanitizer gate below decides
+          between sequential and vector dispatch, and a vector launch
+          takes the JIT when it accepts the program, the wide
+          interpreter otherwise.
 
-        - ``"first"`` — a kernel's first ``wide=None`` launch runs
-          sequentially with the race detector and uninitialized-GRF
-          tracker attached; the cached
-          :class:`~repro.sanitize.race.RaceVerdict` then admits
+        ``"wide"`` and ``"jit"`` bypass validation (the caller asserts
+        race freedom) and raise ``ValueError`` on a program that cannot
+        run grid-vectorized.  Under ``"auto"`` the gate
+        (:func:`choose_tier`) follows ``validate``, default from
+        :func:`repro.sanitize.default_validate` / ``REPRO_SANITIZE``:
+
+        - ``"first"`` — a kernel's first launch runs sequentially with
+          the race detector and uninitialized-GRF tracker attached; the
+          cached :class:`~repro.sanitize.race.RaceVerdict` then admits
           (``race_free``) or permanently refuses (conflicts found)
-          the wide path for subsequent launches.  Simulated timing is
-          identical either way — only wall-clock differs.
-        - ``"always"`` — every launch runs sanitized-sequential.
-        - ``"off"`` — trust the caller; eligible programs go wide
-          unchecked (the pre-sanitizer behaviour).
+          vector dispatch for later launches;
+        - ``"always"`` — every launch runs sanitized-sequential (also
+          under ``tier="sequential"``);
+        - ``"off"`` — trust the caller; eligible programs go vector
+          unchecked.
 
-        An explicit ``wide=True`` bypasses validation (the caller
-        asserts race freedom); ``wide=False`` under ``"first"`` stays
-        an unsanitized scalar launch so tests pinning scalar-path
-        internals see no hooks.
+        Every tier runs the grid in chunks of at most
+        ``max_live_threads`` threads, so at most that many traces (and,
+        vectorized, stacked register files) are live at a time.
 
-        On top of the wide path sits the **JIT tier** (``jit=None``,
-        the default): whenever a launch takes the wide path, the
-        program is compiled once to a Python megakernel
-        (:mod:`repro.isa.jit`) cached on the kernel object, and each
-        chunk executes with zero per-instruction dispatch.  Results
-        and simulated timing are bit-identical to both other tiers —
-        the JIT rides the same race-verdict gating as the wide path.
-        ``jit=False`` keeps the wide interpreter; ``jit=True`` forces
-        the JIT tier (implies the wide path, bypasses validation like
-        ``wide=True``, and raises if the program cannot be compiled).
-
-        With ``collect_timing=False`` the launch is functional only (no
-        traces, no :class:`KernelRun`) and returns ``None``.
-
-        ``executor`` optionally supplies an already-pooled
-        :class:`~repro.isa.wide.WideTracingExecutor` (or scalar
-        :class:`TracingExecutor`) to reuse *across* launches: the
-        serving layer's dynamic batcher passes one executor for a whole
-        batch of same-program requests so the memoized
-        operand/instruction plans are shared between requests, not just
-        between threads.  The executor is rebound to this launch's
-        surface table; a pooled wide executor falls back to a fresh
-        scalar path when the program is ineligible.
+        ``executor`` is a reuse hint: when it is an instance of the
+        chosen tier's tracing executor class (:class:`TracingExecutor`,
+        :class:`~repro.isa.wide.WideTracingExecutor` or
+        :class:`~repro.isa.jit.JitTracingExecutor`) it is rebound to
+        this launch and reused, so a serving batch of same-program
+        requests shares one executor; otherwise a fresh one is built.
         """
         from repro.compiler.finalizer import SCRATCH_BTI
-        from repro.isa.wide import WideTracingExecutor, ineligible_reason
+        from repro.isa.wide import (
+            WideScratch, WideTracingExecutor, ineligible_reason,
+        )
 
         kname = name or kernel.name
         self.begin_enqueue()
-        table = {i: s for i, s in enumerate(surfaces)}
-
-        # Pre-resolve scalar parameter GRF bases once for the whole grid.
-        scalar_bases = []
-        for pname, vreg in kernel.visa.params.items():
-            base = kernel.allocation.grf_offset.get(vreg.id)
-            if base is not None:  # params optimized away have no slot
-                scalar_bases.append((pname, base))
-
-        per_thread = callable(scalars)
-        fixed = {} if scalars is None or per_thread else dict(scalars)
-
-        ineligible = ineligible_reason(kernel.program)
-        eligible = ineligible is None
         if validate is not None:
             mode = validate
         elif sanitize_mod.current_session() is not None:
             mode = "always"  # inside sanitize.session(): check everything
         else:
             mode = sanitize_mod.default_validate()
-        if mode not in sanitize_mod.VALIDATE_MODES:
-            raise ValueError(
-                f"validate must be one of {sanitize_mod.VALIDATE_MODES}, "
-                f"got {mode!r}")
         cached = self._race_verdicts.get(id(kernel))
         verdict = cached[1] if (cached is not None and cached[0] is kernel) \
             else None
@@ -473,40 +500,12 @@ class Device:
             # from a peer shard that already sanitized this kernel).
             verdict = self._adopted_verdicts.get(kname)
             adopted = verdict is not None
-        #: may the wide path be taken without a sanitized launch first?
-        certified = mode == "off" or (verdict is not None
-                                      and verdict.race_free)
-        if jit is True and wide is False:
-            raise ValueError(
-                f"{kname}: jit=True requires the wide path (wide=False "
-                f"was also requested)")
-        #: explicit vector-path requests bypass validation: the caller
-        #: asserts race freedom (jit=True implies the wide path).
-        forced = wide is True or jit is True
-        sanitize_now = not forced and (
-            mode == "always"
-            or (mode == "first" and wide is None and eligible
-                and verdict is None))
+        ineligible = ineligible_reason(kernel.program)
+        gate, runs = choose_tier(tier, mode, ineligible, verdict)
 
-        # The gate decision, tallied per launch and emitted as an
-        # (instant) ``sanitize_gate`` span so a request's trace shows
-        # *why* its launch took the tier it did.
-        if forced:
-            gate = "bypassed"          # caller asserted race freedom
-        elif sanitize_now:
-            gate = "sanitized"         # this launch runs under checkers
-        elif wide is False:
-            gate = "forced_scalar"     # caller pinned the scalar path
-        elif not eligible:
-            gate = "ineligible"        # program cannot vectorize
-        elif mode == "off":
-            gate = "trusted"           # validation disabled
-        elif certified:
-            gate = "admitted"          # race-free verdict on file
-        elif verdict is not None:
-            gate = "refused"           # racy verdict: wide denied
-        else:
-            gate = "unverified"
+        # Tallied per launch and emitted as an (instant) ``sanitize_gate``
+        # span, so a request's trace shows *why* its launch took the
+        # tier it did.
         self.profile.count_gate(gate)
         gate_attrs = {"kernel": kname, "mode": mode, "outcome": gate}
         if gate == "ineligible":
@@ -521,113 +520,121 @@ class Device:
         with trace_span("sanitize_gate", **gate_attrs):
             pass
 
-        if executor is not None and not collect_timing:
-            raise ValueError("pooled executors imply collect_timing")
-        pooled_wide = isinstance(executor, WideTracingExecutor)
-        if not sanitize_now:
-            if pooled_wide:
-                if eligible and wide is not False and (certified
-                                                      or jit is True):
-                    return self._run_compiled_wide(
-                        kernel, grid, table, scalar_bases, scalars,
-                        per_thread, fixed, kname, collect_timing,
-                        executor, max_live_threads, jit=jit)
-                if jit is True:
-                    raise ValueError(
-                        f"{kname}: program is not wide-eligible "
-                        f"(jit=True was requested)")
-                # ineligible or uncertified program: fresh scalar path
-                executor = None
-            elif (wide is True or jit is True
-                  or (wide is None and eligible and certified)):
-                if not eligible:
-                    which = "wide" if wide is True else "jit"
-                    raise ValueError(
-                        f"{kname}: program is not wide-eligible "
-                        f"({which}=True was requested)")
-                return self._run_compiled_wide(
-                    kernel, grid, table, scalar_bases, scalars, per_thread,
-                    fixed, kname, collect_timing, None, max_live_threads,
-                    jit=jit)
-        elif pooled_wide:
-            executor = None  # wide pool is unusable on a sanitized launch
-
+        table = dict(enumerate(surfaces))
         san = oob_base = None
-        if sanitize_now:
+        if runs == "sanitized":
             race = sanitize_mod.RaceDetector()
             race.attach(table.values())
             san = sanitize_mod.ExecSanitizer(
                 race=race, uninit=sanitize_mod.UninitTracker())
             oob_base = [(s, s.oob_clipped_lanes) for s in table.values()]
 
-        scratch = None
-        if kernel.allocation.scratch_bytes:
-            scratch = BufferSurface.allocate(kernel.allocation.scratch_bytes)
-            scratch.obs_label = "scratch"
+        scratch_bytes = kernel.allocation.scratch_bytes
+        jitk = scratch = None
+        if runs == "vector":
+            if tier != "wide":
+                jitk = self._jit_for(kernel, kname)
+                if jitk is None and tier == "jit":
+                    raise ValueError(f"{kname}: program is not JIT-eligible "
+                                     f"(tier='jit')")
+            if jitk is not None:
+                from repro.isa.jit import JitTracingExecutor
+                path, cls = "jit", JitTracingExecutor
+            else:
+                path, cls = "wide", WideTracingExecutor
+            if scratch_bytes:
+                scratch = WideScratch(0, scratch_bytes)
+        else:
+            path, cls = "sequential", TracingExecutor
+            if scratch_bytes:
+                scratch = BufferSurface.allocate(scratch_bytes)
+                scratch.obs_label = "scratch"
+        if scratch is not None:
             table[SCRATCH_BTI] = scratch
 
-        # Functional-only launches skip the tracing subclass entirely.
-        if executor is not None:
-            executor.rebind(table)
-            ex = executor
-        else:
-            ex = TracingExecutor(table) if collect_timing else \
-                FunctionalExecutor(table)
-        if san is not None:
-            ex.san = san
-        acc = TimingAccumulator(self.machine) if collect_timing else None
+        ex = executor if type(executor) is cls else cls()
+        ex.rebind(table)
+        ex.bind_plans(kernel.plan_table())
+        if jitk is not None:
+            ex.bind_jit(jitk)
+        ex.san = san
+
+        # Scalar parameters optimized away have no GRF slot.
+        bases = []
+        for pname, vreg in kernel.visa.params.items():
+            base = kernel.allocation.grf_offset.get(vreg.id)
+            if base is not None:
+                bases.append((pname, base))
+        program = kernel.program
+        grf_bytes = kernel.allocation.max_grf_bytes
+        thread_ids = list(self._grid_ids(grid))
+        total = len(thread_ids)
+        step = max(1, max_live_threads)
+        acc = TimingAccumulator(self.machine)
         bacc = (BreakdownAccumulator(self.machine)
-                if collect_timing and self.obs.breakdowns else None)
-        live: list[ThreadTrace] = []
-        live_peak = 0
-        n_threads = 0
-        with trace_span("dispatch", kernel=kname, path="compiled",
-                        grid=tuple(grid)), \
-                trace_span("dispatch:sequential", kernel=kname,
-                           grid=tuple(grid), chunk=0) as tier_span:
-            for thread_id in self._grid_ids(grid):
-                ex.reset()
-                if san is not None:
-                    san.begin_thread(thread_id)
-                if scratch is not None:
-                    scratch.bytes.fill(0)
-                if collect_timing:
-                    trace = ThreadTrace(self.machine)
-                    ex.begin_thread(trace)
-                values = scalars(thread_id) if per_thread else fixed
-                for pname, base in scalar_bases:
-                    value = values.get(pname)
-                    if value is not None:
-                        ex.grf.write_bytes(
-                            base, np.asarray([value], dtype=np.int32))
-                        if san is not None:
-                            san.mark_grf_valid(base, 4)
-                ex.run(kernel.program)
-                n_threads += 1
-                if collect_timing:
-                    trace.note_grf(kernel.allocation.max_grf_bytes)
-                    live.append(trace)
-                    if len(live) > live_peak:
-                        live_peak = len(live)
-                    if len(live) >= chunk_threads:
-                        self._retire_chunk(acc, live, bacc, kernel=kname)
-                elif n_threads % max(chunk_threads, 1) == 0:
+                if self.obs.breakdowns else None)
+        # JIT chunks fold timing without fanning the template out into
+        # per-thread traces (the breakdown profiler still needs traces).
+        fold = path == "jit" and bacc is None
+        with trace_span("dispatch", kernel=kname, path=path,
+                        grid=tuple(grid), threads=total):
+            for chunk_idx, start in enumerate(range(0, total, step)):
+                ids = thread_ids[start:start + step]
+                count = len(ids)
+                cols = _scalar_columns(scalars, bases, ids)
+                with trace_span(f"dispatch:{path}", kernel=kname,
+                                grid=tuple(grid), chunk=chunk_idx,
+                                threads=count):
+                    if path == "sequential":
+                        traces = self._run_threads(ex, program, ids, cols,
+                                                   scratch, san)
+                    else:
+                        ex.reset(count)
+                        if scratch is not None:
+                            scratch.resize(count)
+                        ex.begin_launch(self.machine)
+                        for base, col in cols:
+                            ex.seed_scalar(base, col)
+                        ex.run(program)
+                        traces = None if fold else ex.drain_traces()
+                with trace_span("chunk", kernel=kname, threads=count):
                     self.profile.chunks_dispatched += 1
-            if live:
-                self._retire_chunk(acc, live, bacc, kernel=kname)
-            tier_span.set(threads=n_threads)
-        self.profile.threads_run += n_threads
-        self.profile.note_live_traces(live_peak)
-        self.profile.count_launch("sequential")
+                    if traces is None:
+                        ex.fold_chunk(acc, grf_bytes)
+                    else:
+                        for tr in traces:
+                            tr.note_grf(grf_bytes)
+                        acc.extend(traces)
+                        if bacc is not None:
+                            bacc.extend(traces)
+        self.profile.threads_run += total
+        self.profile.note_live_traces(min(step, total))
+        self.profile.count_launch(path)
 
         if san is not None:
             ex.san = None
             self._finish_sanitized(kernel, kname, san, oob_base)
         self._collect_oob(table.values())
+        return self._record(acc.finalize(), kname, bacc, path=path)
 
-        if not collect_timing:
-            return None
-        return self._record(acc.finalize(), kname, bacc, path="sequential")
+    def _run_threads(self, ex, program, ids, cols, scratch, san) -> list:
+        """Run one chunk of threads one at a time; return their traces."""
+        traces = []
+        for i, thread_id in enumerate(ids):
+            ex.reset()
+            if san is not None:
+                san.begin_thread(thread_id)
+            if scratch is not None:
+                scratch.bytes.fill(0)
+            trace = ThreadTrace(self.machine)
+            ex.begin_thread(trace)
+            for base, col in cols:
+                ex.grf.write_bytes(base, col[i:i + 1])
+                if san is not None:
+                    san.mark_grf_valid(base, 4)
+            ex.run(program)
+            traces.append(trace)
+        return traces
 
     def _finish_sanitized(self, kernel, kname: str, san, oob_base) -> None:
         """Fold a sanitized-sequential launch into verdicts and reports."""
@@ -727,130 +734,6 @@ class Device:
                 reg.counter("jit_compiles", kernel=kname).inc()
                 reg.counter("jit_compile_seconds", kernel=kname).inc(dt)
         return jitk
-
-    def _run_compiled_wide(self, kernel, grid, table, scalar_bases,
-                           scalars, per_thread, fixed, kname: str,
-                           collect_timing: bool, executor,
-                           max_live_threads: int,
-                           jit: Optional[bool] = None) -> Optional[KernelRun]:
-        """Grid-vectorized dispatch: each instruction runs once for a
-        whole chunk of threads (see :mod:`repro.isa.wide`)."""
-        from repro.compiler.finalizer import SCRATCH_BTI
-        from repro.isa.wide import (
-            WideExecutor, WideScratch, WideTracingExecutor,
-        )
-
-        thread_ids = list(self._grid_ids(grid))
-        total = len(thread_ids)
-        max_live = max(1, max_live_threads)
-
-        # Scalar parameters become per-thread int32 columns, seeded into
-        # the stacked GRF in one strided write per parameter per chunk.
-        cols: Dict[str, np.ndarray] = {}
-        if scalar_bases:
-            if per_thread:
-                values = [scalars(tid) for tid in thread_ids]
-                for pname, _base in scalar_bases:
-                    cols[pname] = np.asarray(
-                        [0 if v.get(pname) is None else v.get(pname)
-                         for v in values], dtype=np.int32)
-            else:
-                for pname, _base in scalar_bases:
-                    v = fixed.get(pname)
-                    cols[pname] = np.full(
-                        total, 0 if v is None else int(v), dtype=np.int32)
-
-        scratch = None
-        if kernel.allocation.scratch_bytes:
-            scratch = WideScratch(0, kernel.allocation.scratch_bytes)
-            table[SCRATCH_BTI] = scratch
-
-        jitk = self._jit_for(kernel, kname) if jit is not False else None
-        if jit is True and jitk is None:
-            raise ValueError(
-                f"{kname}: program is not JIT-eligible "
-                f"(jit=True was requested)")
-        if executor is not None:
-            executor.rebind(table)
-            ex = executor
-            if jitk is not None:
-                if hasattr(ex, "bind_jit"):
-                    ex.bind_jit(jitk)
-                elif jit is True:
-                    raise ValueError(
-                        f"{kname}: pooled executor {type(ex).__name__} "
-                        f"cannot run the JIT tier (jit=True was requested)")
-                else:  # plain pooled wide executor: stay on the wide path
-                    jitk = None
-        else:
-            if jitk is not None:
-                from repro.isa.jit import JitExecutor, JitTracingExecutor
-                ex = JitTracingExecutor(table) if collect_timing else \
-                    JitExecutor(table)
-                ex.bind_jit(jitk)
-            else:
-                ex = WideTracingExecutor(table) if collect_timing else \
-                    WideExecutor(table)
-        ex.bind_plans(kernel.plan_table())
-        path = "jit" if jitk is not None else "wide"
-        acc = TimingAccumulator(self.machine) if collect_timing else None
-        bacc = (BreakdownAccumulator(self.machine)
-                if collect_timing and self.obs.breakdowns else None)
-        live_peak = 0
-        with trace_span("dispatch", kernel=kname, path=path,
-                        grid=tuple(grid), threads=total):
-            for chunk_idx, start in enumerate(range(0, total, max_live)):
-                count = min(max_live, total - start)
-                ex.reset(count)
-                if scratch is not None:
-                    scratch.resize(count)
-                if collect_timing:
-                    ex.begin_launch(self.machine)
-                for pname, base in scalar_bases:
-                    ex.seed_scalar(base, cols[pname][start:start + count])
-                with trace_span(f"dispatch:{path}", kernel=kname,
-                                grid=tuple(grid), chunk=chunk_idx,
-                                threads=count):
-                    ex.run(kernel.program)
-                if collect_timing:
-                    if count > live_peak:
-                        live_peak = count
-                    if jitk is not None and bacc is None:
-                        # JIT chunks fold timing without fanning the
-                        # template out into per-thread traces (the
-                        # breakdown profiler still needs real traces).
-                        with trace_span("chunk", kernel=kname,
-                                        threads=count):
-                            self.profile.chunks_dispatched += 1
-                            ex.fold_chunk(
-                                acc, kernel.allocation.max_grf_bytes)
-                    else:
-                        traces = ex.drain_traces()
-                        for tr in traces:
-                            tr.note_grf(kernel.allocation.max_grf_bytes)
-                        self._retire_chunk(acc, traces, bacc,
-                                           kernel=kname)
-                else:
-                    self.profile.chunks_dispatched += 1
-        self.profile.threads_run += total
-        if live_peak:
-            self.profile.note_live_traces(live_peak)
-        self.profile.count_launch(path)
-        self._collect_oob(table.values())
-
-        if not collect_timing:
-            return None
-        return self._record(acc.finalize(), kname, bacc, path=path)
-
-    def _retire_chunk(self, acc: TimingAccumulator,
-                      live: list, bacc=None,
-                      kernel: Optional[str] = None) -> None:
-        with trace_span("chunk", kernel=kernel, threads=len(live)):
-            self.profile.chunks_dispatched += 1
-            acc.extend(live)
-            if bacc is not None:
-                bacc.extend(live)
-            live.clear()
 
     def submit(self, traces: Sequence[ThreadTrace], name: str) -> KernelRun:
         """Record a completed enqueue built from externally-run traces."""

@@ -27,6 +27,7 @@ Families:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -166,16 +167,11 @@ def _systolic_variant(problem: Problem, point: Point) -> Variant:
 _LF_TAPS = ((1, 1), (0, 0), (0, 1), (0, 2), (1, 0),
             (1, 2), (2, 0), (2, 1), (2, 2))
 
-_LF_BODIES: Dict[Any, Callable] = {}
 _LF_SIG = [("src", True), ("dst", True)]
 
 
+@functools.cache
 def _lf_body(tile_w: int, tile_h: int) -> Callable:
-    key = (tile_w, tile_h)
-    body = _LF_BODIES.get(key)
-    if body is not None:
-        return body
-
     def linear_tuned(cmx, src, dst, tx, ty):
         x0 = tx * tile_w   # interior-relative; absolute pixel is +1
         y0 = ty * tile_h
@@ -194,7 +190,6 @@ def _lf_body(tile_w: int, tile_h: int) -> Callable:
         out.assign(scaled)
         cmx.write(dst, x0 + 1, y0 + 1, out)
 
-    _LF_BODIES[key] = linear_tuned
     return linear_tuned
 
 

@@ -16,6 +16,8 @@ Sorts ``n = 2^k`` uint32 keys ascending.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro import cm, ocl
@@ -200,9 +202,7 @@ def _cf_local_body(cmx, buf, t, lgs0, lgs1):
     cmx.simd_while(stage)
 
 
-_CF_GLOBAL_BODIES: dict = {}
-
-
+@functools.cache
 def _cf_global_body(lg: int, lgsize: int):
     """One global split step (stride ``2**lg`` >= 32), 16 pairs per thread.
 
@@ -213,9 +213,6 @@ def _cf_global_body(lg: int, lgsize: int):
     executes).  Memoized per ``(lg, lgsize)`` so the identity-keyed
     kernel caches hit across sorts.
     """
-    cached = _CF_GLOBAL_BODIES.get((lg, lgsize))
-    if cached is not None:
-        return cached
     stride = 1 << lg
 
     def body(cmx, buf, t):
@@ -243,7 +240,6 @@ def _cf_global_body(lg: int, lgsize: int):
         cmx.write_scattered(buf, 0, a_idx, out_a)
         cmx.write_scattered(buf, 0, b_idx, out_b)
 
-    _CF_GLOBAL_BODIES[(lg, lgsize)] = body
     return body
 
 
@@ -251,7 +247,8 @@ _CF_SIG = [("buf", False)]
 
 
 def run_cm_bitonic_compiled(device: Device, keys: np.ndarray,
-                            wide=None, validate: str = "off") -> np.ndarray:
+                            tier: str = "auto",
+                            validate: str = "off") -> np.ndarray:
     """Sort via the compiled divergent kernels (wide-dispatch eligible).
 
     One local launch covers stages 2..32 (15 split steps); each later
@@ -272,7 +269,7 @@ def run_cm_bitonic_compiled(device: Device, keys: np.ndarray,
             local, grid=(threads,), surfaces=[buf],
             scalars=lambda tid, a=lgs0, b=lgs1: {"t": tid[0],
                                                  "lgs0": a, "lgs1": b},
-            name="cf_bitonic_local", wide=wide, validate=validate)
+            name="cf_bitonic_local", tier=tier, validate=validate)
 
     launch_local(1, min(5, log2n))
     for lgsize in range(6, log2n + 1):
@@ -283,7 +280,7 @@ def run_cm_bitonic_compiled(device: Device, keys: np.ndarray,
             device.run_compiled(
                 kern, grid=(n // CF_SPAN,), surfaces=[buf],
                 scalars=lambda tid: {"t": tid[0]},
-                name=name, wide=wide, validate=validate)
+                name=name, tier=tier, validate=validate)
         launch_local(lgsize, lgsize)
     return buf.to_numpy().view(np.uint32).copy()
 

@@ -12,6 +12,8 @@ Matrices are row-major; A is MxK, B is KxN, C is MxN.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro import cm, ocl
@@ -116,16 +118,13 @@ def run_cm_dgemm(device: Device, a, b, c, alpha=1.0, beta=0.0) -> np.ndarray:
 #: frontend fully unrolls the K loop, so keep the program compact).
 JIT_BM, JIT_BN = 8, 16
 
-#: One body per K so Device.compile's identity-keyed cache hits across
-#: launches of the same problem size.
-_JIT_BODIES: dict = {}
 _JIT_SIG = [("abuf", True), ("bbuf", True), ("cbuf", True)]
 
 
+@functools.cache
 def _jit_gemm_body(k: int):
-    body = _JIT_BODIES.get(k)
-    if body is not None:
-        return body
+    """One body per K so Device.compile's identity-keyed cache hits
+    across launches of the same problem size."""
 
     def sgemm_jit(cmx, abuf, bbuf, cbuf, tx, ty):
         row0 = ty * JIT_BM
@@ -146,7 +145,6 @@ def _jit_gemm_body(k: int):
         out.assign(acc + ctile)
         cmx.write(cbuf, col0 * 4, row0, out)
 
-    _JIT_BODIES[k] = sgemm_jit
     return sgemm_jit
 
 

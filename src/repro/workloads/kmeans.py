@@ -21,6 +21,8 @@ Both implementations alternate two kernels per iteration:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro import cm, ocl
@@ -166,19 +168,13 @@ def run_cm(device: Device, points: np.ndarray, centroids0: np.ndarray,
 CF_PTS = 16
 
 
-_CF_ASSIGN_BODIES: dict = {}
-
-
+@functools.cache
 def _cf_assign_body(k: int, kp: int):
     """Build the divergent assign kernel for a fixed cluster count.
 
     Memoized per ``(k, kp)`` so the identity-keyed kernel caches
     (``Device.compile``, serve cache-affinity routing) hit across calls.
     """
-    cached = _CF_ASSIGN_BODIES.get((k, kp))
-    if cached is not None:
-        return cached
-
     def body(cmx, xs, ys, cent, labels, t):
         W = CF_PTS
         lane = cmx.vector(np.int32, W, np.arange(W, dtype=np.int32))
@@ -209,7 +205,6 @@ def _cf_assign_body(k: int, kp: int):
         cmx.simd_while(loop)
         cmx.write_scattered(labels, 0, idx, bidx)
 
-    _CF_ASSIGN_BODIES[(k, kp)] = body
     return body
 
 
@@ -244,7 +239,8 @@ def _host_update(pts: np.ndarray, labels: np.ndarray,
 
 def run_cm_kmeans_compiled(device: Device, points: np.ndarray,
                            centroids0: np.ndarray, iterations: int = 2,
-                           wide=None, validate: str = "off") -> np.ndarray:
+                           tier: str = "auto",
+                           validate: str = "off") -> np.ndarray:
     """Lloyd iterations with the compiled divergent assign kernel.
 
     The assign step (where all the divergence lives) runs on the device;
@@ -270,7 +266,7 @@ def run_cm_kmeans_compiled(device: Device, points: np.ndarray,
         device.run_compiled(kern, grid=(n // CF_PTS,),
                             surfaces=[xs, ys, cent, labels_buf],
                             scalars=lambda tid: {"t": tid[0]},
-                            name=name, wide=wide, validate=validate)
+                            name=name, tier=tier, validate=validate)
         labels = labels_buf.to_numpy()
         _host_update(points, labels, cent.to_numpy(), k, kp)
     out = cent.to_numpy()

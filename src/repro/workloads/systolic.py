@@ -21,6 +21,8 @@ allocator runs out of GRF and the variant is inadmissible.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro import cm
@@ -89,17 +91,13 @@ def run_cm(device: Device, a, b, c, alpha=1.0, beta=0.0,
 
 # -- CM implementation, compiled path ------------------------------------------
 
-#: One body per (k, bm, bn, ktile) so Device.compile's identity-keyed
-#: cache hits across launches of the same variant.
-_JIT_BODIES: dict = {}
 _JIT_SIG = [("abuf", True), ("bbuf", True), ("cbuf", True)]
 
 
+@functools.cache
 def _jit_systolic_body(k: int, bm: int, bn: int, ktile: int):
-    key = (k, bm, bn, ktile)
-    body = _JIT_BODIES.get(key)
-    if body is not None:
-        return body
+    """One body per (k, bm, bn, ktile) so Device.compile's
+    identity-keyed cache hits across launches of the same variant."""
     if k % ktile:
         raise ValueError(f"K={k} must divide the K band ({ktile})")
 
@@ -126,7 +124,6 @@ def _jit_systolic_body(k: int, bm: int, bn: int, ktile: int):
         out.assign(acc + ctile)
         cmx.write(cbuf, col0 * 4, row0, out)
 
-    _JIT_BODIES[key] = systolic_jit
     return systolic_jit
 
 

@@ -23,7 +23,8 @@ filters before a compile is attempted.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import functools
+from typing import Callable
 
 import numpy as np
 
@@ -77,15 +78,10 @@ def _register_transpose(m_in: cm.Matrix, m_out: cm.Matrix,
         size //= 2
 
 
-_CM_KERNELS: Dict[int, Callable] = {}
-
-
+@functools.cache
 def cm_kernel_for(tile: int) -> Callable:
     """The register-transpose CM kernel for one tile edge (memoized so
     repeated launches share one kernel identity)."""
-    kern = _CM_KERNELS.get(tile)
-    if kern is not None:
-        return kern
 
     @cm.cm_kernel
     def _cm_transpose(src, dst, n):
@@ -97,7 +93,6 @@ def cm_kernel_for(tile: int) -> Callable:
         _register_transpose(t_in, out, tile)
         cm.write(dst, ty * tile * 4, tx * tile, out)
 
-    _CM_KERNELS[tile] = _cm_transpose
     return _cm_transpose
 
 
@@ -112,15 +107,10 @@ def run_cm(device: Device, a: np.ndarray, tile: int = TILE) -> np.ndarray:
 
 # -- OpenCL implementation ------------------------------------------------------
 
-_OCL_KERNELS: Dict[int, Callable] = {}
-
-
+@functools.cache
 def ocl_kernel_for(tile: int) -> Callable:
     """The SLM-tiled SIMT kernel for one tile edge (padded SLM stride
     ``tile + 1`` floats to avoid bank conflicts)."""
-    kern = _OCL_KERNELS.get(tile)
-    if kern is not None:
-        return kern
     stride = tile + 1
 
     def _ocl_transpose(src, dst, n, slm):
@@ -139,7 +129,6 @@ def ocl_kernel_for(tile: int) -> Callable:
         yo = ly + gx
         ocl.store(dst, yo * n + xo, t)
 
-    _OCL_KERNELS[tile] = _ocl_transpose
     return _ocl_transpose
 
 

@@ -233,7 +233,7 @@ def _hist_body(cmx, src, out, t):
 
 
 class TestRunCompiledVsEager:
-    def _run_gemm_pair(self, chunk_threads=64, wide=None):
+    def _run_gemm_pair(self, max_live_threads=1024, tier="auto"):
         m, n, k = 16, 32, _K
         a, b, c = gemm.make_inputs(m, n, k, seed=5)
         dev_e = Device()
@@ -249,7 +249,7 @@ class TestRunCompiledVsEager:
         run = dev_c.run_compiled(
             kern, (n // _BN, m // _BM), [abuf, bbuf, cbuf],
             scalars=lambda tid: {"tx": tid[0], "ty": tid[1]},
-            chunk_threads=chunk_threads, wide=wide)
+            max_live_threads=max_live_threads, tier=tier)
         return dev_e, out_e, dev_c, cbuf.to_numpy().copy(), run, (a, b, c)
 
     def test_gemm_outputs_identical_and_same_bound(self):
@@ -262,13 +262,12 @@ class TestRunCompiledVsEager:
         assert run.timing.num_threads == eager.num_threads
 
     def test_gemm_chunked_dispatch_matches_unchunked(self):
-        # chunk_threads / peak_live_traces are sequential-path internals;
-        # pin the scalar path (the wide path has its own chunking test in
-        # test_wide_dispatch.py).
-        _, _, dev1, out1, run1, _ = self._run_gemm_pair(chunk_threads=64,
-                                                        wide=False)
-        _, _, dev2, out2, run2, _ = self._run_gemm_pair(chunk_threads=1,
-                                                        wide=False)
+        # pin the scalar path (the vector tiers have their own chunking
+        # tests in test_wide_dispatch.py and test_jit.py).
+        _, _, dev1, out1, run1, _ = self._run_gemm_pair(
+            max_live_threads=64, tier="sequential")
+        _, _, dev2, out2, run2, _ = self._run_gemm_pair(
+            max_live_threads=1, tier="sequential")
         assert np.array_equal(out1, out2)
         assert run1.timing.cycles == run2.timing.cycles
         assert dev2.profile.chunks_dispatched == 4
@@ -299,24 +298,6 @@ class TestRunCompiledVsEager:
         assert np.array_equal(parts_e.sum(axis=0, dtype=np.uint32), expect)
         assert np.array_equal(parts_e, parts_c)
         assert run.timing.bound_by == dev_e.runs[0].timing.bound_by
-
-    def test_functional_only_launch(self):
-        m, n, k = 16, 32, _K
-        a, b, c = gemm.make_inputs(m, n, k, seed=5)
-        dev = Device()
-        kern = dev.compile(_gemm_body, "gemm_small_c",
-                           [("abuf", True), ("bbuf", True), ("cbuf", True)],
-                           ["tx", "ty"])
-        abuf = dev.image2d(a.copy(), bytes_per_pixel=4)
-        bbuf = dev.image2d(b.copy(), bytes_per_pixel=4)
-        cbuf = dev.image2d(c.copy(), bytes_per_pixel=4)
-        result = dev.run_compiled(
-            kern, (n // _BN, m // _BM), [abuf, bbuf, cbuf],
-            scalars=lambda tid: {"tx": tid[0], "ty": tid[1]},
-            collect_timing=False)
-        assert result is None and not dev.runs
-        assert np.allclose(cbuf.to_numpy(), gemm.reference(a, b, c, 1.0, 0.0),
-                           atol=1e-4)
 
 
 # -- bugfix regressions --------------------------------------------------------

@@ -114,7 +114,7 @@ class TestCompiledDivergentKernel:
         data = _input()
         expect = _oracle(data)
         runs = {}
-        for wide in (False, True):
+        for tier in ("sequential", "wide"):
             dev = Device()
             b_in = dev.buffer(data.copy())
             b_out = dev.buffer(np.zeros(NT * W, np.int32))
@@ -122,12 +122,12 @@ class TestCompiledDivergentKernel:
             run = dev.run_compiled(kern, grid=(NT,),
                                    surfaces=[b_in, b_out],
                                    scalars=lambda tid: {"t": tid[0]},
-                                   name="cf_dev", wide=wide,
+                                   name="cf_dev", tier=tier,
                                    validate="off")
             assert np.array_equal(b_out.to_numpy().view(np.int32), expect)
-            runs[wide] = run
-        assert runs[True].path == "wide"
-        seq_t, wide_t = runs[False].timing, runs[True].timing
+            runs[tier] = run
+        assert runs["wide"].path == "wide"
+        seq_t, wide_t = runs["sequential"].timing, runs["wide"].timing
         for f in dataclasses.fields(seq_t):
             assert getattr(seq_t, f.name) == getattr(wide_t, f.name), \
                 f"timing field {f.name} diverged on the wide path"
@@ -182,14 +182,13 @@ class TestCompiledDivergentWorkloads:
         keys = bitonic.make_input(6, seed=3)       # n = 64
         expect = np.sort(keys)
         outs = {}
-        for wide in (False, True):
+        for tier in ("sequential", "wide"):
             dev = Device()
-            outs[wide] = bitonic.run_cm_bitonic_compiled(
-                dev, keys, wide=wide)
-            assert {r.path for r in dev.runs} == \
-                ({"wide"} if wide else {"sequential"})
-        assert np.array_equal(outs[False], expect)
-        assert np.array_equal(outs[True], expect)
+            outs[tier] = bitonic.run_cm_bitonic_compiled(
+                dev, keys, tier=tier)
+            assert {r.path for r in dev.runs} == {tier}
+        assert np.array_equal(outs["sequential"], expect)
+        assert np.array_equal(outs["wide"], expect)
 
     def test_bitonic_eager_matches_compiled(self):
         keys = bitonic.make_input(6, seed=9)
@@ -201,9 +200,9 @@ class TestCompiledDivergentWorkloads:
         rng = np.random.default_rng(0)
         c0 = pts[rng.choice(128, 4, replace=False)].copy()
         ref = kmeans.reference(pts, c0, iterations=2)
-        for wide in (False, True):
+        for tier in ("sequential", "wide"):
             got = kmeans.run_cm_kmeans_compiled(
-                Device(), pts, c0, iterations=2, wide=wide)
+                Device(), pts, c0, iterations=2, tier=tier)
             assert np.allclose(got, ref, atol=0.5)
 
     def test_kmeans_eager_matches_reference(self):

@@ -10,7 +10,7 @@ test_fuzz_differential.py; this file covers everything around it:
   see a stale plan; pooled executors must not grow unboundedly),
 - megakernel compilation, eligibility, and the kernel-attached cache
   (compile once, hit afterwards, released with the kernel),
-- ``Device.run_compiled`` tier selection (``jit=None/True/False``),
+- ``Device.run_compiled`` tier selection (``tier="auto"/"jit"/...``),
   chunking, pooled executors, and timing parity with the other tiers.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.cache import KernelCache
-from repro.isa.dtypes import D, F
+from repro.isa.dtypes import D
 from repro.isa.executor import FunctionalExecutor
 from repro.isa.grf import RegOperand
 from repro.isa.instructions import (
@@ -31,7 +31,7 @@ from repro.isa.instructions import (
 from repro.isa.jit import (
     JitExecutor, JitKernel, JitTracingExecutor, get_jit, jit_eligible,
 )
-from repro.isa.wide import WideExecutor, WideTracingExecutor
+from repro.isa.wide import WideTracingExecutor
 from repro.isa.regions import Region
 from repro.sim.device import Device
 
@@ -67,8 +67,8 @@ def _saxpy_body(cmx, xbuf, ybuf, tid):
 _SAXPY_SIG = [("xbuf", False), ("ybuf", False)]
 
 
-def _run_saxpy(jit, wide=None, n_threads=32, max_live_threads=1024,
-               executor=None, dev=None, collect_timing=True):
+def _run_saxpy(tier, n_threads=32, max_live_threads=1024,
+               executor=None, dev=None):
     dev = dev if dev is not None else Device()
     rng = np.random.default_rng(11)
     x = rng.standard_normal(n_threads * _VEC).astype(np.float32)
@@ -77,11 +77,12 @@ def _run_saxpy(jit, wide=None, n_threads=32, max_live_threads=1024,
     kern = dev.compile(_saxpy_body, "jsaxpy", _SAXPY_SIG, ["tid"])
     run = dev.run_compiled(kern, grid=(n_threads,), surfaces=[xbuf, ybuf],
                            scalars=lambda t: {"tid": t[0]}, name="jsaxpy",
-                           wide=wide, jit=jit, executor=executor,
+                           tier=tier, executor=executor,
                            max_live_threads=max_live_threads,
-                           collect_timing=collect_timing, validate="off")
+                           validate="off")
     got = ybuf.to_numpy().view(np.float32).copy()
     assert np.allclose(got, 2.0 * x + y, atol=1e-6)
+    assert tier == "auto" or run.path == tier
     return dev, run, got
 
 
@@ -218,7 +219,7 @@ class TestKernelAttachedCache:
         dev = Device()
         dev.kernel_cache = KernelCache(maxsize=1)
         kern = dev.compile(_saxpy_body, "jsaxpy", _SAXPY_SIG, ["tid"])
-        _run_saxpy(jit=True, dev=dev)
+        _run_saxpy("jit", dev=dev)
         assert kern._jit is not None and kern._plan_table is not None
 
         def other_body(cmx, xbuf, ybuf, tid):
@@ -233,62 +234,63 @@ class TestKernelAttachedCache:
 
 class TestDeviceDispatch:
     def test_jit_matches_wide_and_scalar(self):
-        _, run_j, out_j = _run_saxpy(jit=True)
-        _, run_w, out_w = _run_saxpy(jit=False, wide=True)
-        _, run_s, out_s = _run_saxpy(jit=False, wide=False)
+        _, run_j, out_j = _run_saxpy("jit")
+        _, run_w, out_w = _run_saxpy("wide")
+        _, run_s, out_s = _run_saxpy("sequential")
         assert np.array_equal(out_j, out_w)
         assert np.array_equal(out_j, out_s)
         assert _timing_equal(run_j.timing, run_w.timing)
         assert _timing_equal(run_j.timing, run_s.timing)
 
     def test_jit_is_the_default_top_tier(self):
-        dev, run_a, _ = _run_saxpy(jit=None)
-        assert dev.profile.jit_compiles == 1
-        _, run_s, _ = _run_saxpy(jit=False, wide=False)
+        dev, run_a, _ = _run_saxpy("auto")
+        assert dev.profile.jit_compiles == 1 and run_a.path == "jit"
+        _, run_s, _ = _run_saxpy("sequential")
         assert _timing_equal(run_a.timing, run_s.timing)
 
     def test_chunked_jit_matches_unchunked(self):
         # 32 threads in chunks of 9: totals must not depend on chunking.
-        _, run_c, _ = _run_saxpy(jit=True, max_live_threads=9)
-        _, run_u, _ = _run_saxpy(jit=True)
+        _, run_c, _ = _run_saxpy("jit", max_live_threads=9)
+        _, run_u, _ = _run_saxpy("jit")
         assert _timing_equal(run_c.timing, run_u.timing)
-
-    def test_functional_only_jit_launch(self):
-        dev, run, _ = _run_saxpy(jit=True, collect_timing=False)
-        assert run is None and dev.runs == []
 
     def test_profile_counts_compiles_and_hits(self):
         dev = Device()
         for _ in range(3):
-            _run_saxpy(jit=True, dev=dev)
+            _run_saxpy("jit", dev=dev)
         assert dev.profile.jit_compiles == 1
         assert dev.profile.jit_cache_hits == 2
 
     def test_pooled_jit_executor_reused_across_launches(self):
         pooled = JitTracingExecutor()
         dev = Device()
-        _, run1, _ = _run_saxpy(jit=None, executor=pooled, dev=dev)
-        _, run2, _ = _run_saxpy(jit=None, executor=pooled, dev=dev)
-        _, run_s, _ = _run_saxpy(jit=False, wide=False)
+        _, run1, _ = _run_saxpy("auto", executor=pooled, dev=dev)
+        _, run2, _ = _run_saxpy("auto", executor=pooled, dev=dev)
+        assert pooled.num_threads == 32  # the hint was taken
+        _, run_s, _ = _run_saxpy("sequential")
         assert dev.profile.jit_compiles == 1
         assert dev.profile.jit_cache_hits == 1
         assert _timing_equal(run1.timing, run_s.timing)
         assert _timing_equal(run2.timing, run_s.timing)
 
     def test_plain_pooled_wide_executor_stays_wide(self):
-        # a non-JIT pooled executor silently keeps the wide tier …
+        # a plain wide executor is reused by the wide tier …
         pooled = WideTracingExecutor()
-        dev, run, _ = _run_saxpy(jit=None, executor=pooled, dev=Device())
-        assert dev.profile.jit_cache_hits + dev.profile.jit_compiles == 1
-        _, run_s, _ = _run_saxpy(jit=False, wide=False)
+        dev, run, _ = _run_saxpy("wide", executor=pooled, dev=Device())
+        assert pooled.num_threads == 32
+        assert dev.profile.jit_cache_hits + dev.profile.jit_compiles == 0
+        _, run_s, _ = _run_saxpy("sequential")
         assert _timing_equal(run.timing, run_s.timing)
-        # … unless the JIT was explicitly demanded
-        with pytest.raises(ValueError, match="cannot run the JIT tier"):
-            _run_saxpy(jit=True, executor=WideTracingExecutor())
+        # … and is only a hint elsewhere: the JIT tier builds its own
+        # executor rather than raising or falling back.
+        pooled = WideTracingExecutor()
+        _, run_j, _ = _run_saxpy("jit", executor=pooled)
+        assert pooled.num_threads == 0
+        assert _timing_equal(run_j.timing, run_s.timing)
 
-    def test_jit_true_requires_wide_path(self):
-        with pytest.raises(ValueError, match="requires the wide path"):
-            _run_saxpy(jit=True, wide=False)
+    def test_unknown_tier_rejected(self):
+        with pytest.raises(ValueError, match="tier must be one of"):
+            _run_saxpy("vector")
 
     def test_jit_true_on_ineligible_program_raises(self):
         dev = Device()
@@ -296,9 +298,9 @@ class TestDeviceDispatch:
         kern.program.insert(0, Instruction(
             Opcode.SEND, msg=MessageDesc(kind=None, surface=0)))
         buf = dev.buffer(np.zeros(_VEC, dtype=np.float32))
-        with pytest.raises(ValueError, match="jit=True was requested"):
+        with pytest.raises(ValueError, match="not wide-eligible"):
             dev.run_compiled(kern, grid=(1,), surfaces=[buf, buf],
-                             scalars={"tid": 0}, jit=True, validate="off")
+                             scalars={"tid": 0}, tier="jit", validate="off")
 
     def test_fold_chunk_matches_trace_fanout(self):
         """The vectorized JIT timing fold and the per-thread trace
@@ -306,10 +308,10 @@ class TestDeviceDispatch:
         every KernelTiming field."""
         from repro import obs as obs_mod
 
-        _, run_fold, _ = _run_saxpy(jit=True, n_threads=48,
+        _, run_fold, _ = _run_saxpy("jit", n_threads=48,
                                     max_live_threads=16)
         with obs_mod.observed(span_metrics=False):
-            _, run_fan, _ = _run_saxpy(jit=True, n_threads=48,
+            _, run_fan, _ = _run_saxpy("jit", n_threads=48,
                                        max_live_threads=16)
         assert run_fan.breakdown is not None
         assert _timing_equal(run_fold.timing, run_fan.timing)
@@ -320,7 +322,7 @@ class TestDeviceDispatch:
 
         sink = ChromeTraceSink()
         with obs_mod.observed(sink=sink, span_metrics=False):
-            _run_saxpy(jit=True, max_live_threads=20)
+            _run_saxpy("jit", max_live_threads=20)
         jit_spans = [e for e in sink.events if e["name"] == "dispatch:jit"]
         assert sorted(e["args"]["threads"] for e in jit_spans) == [12, 20]
         outer = [e for e in sink.events if e["name"] == "dispatch"]

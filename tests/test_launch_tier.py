@@ -1,0 +1,172 @@
+"""The compiled-launch tier decision and the one chunked launch loop.
+
+``choose_tier`` is pure, so its whole input space is pinned here as a
+table: requested tier x validate mode x wide eligibility x race
+verdict.  The integration tests check that a forced tier is the tier
+that runs, that the JIT tier refuses control-flow programs, that a
+pinned sequential tier stays unsanitized under ``"first"``, and that
+every tier chunks by ``max_live_threads`` with identical timing.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.sanitize.race import RaceVerdict
+from repro.sim.device import TIERS, Device, choose_tier
+
+MODES = ("off", "first", "always")
+VERDICTS = ("none", "race_free", "racy", "adopted_race_free")
+_VERDICT_OBJECTS = {
+    "none": None,
+    "race_free": RaceVerdict(race_free=True),
+    "racy": RaceVerdict(race_free=False),
+    # adopted from a peer by name: the gate sees an ordinary verdict
+    "adopted_race_free": RaceVerdict(race_free=True, threads=4),
+}
+
+SANITIZED = ("sanitized", "sanitized")
+SEQUENTIAL = ("forced_scalar", "sequential")
+INELIGIBLE = ("ineligible", "sequential")
+BYPASSED = ("bypassed", "vector")
+
+
+def _expected():
+    """(tier, mode, eligible) -> verdict -> (outcome, runs) or ValueError."""
+    table = {}
+    for mode, eligible in itertools.product(MODES, (True, False)):
+        for tier in ("wide", "jit"):
+            table[tier, mode, eligible] = BYPASSED if eligible else ValueError
+        table["sequential", mode, eligible] = \
+            SANITIZED if mode == "always" else SEQUENTIAL
+    table["auto", "always", True] = SANITIZED
+    table["auto", "always", False] = SANITIZED
+    table["auto", "off", True] = ("trusted", "vector")
+    table["auto", "off", False] = INELIGIBLE
+    table["auto", "first", False] = INELIGIBLE
+    table["auto", "first", True] = {
+        "none": SANITIZED,
+        "race_free": ("admitted", "vector"),
+        "racy": ("refused", "sequential"),
+        "adopted_race_free": ("admitted", "vector"),
+    }
+    return {key: (row if isinstance(row, dict)
+                  else dict.fromkeys(VERDICTS, row))
+            for key, row in table.items()}
+
+
+_EXPECTED = _expected()
+
+
+@pytest.mark.parametrize("tier,mode,eligible,verdict", list(
+    itertools.product(TIERS, MODES, (True, False), VERDICTS)))
+def test_choose_tier_table(tier, mode, eligible, verdict):
+    expect = _EXPECTED[tier, mode, eligible][verdict]
+    reason = None if eligible else "unsupported send kind"
+    args = (tier, mode, reason, _VERDICT_OBJECTS[verdict])
+    if expect is ValueError:
+        with pytest.raises(ValueError, match="not wide-eligible"):
+            choose_tier(*args)
+    else:
+        assert choose_tier(*args) == expect
+
+
+# -- through Device.run_compiled ----------------------------------------------
+
+_VEC = 16
+_SAXPY_SIG = [("xbuf", False), ("ybuf", False)]
+
+
+def _saxpy_body(cmx, xbuf, ybuf, tid):
+    off = tid * (_VEC * 4)
+    x = cmx.vector(np.float32, _VEC)
+    cmx.read(xbuf, off, x)
+    y = cmx.vector(np.float32, _VEC)
+    cmx.read(ybuf, off, y)
+    out = cmx.vector(np.float32, _VEC)
+    out.assign(x * np.float32(2.0) + y)
+    cmx.write(ybuf, off, out)
+
+
+def _clamp_body(cmx, src, dst, tid):
+    off = tid * (_VEC * 4)
+    v = cmx.vector(np.int32, _VEC)
+    cmx.read(src, off, v)
+    out = cmx.vector(np.int32, _VEC, 0)
+    with cmx.simd_if(v > 0):
+        out.assign(v)
+    cmx.write(dst, off, out)
+
+
+def _saxpy(dev, tier, validate, n_threads=12, max_live_threads=1024):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(n_threads * _VEC).astype(np.float32)
+    y = rng.standard_normal(n_threads * _VEC).astype(np.float32)
+    xbuf, ybuf = dev.buffer(x.copy()), dev.buffer(y.copy())
+    kern = dev.compile(_saxpy_body, "tsaxpy", _SAXPY_SIG, ["tid"])
+    run = dev.run_compiled(kern, (n_threads,), [xbuf, ybuf],
+                           scalars=lambda t: {"tid": t[0]}, tier=tier,
+                           max_live_threads=max_live_threads,
+                           validate=validate)
+    assert np.allclose(ybuf.to_numpy().view(np.float32), 2.0 * x + y,
+                       atol=1e-6)
+    return run
+
+
+def _timing_equal(a, b):
+    return all(getattr(a, f.name) == getattr(b, f.name)
+               for f in dataclasses.fields(a))
+
+
+@pytest.mark.parametrize("tier", ["sequential", "wide", "jit"])
+def test_forced_tier_is_the_tier_that_runs(tier):
+    dev = Device()
+    run = _saxpy(dev, tier, validate="first")
+    assert run.path == tier
+    assert dev.profile.tier_launches == {tier: 1}
+    assert dev.sanitizer_results == []
+
+
+def test_sequential_tier_under_first_runs_unsanitized():
+    dev = Device()
+    for _ in range(2):
+        assert _saxpy(dev, "sequential", validate="first").path == \
+            "sequential"
+    assert dev.profile.gate_outcomes == {"forced_scalar": 2}
+    assert dev.sanitizer_results == []
+
+
+def test_jit_tier_on_simd_if_program_raises():
+    dev = Device()
+    data = np.arange(-32, 32, dtype=np.int32)
+    kern = dev.compile(_clamp_body, "tclamp",
+                       [("src", False), ("dst", False)], ["tid"])
+
+    def launch(tier):
+        src = dev.buffer(data.copy())
+        dst = dev.buffer(np.zeros_like(data))
+        run = dev.run_compiled(kern, (4,), [src, dst],
+                               scalars=lambda t: {"tid": t[0]},
+                               tier=tier, validate="off")
+        assert np.array_equal(dst.to_numpy().view(np.int32),
+                              np.maximum(data, 0))
+        return run
+
+    with pytest.raises(ValueError, match="not JIT-eligible"):
+        launch("jit")
+    # the JIT declines control flow, so "auto" runs it on the wide tier
+    assert launch("auto").path == "wide"
+    assert launch("wide").path == "wide"
+
+
+@pytest.mark.parametrize("tier", ["sequential", "wide", "jit"])
+def test_every_tier_chunks_by_max_live_threads(tier):
+    dev = Device()
+    run = _saxpy(dev, tier, validate="off", max_live_threads=5)
+    assert dev.profile.chunks_dispatched == 3      # 12 threads: 5 + 5 + 2
+    assert dev.profile.peak_live_traces == 5
+    assert dev.profile.threads_run == 12
+    whole = _saxpy(Device(), "sequential", validate="off")
+    assert _timing_equal(run.timing, whole.timing)

@@ -195,17 +195,16 @@ class TestDeviceIntegration:
     def test_peak_live_traces_tracks_real_high_water(self):
         a, b, c = gemm.make_inputs(16, 16, 8, seed=7)
 
-        def launch(chunk_threads):
+        def launch(max_live_threads):
             dev = Device()
             kern = dev.compile(gemm._jit_gemm_body(8), "cm_sgemm_jit",
                                gemm._JIT_SIG, ["tx", "ty"])
             surfs = [dev.image2d(m.copy(), bytes_per_pixel=4)
                      for m in (a, b, c)]
-            # wide=False: chunk_threads retirement is a sequential-path
-            # internal (the wide path keeps a whole chunk live by design).
             dev.run_compiled(kern, (2, 2), surfs,
                              scalars=lambda t: {"tx": t[0], "ty": t[1]},
-                             chunk_threads=chunk_threads, wide=False)
+                             max_live_threads=max_live_threads,
+                             tier="sequential")
             return dev
 
         # chunk of 1: traces retire immediately, peak is exactly 1 (the

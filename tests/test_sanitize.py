@@ -2,7 +2,7 @@
 
 Unit tests for each checker plus the load-bearing integration: the
 race verdict from a kernel's first (sanitized, sequential) launch
-decides whether ``Device.run_compiled(wide=None)`` may take the
+decides whether ``Device.run_compiled(tier="auto")`` may take the
 grid-vectorized wide path, and ``ServeCluster``/OCL enqueues fold
 their findings into sessions and reports.
 """
@@ -319,7 +319,7 @@ class TestWideGating:
             return dev
         events, dev = _trace(go)
         # second launch takes the top auto tier (JIT) once certified
-        assert _dispatch_paths(events) == ["compiled", "jit"]
+        assert _dispatch_paths(events) == ["sequential", "jit"]
         assert len(dev.sanitizer_results) == 1
         assert dev.sanitizer_results[0].verdict.race_free
         assert dev.sanitizer_results[0].clean
@@ -333,7 +333,7 @@ class TestWideGating:
                 _launch(dev, kern, [out], n_threads=8, validate="first")
             return dev
         events, dev = _trace(go)
-        assert _dispatch_paths(events) == ["compiled"] * 3
+        assert _dispatch_paths(events) == ["sequential"] * 3
         v = dev.sanitizer_results[0].verdict
         assert not v.race_free
         kinds = {c.kind for c in v.conflicts}
@@ -371,7 +371,7 @@ class TestWideGating:
         dev = Device()
         xb, yb, _, _ = _saxpy_surfaces(dev)
         kern = _compile_saxpy(dev)
-        _launch(dev, kern, [xb, yb], wide=True, validate="first")
+        _launch(dev, kern, [xb, yb], tier="wide", validate="first")
         assert dev.sanitizer_results == []
 
     def test_sanitized_launch_preserves_results(self):

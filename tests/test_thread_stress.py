@@ -1,0 +1,120 @@
+"""Concurrent devices: every serve workload from several threads at once.
+
+Serving runs one device per worker thread, and those threads share
+module-level state: the memoized kernel-body factories (whose identity
+keys every device's kernel cache), the frontend tracer, the sim thread
+context, and the sanitizer and observability globals.  Each thread here
+owns its own :class:`Device` and compiles and launches every compiled
+and tuned serve workload twice under ``validate="first"`` — a
+sanitized-sequential first launch, then the vector tier the verdict
+admits.  Results, tiers and every simulated-timing field must equal a
+single-threaded run.
+"""
+
+import dataclasses
+import sys
+import threading
+
+import numpy as np
+
+from repro.serve.workloads import get_workload, workload_keys
+from repro.sim.device import Device
+from repro.tune.workloads import get_tunable
+
+N_THREADS = 4
+
+#: small problems whose default tuning points are valid
+_TUNED_PARAMS = {
+    "gemm": {"m": 16, "n": 16, "k": 16},
+    "systolic": {"m": 16, "n": 16, "k": 32},
+    "linear_filter": {"width": 34, "height": 14},
+    "transpose": {"n": 32},
+}
+
+
+def _compiled(key, device):
+    launch = get_workload(key).make({"seed": 3})
+    results = []
+    for _ in range(2):
+        surfaces, scalars = launch.bind(device)
+        kern = device.compile(launch.body, launch.name, launch.sig,
+                              launch.scalar_params)
+        device.run_compiled(kern, launch.grid, surfaces, scalars=scalars,
+                            name=launch.name, validate="first")
+        results.append(launch.finish(surfaces))
+    return results
+
+
+def _tuned(key, device):
+    task = get_workload(key).make(dict(_TUNED_PARAMS[key.split(".")[1]],
+                                       seed=3))
+    family = get_tunable(task.family)
+    variant = family.variant(task.problem,
+                             family.space_for(task.problem).default_point())
+    outs = [variant.run(device, task.inputs) for _ in range(2)]
+    expect = family.reference(task.problem, task.inputs)
+    assert all(np.array_equal(out, expect) for out in outs), key
+    return [out.tobytes() for out in outs]
+
+
+def _workloads():
+    """The package's compiled and tuned serve workloads (other test
+    modules register extra entries into the same registry)."""
+    keys = []
+    for key in workload_keys():
+        wl = get_workload(key)
+        if wl.make.__module__ != "repro.serve.workloads":
+            continue
+        if wl.kind in ("compiled", "tuned"):
+            keys.append((key, _compiled if wl.kind == "compiled"
+                         else _tuned))
+    return keys
+
+
+def _run_all():
+    """Every workload on one fresh device: (results, launch records)."""
+    device = Device()
+    results = {key: fn(key, device) for key, fn in _workloads()}
+    launches = [(r.name, r.path,
+                 tuple(getattr(r.timing, f.name)
+                       for f in dataclasses.fields(r.timing)))
+                for r in device.runs]
+    return results, launches
+
+
+def test_workloads_cover_compiled_and_tuned_kinds():
+    kinds = {get_workload(key).kind for key, _ in _workloads()}
+    assert kinds == {"compiled", "tuned"}
+
+
+def test_concurrent_devices_match_a_single_threaded_run():
+    expect = _run_all()
+    assert {path for _, path, _ in expect[1]} >= {"sequential", "jit",
+                                                  "wide"}
+    start = threading.Barrier(N_THREADS)
+    got = [None] * N_THREADS
+    errors = []
+
+    def worker(i):
+        try:
+            start.wait()
+            got[i] = _run_all()
+        except Exception as exc:  # noqa: BLE001 - surface in main
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+               for i in range(N_THREADS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # switch threads often: expose races
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    for results, launches in got:
+        assert results == expect[0]
+        assert launches == expect[1]

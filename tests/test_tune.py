@@ -160,8 +160,8 @@ class TestSearch:
     def test_machines_disagree_about_the_transpose_winner(self):
         """Gen9's 168 threads want small register tiles; APL's 768-thread
         SIMD32 fabric tunes into the SLM path at full dispatch width."""
-        gen9 = tune("transpose", GEN9_SKL)
-        apl = tune("transpose", SIMD32_APL)
+        gen9 = tune("transpose", GEN9_SKL, problem={"n": 64})
+        apl = tune("transpose", SIMD32_APL, problem={"n": 64})
         assert gen9.best_point != apl.best_point
         assert gen9.best_point["use_slm"] == 0
         assert apl.best_point == {"tile": 32, "use_slm": 1, "simd": 32}

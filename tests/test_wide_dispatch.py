@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.isa.instructions import Instruction, MessageDesc, MsgKind, Opcode
+from repro.isa.instructions import Instruction, MessageDesc, Opcode
 from repro.isa.wide import WideScratch, WideTracingExecutor, wide_eligible
 from repro.memory.surfaces import BufferSurface
 from repro.obs import Observability
@@ -37,8 +37,8 @@ def _saxpy_body(cmx, xbuf, ybuf, tid):
 _SAXPY_SIG = [("xbuf", False), ("ybuf", False)]
 
 
-def _run_saxpy(wide, n_threads=64, max_live_threads=1024, executor=None,
-               obs=None, validate="off", jit=False):
+def _run_saxpy(tier, n_threads=64, max_live_threads=1024, executor=None,
+               obs=None, validate="off"):
     dev = Device(obs=obs) if obs is not None else Device()
     rng = np.random.default_rng(7)
     x = rng.standard_normal(n_threads * _VEC).astype(np.float32)
@@ -48,12 +48,13 @@ def _run_saxpy(wide, n_threads=64, max_live_threads=1024, executor=None,
     kern = dev.compile(_saxpy_body, "wsaxpy", _SAXPY_SIG, ["tid"])
     run = dev.run_compiled(kern, grid=(n_threads,), surfaces=[xbuf, ybuf],
                            scalars=lambda tid: {"tid": tid[0]},
-                           name="wsaxpy", wide=wide, jit=jit,
+                           name="wsaxpy", tier=tier,
                            max_live_threads=max_live_threads,
                            executor=executor, validate=validate)
     expect = 2.0 * x + y
     got = ybuf.to_numpy().view(np.float32)
     assert np.allclose(got, expect, atol=1e-6)
+    assert tier == "auto" or run.path == tier
     return dev, run
 
 
@@ -85,27 +86,27 @@ class TestEligibility:
         buf = dev.buffer(np.zeros(_VEC, dtype=np.float32))
         with pytest.raises(ValueError, match="not wide-eligible"):
             dev.run_compiled(kern, grid=(1,), surfaces=[buf, buf],
-                             scalars={"tid": 0}, wide=True)
+                             scalars={"tid": 0}, tier="wide")
 
 
 class TestTimingParity:
     def test_saxpy_wide_matches_scalar(self):
-        _, run_w = _run_saxpy(wide=True)
-        _, run_s = _run_saxpy(wide=False)
+        _, run_w = _run_saxpy("wide")
+        _, run_s = _run_saxpy("sequential")
         assert _timing_equal(run_w.timing, run_s.timing)
 
     def test_chunked_wide_matches_unchunked(self):
         # 64 threads in chunks of 9: totals must not depend on chunking.
-        _, run_c = _run_saxpy(wide=True, max_live_threads=9)
-        _, run_u = _run_saxpy(wide=True)
+        _, run_c = _run_saxpy("wide", max_live_threads=9)
+        _, run_u = _run_saxpy("wide")
         assert _timing_equal(run_c.timing, run_u.timing)
-        _, run_s = _run_saxpy(wide=False)
+        _, run_s = _run_saxpy("sequential")
         assert _timing_equal(run_c.timing, run_s.timing)
 
     def test_gemm_wide_matches_scalar_with_breakdown(self):
         a, b, c = gemm.make_inputs(16, 16, 8, seed=3)
 
-        def launch(wide):
+        def launch(tier):
             dev = Device(obs=Observability())
             kern = dev.compile(gemm._jit_gemm_body(8), "cm_sgemm_jit",
                                gemm._JIT_SIG, ["tx", "ty"])
@@ -113,11 +114,12 @@ class TestTimingParity:
                      for m in (a, b, c)]
             run = dev.run_compiled(
                 kern, (2, 2), surfs,
-                scalars=lambda t: {"tx": t[0], "ty": t[1]}, wide=wide)
+                scalars=lambda t: {"tx": t[0], "ty": t[1]}, tier=tier)
+            assert run.path == tier
             return surfs[2].to_numpy().copy(), run
 
-        out_w, run_w = launch(True)
-        out_s, run_s = launch(False)
+        out_w, run_w = launch("wide")
+        out_s, run_s = launch("sequential")
         assert np.array_equal(out_w, out_s)
         assert _timing_equal(run_w.timing, run_s.timing)
         assert run_w.breakdown.buckets == pytest.approx(
@@ -142,7 +144,7 @@ class TestScratch:
 
         n_threads = 3
 
-        def launch(wide):
+        def launch(tier):
             dev = Device()
             src_data = np.arange(n_threads * n_vecs * 16,
                                  dtype=np.float32)
@@ -155,11 +157,12 @@ class TestScratch:
             run = dev.run_compiled(kern, grid=(n_threads,),
                                    surfaces=[src, out],
                                    scalars=lambda t: {"tid": t[0]},
-                                   wide=wide)
+                                   tier=tier)
+            assert run.path == tier
             return out.to_numpy().view(np.float32).copy(), run
 
-        out_w, run_w = launch(True)
-        out_s, run_s = launch(False)
+        out_w, run_w = launch("wide")
+        out_s, run_s = launch("sequential")
         assert np.array_equal(out_w, out_s)
         assert _timing_equal(run_w.timing, run_s.timing)
 
@@ -186,18 +189,20 @@ class TestScratch:
 class TestDispatchPlumbing:
     # These tests pin the wide plumbing itself, so they run with
     # validate="off" (the _run_saxpy default); the sanitized
-    # first-launch gating of wide=None is covered in test_sanitize.py.
+    # first-launch gating of tier="auto" is covered in test_sanitize.py.
     def test_wide_is_the_default_for_eligible_programs(self):
-        dev, _ = _run_saxpy(wide=None)
-        # the wide path keeps whole chunks of traces live
+        dev, run = _run_saxpy("auto")
+        assert run.path in ("wide", "jit")
+        # vector tiers keep whole chunks of traces live
         assert dev.profile.peak_live_traces == 64
         assert dev.profile.threads_run == 64
 
     def test_pooled_wide_executor_reused_across_launches(self):
         pooled = WideTracingExecutor()
-        _, run1 = _run_saxpy(wide=None, executor=pooled)
-        _, run2 = _run_saxpy(wide=None, executor=pooled)
-        _, run_s = _run_saxpy(wide=False)
+        _, run1 = _run_saxpy("wide", executor=pooled)
+        assert pooled.num_threads == 64  # the hint was taken
+        _, run2 = _run_saxpy("wide", executor=pooled)
+        _, run_s = _run_saxpy("sequential")
         assert _timing_equal(run1.timing, run_s.timing)
         assert _timing_equal(run2.timing, run_s.timing)
 
@@ -207,27 +212,13 @@ class TestDispatchPlumbing:
 
         sink = ChromeTraceSink()
         with obs_mod.observed(sink=sink, span_metrics=False):
-            _run_saxpy(wide=None, max_live_threads=40)
+            _run_saxpy("wide", max_live_threads=40)
         wide_spans = [e for e in sink.events
                       if e["name"] == "dispatch:wide"]
         assert len(wide_spans) == 2  # 64 threads in chunks of 40 + 24
         assert sorted(e["args"]["threads"] for e in wide_spans) == [24, 40]
         outer = [e for e in sink.events if e["name"] == "dispatch"]
         assert outer and outer[0]["args"]["path"] == "wide"
-
-    def test_functional_only_wide_launch(self):
-        dev = Device()
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(8 * _VEC).astype(np.float32)
-        y = rng.standard_normal(8 * _VEC).astype(np.float32)
-        xbuf, ybuf = dev.buffer(x.copy()), dev.buffer(y.copy())
-        kern = dev.compile(_saxpy_body, "wsaxpy", _SAXPY_SIG, ["tid"])
-        run = dev.run_compiled(kern, grid=(8,), surfaces=[xbuf, ybuf],
-                               scalars=lambda tid: {"tid": tid[0]},
-                               collect_timing=False, wide=True)
-        assert run is None
-        assert np.allclose(ybuf.to_numpy().view(np.float32),
-                           2.0 * x + y, atol=1e-6)
 
 
 class TestWideAtomicReduction:
