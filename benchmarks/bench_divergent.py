@@ -1,6 +1,6 @@
 """Divergent control flow: simulated-makespan speedup over eager dispatch.
 
-Unlike bench_wide_dispatch.py (host wall clock), this gates *simulated*
+Unlike bench_jit.py (host wall clock), this gates *simulated*
 time: the makespan (kernel time + launch-overhead model) of two
 divergent workloads — the compiled bitonic sort and the compiled k-means
 assignment loop — against the eager per-thread path for the same
@@ -12,18 +12,20 @@ algorithms.
   stores (``run_cm_bitonic_eager`` / ``run_cm_kmeans_eager_divergent``).
 - **compiled**: masked SIMD control flow (``simd_if`` / ``simd_while``
   lowered to the structured-CF opcodes), 16 lanes per instruction,
-  dispatched on the wide tier.
+  dispatched on the JIT tier.
 
 Two gates:
 
 1. the compiled makespan must beat the eager one by ``MIN_SPEEDUP``
    (4x full, 2x smoke), and
-2. the compiled wide path must be *bit-identical* to sequential compiled
-   dispatch — same output bytes, every simulated-timing field of every
-   launch equal.  Divergence support on the wide tier is a wall-clock
-   optimization, never a model change.
+2. the compiled JIT launches must be *bit-identical* to sequential
+   compiled dispatch — same output bytes, every simulated-timing field
+   of every launch equal.  Control-flow support in the JIT is a
+   wall-clock optimization, never a model change.
 
-Results land in ``BENCH_divergent.json``.  Run directly
+The host wall clock of each side is recorded too (``*_wall_ms``, the
+compiled side on the JIT tier).  Results land in
+``BENCH_divergent.json``.  Run directly
 (``python benchmarks/bench_divergent.py [--smoke]``) or via pytest
 (smoke sizes).
 """
@@ -57,24 +59,23 @@ def _identical_timings(runs_a, runs_b):
 
 
 def _compare(name, eager_fn, compiled_fn, check):
-    """Eager-vs-compiled makespans plus the wide/sequential identity gate."""
+    """Eager-vs-compiled makespans plus the JIT/sequential identity gate."""
     t0 = time.perf_counter()
     eager = run_and_time(f"{name}_eager", eager_fn)
     eager_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    wide = run_and_time(f"{name}_wide",
-                        lambda d: compiled_fn(d, tier="wide"))
-    wide_wall = time.perf_counter() - t0
+    jit = run_and_time(f"{name}_jit", lambda d: compiled_fn(d, tier="jit"))
+    jit_wall = time.perf_counter() - t0
     seq = run_and_time(f"{name}_seq",
                        lambda d: compiled_fn(d, tier="sequential"))
 
     check(eager.output)
-    check(wide.output)
-    results_identical = np.array_equal(wide.output, seq.output)
-    timing_identical = _identical_timings(wide.device.runs, seq.device.runs)
-    assert results_identical, f"{name}: wide output diverged from sequential"
-    assert timing_identical, f"{name}: wide timing diverged from sequential"
-    for label, tier, res in (("wide", "wide", wide),
+    check(jit.output)
+    results_identical = np.array_equal(jit.output, seq.output)
+    timing_identical = _identical_timings(jit.device.runs, seq.device.runs)
+    assert results_identical, f"{name}: JIT output diverged from sequential"
+    assert timing_identical, f"{name}: JIT timing diverged from sequential"
+    for label, tier, res in (("jit", "jit", jit),
                              ("seq", "sequential", seq)):
         paths = {r.path for r in res.device.runs}
         assert paths == {tier}, \
@@ -84,12 +85,12 @@ def _compare(name, eager_fn, compiled_fn, check):
     return {
         "workload": name,
         "eager_sim_us": round(eager.total_time_us, 2),
-        "compiled_sim_us": round(wide.total_time_us, 2),
-        "speedup": round(eager.total_time_us / wide.total_time_us, 2),
+        "compiled_sim_us": round(jit.total_time_us, 2),
+        "speedup": round(eager.total_time_us / jit.total_time_us, 2),
         "eager_launches": eager.launches,
-        "compiled_launches": wide.launches,
+        "compiled_launches": jit.launches,
         "eager_wall_ms": round(eager_wall * 1e3, 1),
-        "compiled_wall_ms": round(wide_wall * 1e3, 1),
+        "compiled_wall_ms": round(jit_wall * 1e3, 1),
         "results_identical": True,
         "timing_identical": True,
     }

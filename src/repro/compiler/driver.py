@@ -45,7 +45,7 @@ class CompiledKernel:
         """The program-scoped :class:`~repro.isa.plans.PlanTable`.
 
         Built on first use and shared by every executor that runs this
-        kernel (sequential, wide, and JIT dispatch), so plan
+        kernel (sequential and JIT dispatch), so plan
         construction happens once per cached program — and dies with it.
         """
         table = self._plan_table

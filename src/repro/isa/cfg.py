@@ -5,8 +5,9 @@ carry no label operands: IF/ELSE/ENDIF/BREAK only manipulate the
 execution-mask stack and every thread steps through every instruction,
 while WHILE is the single back-edge (to the instruction after its
 matching DO).  That makes the *thread* PC almost straight-line — but
-*lanes* still diverge and reconverge, and the wide executor needs to
-know, once per program, where each divergent construct rejoins.
+*lanes* still diverge and reconverge, and the JIT's control-flow
+lowering needs to know, once per program, where each divergent
+construct rejoins.
 
 This module computes that schedule:
 
@@ -20,12 +21,13 @@ This module computes that schedule:
   construction surveyed in *Control Flow Management in Modern GPUs*;
 - the two agree by construction for well-formed structured programs
   (ENDIF for an IF, loop exit for WHILE/BREAK); a mismatch or a
-  malformed structure raises :class:`CFError`, which the wide
+  malformed structure raises :class:`CFError`, which the JIT
   eligibility check reports as ``malformed-control-flow``.
 
 The resulting :class:`CFPlan` is cached per program on its
 :class:`~repro.isa.plans.PlanTable` (see :meth:`PlanTable.cf_plan`) so
-both interpreters and the device gate share one analysis.
+the sequential interpreter, the JIT code generator and the device
+gate share one analysis.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ class CFPlan:
     ``pc`` — static because execution is structural (no instruction is
     ever skipped, and the only back-edge re-enters the loop *after* its
     DO), so every thread reaching ``pc`` has performed the same
-    pushes/pops.  The wide executor leans on this: threads grouped at
-    one PC always share frame structure, only their masks differ.
+    pushes/pops.  The JIT leans on this: its generated code indexes
+    the ``(T, depth, 32)`` frame stacks at these static depths, so all
+    threads share frame structure and only their masks differ.
     """
 
     has_cf: bool

@@ -10,7 +10,7 @@ Programs may contain structured SIMD control flow
 PC-driven for those, maintaining a per-thread execution-mask frame stack
 — IF/ELSE/ENDIF/BREAK only manipulate masks (every instruction is still
 stepped through, even with an all-zero mask, which keeps sequential and
-wide dispatch bit-identical in both results and timing), and WHILE is
+JIT dispatch bit-identical in both results and timing), and WHILE is
 the single back-edge, jumping to the instruction after its matching DO.
 Vector writes inside a divergent region are merged under the active
 mask; scalar (``exec_size == 1``) instructions stay unmasked, matching
@@ -90,7 +90,7 @@ class FunctionalExecutor:
         #: optional sanitizer hook bundle
         #: (:class:`repro.sanitize.hooks.ExecSanitizer`); when set,
         #: ``before_inst``/``after_inst`` are called around every
-        #: instruction.  Sequential dispatch only — the wide executor
+        #: instruction.  Sequential dispatch only — the JIT executor
         #: refuses to run with hooks attached.
         self.san = None
         #: SIMD-CF state: the (32,) active-lane mask (``None`` outside a

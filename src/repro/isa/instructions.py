@@ -48,7 +48,7 @@ class Opcode(enum.Enum):
     # the IF/ELSE/ENDIF + DO/WHILE/BREAK form vISA uses).  These carry no
     # label operands: IF/ELSE/ENDIF/BREAK are pure execution-mask-stack
     # manipulation executed by *every* thread (empty-mask regions still
-    # step through their instructions, which is what keeps wide and
+    # step through their instructions, which is what keeps JIT and
     # sequential timing bit-identical), and the only back-edge, WHILE,
     # jumps to the instruction after its matching DO.
     SIMD_IF = "simd_if"

@@ -1,41 +1,50 @@
-"""Kernel JIT: megakernel compilation of straight-line Gen programs.
+"""Kernel JIT: megakernel compilation of Gen programs — the vector tier.
 
-The dispatch ladder so far is *sequential* (one Python interpreter step
-per instruction per thread) and *wide* (one step per instruction for all
-T threads at once, :mod:`repro.isa.wide`).  The wide path removes the
-thread loop but still pays an interpreter round trip per instruction:
-``execute()`` dispatch, plan lookup, fetcher iteration, predicate
-plumbing.  For the small, hot programs the paper's Figure 5 kernels
-compile to, that fixed per-instruction Python cost dominates.
-
-This module removes it.  Given a compiled program, :class:`JitKernel`
+Sequential dispatch pays one Python interpreter step per instruction
+per thread.  Given a compiled program, :class:`JitKernel` instead
 *generates Python source* for one function — the **megakernel** — that
-executes the whole program with zero interpreter dispatch:
+executes the whole program for a chunk of T threads at once, on the
+stacked ``(T, 4096)`` register file of :class:`~repro.isa.wide.
+WideExecutor`, with zero interpreter dispatch:
 
 - every region operand is pre-resolved to a baked slice (contiguous /
-  scalar regions become zero-copy ``grf2d[:, a:b].view(dtype)`` views of
-  the stacked ``(T, 4096)`` register file; strided regions become
-  ``np.take`` with a baked index array);
+  scalar regions become zero-copy ``grf2d[:, a:b].view(dtype)`` views
+  of the stacked register file; strided regions become ``np.take`` with
+  a baked index array);
 - immediates are baked broadcast arrays; execution dtypes, conversion
   and saturation decisions are resolved at compile time;
 - predication compiles to masked ``np.copyto`` writes against baked
   flag views;
-- SEND instructions call pre-bound closures over the wide executor's
-  vectorized message handlers.
+- SEND instructions call pre-bound closures over the vectorized message
+  handlers.
 
-The same generated code object is executed twice with two different
-globals environments to produce a *functional* variant and a *traced*
-variant: they differ only in the ``_send{k}`` closures (the traced ones
-additionally mark cache lines and append per-thread
-:class:`~repro.isa.wide._WideEvent` records).  Timing does not run any
-per-instruction accounting at execution time: a static **template
-trace** is built once per (program, machine) by replaying the exact
-accounting sequence of :class:`~repro.sim.batch.TracingExecutor`
-(instruction costs, message issue positions, load-use consumption
-distances are all thread-invariant for a straight-line program), and
-:meth:`JitTracingExecutor.run` installs the precomputed totals and event
-prototypes before calling the megakernel — so fanned-out per-thread
-traces are bit-identical to both the wide and the sequential path.
+**Structured SIMD control flow** compiles to plain Python control flow
+over vectorized mask state.  IF/ELSE/ENDIF/BREAK become inlined updates
+of the ``(T, 32)`` active mask ``a`` and the ``(T, depth, 32)``
+restore/else frame stacks ``rs``/``pd``, at the static frame depths of
+:meth:`~repro.isa.plans.PlanTable.cf_plan` (BREAK also clears its
+``break_clear`` levels).  Each DO…WHILE becomes a Python ``while`` over
+the rows (threads) still looping: a thread whose WHILE condition has no
+live lane restores its mask and leaves the row set, and the loop ends
+when the set is empty — the immediate post-dominator where the
+reconvergence plan says every thread rejoins.  That is the issue order
+of a scheduler that always runs the minimum per-thread PC, so memory
+effects and atomics keep thread order.  Inside a loop every write and
+SEND is masked to the loop's rows as well as to the active lanes.
+
+Timing never needs an interpreter either.  For a program without loops
+every issue-timeline quantity is thread-invariant (IF/ELSE/ENDIF skip
+no instruction), so a static **template trace** is built once per
+(program, machine) by replaying the exact accounting sequence of
+:class:`~repro.sim.batch.TracingExecutor`, and
+:meth:`JitTracingExecutor.run` installs its totals and event prototypes
+before the megakernel runs; the SEND closures add only the per-thread
+cache-line counts.  Loop trip counts make each thread's instruction
+stream depend on its data, so a program with loops calls the per-row
+accounting helpers of :class:`~repro.isa.wide.WideExecutor` after every
+instruction, for exactly the rows that issue it, in issue order.
+Either way the per-thread traces are bit-identical to the sequential
+path's.
 
 Plan state is shared through the program-scoped
 :class:`~repro.isa.plans.PlanTable` and the compiled function caches on
@@ -51,59 +60,79 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
+from repro.isa.cfg import CFError, analyze_cf
 from repro.isa.dtypes import DType, convert, promote, signed, unsigned
-from repro.isa.executor import ExecutionError, FunctionalExecutor
+from repro.isa.executor import (
+    CF_STEP_LIMIT, ExecutionError, FunctionalExecutor, _emask_off,
+)
 from repro.isa.grf import GRF_SIZE_BYTES, RegOperand
-from repro.isa.instructions import CondMod, Instruction, MathFn, MsgKind, Opcode
+from repro.isa.instructions import (
+    CF_OPCODES, CondMod, Instruction, MathFn, MsgKind, Opcode,
+)
 from repro.isa.msg_geometry import (
     media_block_messages, oword_block_messages, scatter_messages,
 )
 from repro.isa.plans import PlanTable
-from repro.isa.wide import (
-    _WIDE_MSG_KINDS, _WideEvent, WideExecutor, WideTracingExecutor,
-    wide_eligible,
-)
+from repro.isa.wide import _WIDE_MSG_KINDS, _WideEvent, WideExecutor
 from repro.obs.tracing import trace_span
-from repro.sim.batch import _alu_cost
+from repro.sim.batch import CF_COSTS, _alu_cost
 from repro.sim.trace import MemKind, ThreadTrace
 
 __all__ = [
-    "JitError", "JitKernel", "JitExecutor", "JitTracingExecutor",
-    "jit_eligible", "get_jit",
+    "JitError", "JitKernel", "JitTracingExecutor", "get_jit",
+    "ineligible_reason", "jit_eligible",
 ]
 
 
 class JitError(ExecutionError):
     """Raised when a program cannot be compiled to a megakernel.
 
-    Callers treat this as "not JIT-eligible" and fall back to the wide
-    interpreter; it never indicates an invalid program (those raise the
-    ordinary execution errors at compile time, exactly as the
-    interpreters would at run time).
+    The device gate treats this as "not JIT-eligible" and runs the
+    launch on the sequential tier, recording the reason; it never
+    indicates an invalid program (those raise the ordinary execution
+    errors, exactly as the sequential interpreter would at run time).
     """
 
 
-#: Opcodes the code generator can inline.  SEND is handled through the
-#: wide executor's vectorized message handlers and is constrained by
-#: :data:`~repro.isa.wide._WIDE_MSG_KINDS` like the wide path.
-_JIT_OPCODES = frozenset({
-    Opcode.MOV, Opcode.SEL, Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.MAD,
-    Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.NOT, Opcode.SHL, Opcode.SHR,
-    Opcode.ASR, Opcode.MIN, Opcode.MAX, Opcode.AVG, Opcode.CMP, Opcode.MATH,
-    Opcode.SEND, Opcode.BARRIER, Opcode.NOP,
-})
+def ineligible_reason(program: Iterable[Instruction]) -> Optional[str]:
+    """Why a compiled program cannot run on the JIT tier (or ``None``).
+
+    Two static refusals, surfaced separately in the device gate
+    taxonomy:
+
+    - ``"unsupported-message"`` — a SEND uses a message kind the
+      vectorized handlers do not cover;
+    - ``"malformed-control-flow"`` — the structured-CF opcodes do not
+      nest (code generation lowers CF through the program's
+      reconvergence plan, which such a program does not have).
+
+    Well-formed structured control flow is *not* disqualifying.
+    """
+    program = tuple(program)
+    has_cf = False
+    for inst in program:
+        if inst.opcode is Opcode.SEND:
+            msg = inst.msg
+            if msg is None or msg.kind not in _WIDE_MSG_KINDS:
+                return "unsupported-message"
+        elif inst.opcode in CF_OPCODES:
+            has_cf = True
+    if has_cf:
+        try:
+            analyze_cf(program)
+        except CFError:
+            return "malformed-control-flow"
+    return None
 
 
 def jit_eligible(program: Iterable[Instruction]) -> bool:
     """Static pre-check: can this program compile to a megakernel?
 
     A ``True`` answer can still fail compilation on operand corner
-    cases (:class:`JitError`); the device layer treats compile failure
-    the same as ineligibility and falls back to the wide interpreter.
+    cases (:class:`JitError`); the device gate then runs the launch
+    sequentially and records the compile error as the reason.
     """
-    if not wide_eligible(program):
-        return False
-    return all(inst.opcode in _JIT_OPCODES for inst in program)
+    return ineligible_reason(program) is None
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +264,13 @@ def _alu_expr(env: dict, inst: Instruction, exec_dt: DType,
     raise JitError(f"unhandled opcode {op}")
 
 
-def _emit_write(lines: list, env: dict, inst: Instruction, i: int,
+def _and(a: Optional[str], b: Optional[str]) -> Optional[str]:
+    if a is None or b is None:
+        return a or b
+    return f"({a} & {b})"
+
+
+def _emit_write(out: list, env: dict, inst: Instruction, i: int,
                 mask: Optional[str], didx: np.ndarray) -> None:
     """Store ``r{i}`` to the instruction's destination region."""
     dst = inst.dst
@@ -247,18 +282,18 @@ def _emit_write(lines: list, env: dict, inst: Instruction, i: int,
         dtn = _bind(env, "_dt", np.dtype(dst.dtype.np_dtype))
         dv = f"g[:, {o0}:{o0 + n * sz}].view({dtn})"
         if mask is None:
-            lines.append(f"    {dv}[...] = r{i}")
+            out.append(f"{dv}[...] = r{i}")
         else:
-            lines.append(f"    np.copyto({dv}, r{i}, where={mask})")
-    else:  # strided destination: the wide RMW fancy-index path
+            out.append(f"np.copyto({dv}, r{i}, where={mask})")
+    else:  # strided destination: the stacked-GRF RMW fancy-index path
         opn = _bind(env, "_wo", dst)
         ixn = _bind(env, "_wx", didx)
-        lines.append(
-            f"    ex._write_dst({opn}, r{i}, {mask or 'None'}, {ixn})")
+        out.append(f"ex._write_dst({opn}, r{i}, {mask or 'None'}, {ixn})")
 
 
-def _emit_alu(lines: list, env: dict, pb: FunctionalExecutor,
-              inst: Instruction, i: int) -> None:
+def _emit_alu(out: list, env: dict, pb: FunctionalExecutor,
+              inst: Instruction, i: int, cfm: Optional[str]) -> None:
+    """One ALU instruction; ``cfm`` is its SIMD-CF write mask, if any."""
     op = inst.opcode
     dst = inst.dst
     if dst is None:
@@ -266,7 +301,8 @@ def _emit_alu(lines: list, env: dict, pb: FunctionalExecutor,
     n = inst.exec_size
     didx = pb._dst_plan(dst, n)
     npd = np.dtype(dst.dtype.np_dtype)
-    mask = _mask_expr(inst)
+    pred = _mask_expr(inst)
+    mask = _and(pred, cfm)
     fetched = [_src_expr(env, pb, s, n) for s in inst.srcs]
 
     if op is Opcode.MOV:
@@ -278,22 +314,22 @@ def _emit_alu(lines: list, env: dict, pb: FunctionalExecutor,
             so, do = int(sidx[0, 0]), int(didx[0, 0])
             nb = didx.size
             if so != do:
-                lines.append(f"    g[:, {do}:{do + nb}] = "
-                             f"g[:, {so}:{so + nb}]")
+                out.append(f"g[:, {do}:{do + nb}] = g[:, {so}:{so + nb}]")
             return
         if stays_view and np.intersect1d(sidx.reshape(-1),
                                          didx.reshape(-1)).size:
             # the result would be a live view of bytes the write below
-            # overwrites; materialize it first (the interpreters fetch
-            # copies, so this is what keeps overlap semantics identical)
+            # overwrites; materialize it first (the sequential
+            # interpreter fetches copies, so this is what keeps overlap
+            # semantics identical)
             expr = f"({expr}).copy()"
-        lines.append(f"    r{i} = {expr}")
+        out.append(f"r{i} = {expr}")
     elif op is Opcode.SEL:
-        if mask is None:
+        if pred is None:
             raise JitError("sel requires a predicate")
-        lines.append(f"    r{i} = np.where({mask}, {fetched[0][0]}, "
-                     f"{fetched[1][0]})")
-        mask = None  # sel writes all lanes; the predicate picked the source
+        out.append(f"r{i} = np.where({pred}, {fetched[0][0]}, "
+                   f"{fetched[1][0]})")
+        mask = cfm  # sel writes all lanes; the predicate picked the source
     else:
         exec_dt = inst.srcs[0].dtype
         for s in inst.srcs[1:]:
@@ -306,16 +342,16 @@ def _emit_alu(lines: list, env: dict, pb: FunctionalExecutor,
             if sdt != np.dtype(exec_dt.np_dtype):
                 expr = f"_cv({expr}, {_bind(env, '_ET', exec_dt)})"
             ops.append(expr)
-        lines.append(f"    r{i} = {_alu_expr(env, inst, exec_dt, ops)}")
+        out.append(f"r{i} = {_alu_expr(env, inst, exec_dt, ops)}")
 
     dtc = _bind(env, "_ET", dst.dtype)
     if inst.sat:
-        lines.append(f"    r{i} = _cv(r{i}, {dtc}, True)")
+        out.append(f"r{i} = _cv(r{i}, {dtc}, True)")
     else:
         dtn = _bind(env, "_dt", npd)
-        lines.append(f"    if r{i}.dtype != {dtn}:")
-        lines.append(f"        r{i} = _cv(r{i}, {dtc})")
-    _emit_write(lines, env, inst, i, mask, didx)
+        out.append(f"if r{i}.dtype != {dtn}:")
+        out.append(f"    r{i} = _cv(r{i}, {dtc})")
+    _emit_write(out, env, inst, i, mask, didx)
 
 
 _CMP_FNS = {
@@ -325,8 +361,10 @@ _CMP_FNS = {
 }
 
 
-def _emit_cmp(lines: list, env: dict, pb: FunctionalExecutor,
-              inst: Instruction, i: int) -> None:
+def _emit_cmp(out: list, env: dict, pb: FunctionalExecutor,
+              inst: Instruction, i: int, cfm: Optional[str]) -> None:
+    """One CMP: flag lanes (and the optional bool-vector dst) are
+    written under the SIMD-CF mask only — a CMP's predicate is unused."""
     n = inst.exec_size
     fn = _CMP_FNS.get(inst.cond_mod)
     if fn is None:
@@ -339,18 +377,138 @@ def _emit_cmp(lines: list, env: dict, pb: FunctionalExecutor,
             expr = f"_cv({expr}, {_bind(env, '_ET', exec_dt)})"
         ops.append(expr)
     fi = inst.flag.index if inst.flag else 0
-    lines.append(f"    r{i} = np.broadcast_to({fn}({ops[0]}, {ops[1]}), "
-                 f"(_T, {n}))")
-    lines.append(f"    f{fi}[:, :{n}] = r{i}")
+    out.append(f"r{i} = np.broadcast_to({fn}({ops[0]}, {ops[1]}), "
+               f"(_T, {n}))")
+    if cfm is None:
+        out.append(f"f{fi}[:, :{n}] = r{i}")
+    else:
+        out.append(f"np.copyto(f{fi}[:, :{n}], r{i}, where={cfm})")
     if inst.dst is not None:
         didx = pb._dst_plan(inst.dst, n)
         dtn = _bind(env, "_dt", np.dtype(inst.dst.dtype.np_dtype))
-        lines.append(f"    r{i} = r{i}.astype({dtn})")
-        _emit_write(lines, env, inst, i, None, didx)
+        out.append(f"r{i} = r{i}.astype({dtn})")
+        _emit_write(out, env, inst, i, cfm, didx)
 
 
-def _codegen(program, pb: FunctionalExecutor, env: dict):
-    """Generate megakernel source; returns (source, send count)."""
+# -- structured control flow --------------------------------------------------
+#
+# Generated names: ``a`` is the (T, 32) active mask, ``rs``/``pd`` the
+# (T, depth, 32) restore / pending-else frame stacks, ``rw{L}`` the
+# ascending thread ids running at loop level L (``rw0``: every thread)
+# and ``rm{L}`` the matching (T, 1) row mask.  Outside loops every
+# thread runs, so frame updates use the ``:`` selector.
+
+
+def _cf_write_mask(inst: Instruction, level: int,
+                   depth: int) -> Optional[str]:
+    """The SIMD-CF write mask of a non-CF instruction (or ``None``).
+
+    At frame depth 0 every lane is active; inside a loop the rows that
+    left it must not observe the write — even a scalar one, which is
+    otherwise uniform inside SIMD control flow.
+    """
+    n = inst.exec_size
+    rows = f"rm{level}" if level else None
+    if n == 1:
+        return rows
+    off = _emask_off(inst)
+    if off + n > 32:
+        raise JitError(
+            f"operation covers lanes {off}..{off + n - 1} inside SIMD "
+            f"control flow (only 32 execution-mask channels exist)")
+    if depth == 0:
+        return None
+    return _and(f"a[:, {off}:{off + n}]", rows)
+
+
+def _cf_cond(env: dict, inst: Instruction, sel: str) -> str:
+    """The (R, 32) lanes an IF/WHILE/BREAK acts on: predicate flag
+    lanes (all lanes when unpredicated) AND the active mask."""
+    if inst.pred is None:
+        return f"a[{sel}].copy()"
+    lanes = f"f{inst.pred.flag.index}[{sel}]"
+    if inst.pred.invert:
+        lanes = f"~{lanes}"
+    n = inst.exec_size
+    if n < 32:
+        name = f"_lm{n}"
+        if name not in env:
+            env[name] = np.arange(32) < n
+        lanes = f"{lanes} & {name}"
+    return f"{lanes} & a[{sel}]"
+
+
+def _sync_rows(level: int) -> str:
+    """Publish loop level ``level``'s rows to the SEND handlers."""
+    if level == 0:
+        return "ex._rows, ex._rowm, ex._row_all = rw0, None, True"
+    return (f"ex._rows, ex._rowm, ex._row_all = "
+            f"rw{level}, rm{level}, rw{level}.size == _T")
+
+
+def _emit_cf(out: list, env: dict, inst: Instruction, i: int, cf,
+             level: int) -> int:
+    """Emit one CF opcode; returns the loop level after it."""
+    op = inst.opcode
+    d = cf.depth_at[i]
+    sel = f"rw{level}" if level else ":"
+    rows = f"rw{level}"
+    # per-row timing only with loops (see _codegen)
+    acct = [f"acf(_I{i}, {rows})"] if cf.body_of else []
+    if op is Opcode.SIMD_IF:
+        out += [f"_c = {_cf_cond(env, inst, sel)}",
+                f"rs[{sel}, {d}] = a[{sel}]",
+                f"pd[{sel}, {d}] = a[{sel}] & ~_c",
+                f"a[{sel}] = _c", *acct]
+    elif op is Opcode.SIMD_ELSE:
+        out += [f"a[{sel}] = pd[{sel}, {d - 1}]", *acct]
+    elif op is Opcode.SIMD_ENDIF:
+        out += [f"a[{sel}] = rs[{sel}, {d - 1}]", *acct]
+    elif op is Opcode.SIMD_BREAK:
+        # Broken lanes leave every IF frame up to the innermost loop
+        # too, so they cannot resurrect at an ELSE/ENDIF.
+        out += [f"_c = {_cf_cond(env, inst, sel)}",
+                f"a[{sel}] = a[{sel}] & ~_c"]
+        for lvl in cf.break_clear[i]:
+            out += [f"rs[{sel}, {lvl}] = rs[{sel}, {lvl}] & ~_c",
+                    f"pd[{sel}, {lvl}] = pd[{sel}, {lvl}] & ~_c"]
+        out += acct
+    elif op is Opcode.SIMD_DO:
+        inner = level + 1
+        out += [f"rs[{sel}, {d}] = a[{sel}]", *acct,
+                f"rw{inner} = {rows}",
+                "while True:",
+                f"    rm{inner} = np.zeros((_T, 1), dtype=bool)",
+                f"    rm{inner}[rw{inner}] = True",
+                "    " + _sync_rows(inner)]
+        return inner
+    else:  # SIMD_WHILE: threads with no live lane leave the loop
+        out += [f"_c = {_cf_cond(env, inst, sel)}", *acct,
+                "_ag = _c.any(axis=1)",
+                f"_xr = {rows}[~_ag]",
+                f"a[_xr] = rs[_xr, {d - 1}]",
+                f"{rows} = {rows}[_ag]",
+                f"if not {rows}.size:",
+                "    break",
+                f"a[{rows}] = _c[_ag]",
+                f"st += {i - cf.body_of[i] + 1}",
+                "if st > _LIM:",
+                "    raise _XE('SIMD control flow executed more than "
+                f"{CF_STEP_LIMIT} instructions (runaway loop?)')"]
+        return level - 1
+    return level
+
+
+def _codegen(program, pb: FunctionalExecutor, env: dict, cf):
+    """Generate megakernel source; returns (source, send count).
+
+    The generated ``_mega(ex)`` returns the number of instructions it
+    issued (re-executed loop bodies included).  Only loops make issue
+    timelines per-thread (IF/ELSE/ENDIF skip nothing), so only a program
+    with loops calls the per-row accounting helpers; every other one is
+    timed by its static template.
+    """
+    per_row = bool(cf.body_of)
     lines = ["def _mega(ex):",
              "    g = ex.grf2d",
              "    _T = g.shape[0]"]
@@ -362,37 +520,57 @@ def _codegen(program, pb: FunctionalExecutor, env: dict):
             flag_idxs.add(inst.flag.index if inst.flag else 0)
     for fi in sorted(flag_idxs):
         lines.append(f"    f{fi} = ex._flag_lanes({fi})")
+    if cf.has_cf:
+        depth = max(cf.max_depth, 1)
+        lines += ["    a = ex._wact = np.ones((_T, 32), dtype=bool)",
+                  f"    rs = np.zeros((_T, {depth}, 32), dtype=bool)",
+                  f"    pd = np.zeros((_T, {depth}, 32), dtype=bool)",
+                  "    rw0 = np.arange(_T)",
+                  "    " + _sync_rows(0)]
+    if per_row:
+        lines += ["    aa, acf = ex._account_alu_cf, ex._account_cf",
+                  "    bv = ex._barrier_vec",
+                  "    st = 0"]
     n_sends = 0
+    level = 0
     for i, inst in enumerate(program):
         op = inst.opcode
-        if op not in _JIT_OPCODES:
-            raise JitError(f"unhandled opcode {op}")
-        lines.append(f"    # [{i:>3}] {inst.asm()}")
-        if op is Opcode.NOP or op is Opcode.BARRIER:
-            continue
-        if op is Opcode.SEND:
+        out = [f"# [{i:>3}] {inst.asm()}"]
+        indent = "    " * (level + 1)
+        rows = f"rw{level}"
+        if per_row:
+            env[f"_I{i}"] = inst
+        if op in CF_OPCODES:
+            level = _emit_cf(out, env, inst, i, cf, level)
+        elif op is Opcode.SEND:
             msg = inst.msg
             if msg is None or msg.kind not in _WIDE_MSG_KINDS:
                 raise JitError(f"send not vectorizable: {inst.asm()}")
-            lines.append(f"    _send{n_sends}(ex)")
+            out.append(f"_send{n_sends}(ex)")
             n_sends += 1
-            continue
-        if op is Opcode.CMP:
-            _emit_cmp(lines, env, pb, inst, i)
-        else:
-            _emit_alu(lines, env, pb, inst, i)
+        elif op is Opcode.BARRIER:
+            if per_row:
+                out.append(f"bv[{rows}] += 1")
+        elif op is not Opcode.NOP:
+            cfm = _cf_write_mask(inst, level, cf.depth_at[i]) \
+                if cf.has_cf else None
+            if op is Opcode.CMP:
+                _emit_cmp(out, env, pb, inst, i, cfm)
+            else:
+                _emit_alu(out, env, pb, inst, i, cfm)
+            if per_row:
+                out.append(f"aa(_I{i}, {rows})")
+        lines.extend(indent + ln for ln in out)
+        if op is Opcode.SIMD_WHILE:  # after the loop: the outer rows
+            lines.append("    " * (level + 1) + _sync_rows(level))
+    issued = f"{len(program)} + st" if per_row else f"{len(program)}"
+    lines.append(f"    return {issued}")
     return "\n".join(lines) + "\n", n_sends
 
 
 # ---------------------------------------------------------------------------
 # SEND closures
 # ---------------------------------------------------------------------------
-
-
-def _functional_send(inst: Instruction):
-    def _send(ex, _inst=inst):
-        ex._execute_send(_inst)
-    return _send
 
 
 def _traced_send(inst: Instruction, k: int):
@@ -402,16 +580,21 @@ def _traced_send(inst: Instruction, k: int):
     return _send
 
 
+def _cf_send(inst: Instruction, k: int):
+    def _send(ex, _inst=inst):
+        ex._execute_send(_inst)
+        ex._account_send_cf(_inst, ex._rows)
+    return _send
+
+
 def _account_send_jit(ex, inst: Instruction, k: int) -> None:
-    """Runtime half of traced SEND accounting.
+    """Runtime half of template-timed SEND accounting (no loops).
 
     The issue-timeline half (instruction counts, issue positions,
     consumption distances) is precomputed in the template trace; only
     the data-dependent half runs here: cache-line marking and the
     per-thread :class:`_WideEvent` record that
-    :meth:`~repro.isa.wide.WideTracingExecutor.drain_traces` fans out.
-    Mirrors :meth:`WideTracingExecutor._account_send` minus the
-    ``trace.memory`` / ``_register_load`` / ``_extra_messages`` calls.
+    :meth:`~repro.isa.wide.WideExecutor.drain_traces` fans out.
     """
     msg = inst.msg
     surf = ex._surface(msg.surface)
@@ -429,7 +612,7 @@ def _account_send_jit(ex, inst: Instruction, k: int) -> None:
         ex._wide_events.append(_WideEvent(ev, lines, new, False))
     else:  # GATHER / SCATTER / ATOMIC
         byte_offs = ex._scattered_offsets(inst)
-        mask = ex._pred_mask(inst)
+        mask = ex._exec_mask(inst)
         lines, new = surf.mark_lines_offsets_many(
             byte_offs, msg.elem_dtype.size, mask=mask)
         if kind is MsgKind.ATOMIC:
@@ -479,8 +662,9 @@ def _merged_regs(pb: FunctionalExecutor, inst: Instruction) -> tuple:
 def _build_template(program, machine, pb: FunctionalExecutor,
                     table: PlanTable) -> JitTemplate:
     """Statically replay :class:`~repro.sim.batch.TracingExecutor`'s
-    accounting for one thread (which is every thread: straight-line
-    programs have thread-invariant issue timelines)."""
+    accounting for one thread (which is every thread: programs without
+    loops skip no instruction, so their issue timelines are
+    thread-invariant)."""
     trace = ThreadTrace(machine)
     pending: dict = {}
     btis: list = []
@@ -495,6 +679,9 @@ def _build_template(program, machine, pb: FunctionalExecutor,
             trace.barrier()
             continue
         if op is Opcode.NOP:
+            continue
+        if op in CF_OPCODES:  # IF/ELSE/ENDIF: loop-free programs only
+            trace.scalar_op(CF_COSTS[op])
             continue
         if op is Opcode.SEND:
             msg = inst.msg
@@ -567,7 +754,7 @@ def _build_template(program, machine, pb: FunctionalExecutor,
 
 
 # ---------------------------------------------------------------------------
-# compiled kernel object + executors
+# compiled kernel object + executor
 # ---------------------------------------------------------------------------
 
 
@@ -575,8 +762,8 @@ class JitKernel:
     """A compiled megakernel for one program binding.
 
     Holds the generated source (``.source``, for inspection/tests), the
-    functional and traced function variants, the shared
-    :class:`PlanTable`, and a per-machine cache of template traces.
+    compiled function ``fn``, the shared :class:`PlanTable`, and a
+    per-machine cache of template traces (straight-line programs only).
     Like a plan table, a :class:`JitKernel` is valid for exactly the
     program *object* it was compiled from.
     """
@@ -587,23 +774,26 @@ class JitKernel:
             self.plans = plans
         else:
             self.plans = PlanTable(program)
+        try:
+            cf = self.plans.cf_plan()
+        except CFError as exc:
+            raise JitError(f"malformed control flow: {exc}") from None
+        #: per-row timing: the program has loops (see :func:`_codegen`)
+        self.per_row = bool(cf.body_of)
         # Plan-building executor: bounds checks and region resolution
         # only; kept for template building (shares its region plans).
         self._pb = FunctionalExecutor()
-        env = {"np": np, "_cv": convert}
-        self.source, self.n_sends = _codegen(program, self._pb, env)
-        code = compile(self.source, "<jit-megakernel>", "exec")
-        fenv, tenv = dict(env), dict(env)
+        env = {"np": np, "_cv": convert, "_XE": ExecutionError,
+               "_LIM": CF_STEP_LIMIT - len(program)}
+        self.source, self.n_sends = _codegen(program, self._pb, env, cf)
+        make_send = _cf_send if self.per_row else _traced_send
         k = 0
         for inst in program:
             if inst.opcode is Opcode.SEND:
-                fenv[f"_send{k}"] = _functional_send(inst)
-                tenv[f"_send{k}"] = _traced_send(inst, k)
+                env[f"_send{k}"] = make_send(inst, k)
                 k += 1
-        exec(code, fenv)
-        exec(code, tenv)
-        self.fn_functional = fenv["_mega"]
-        self.fn_traced = tenv["_mega"]
+        exec(compile(self.source, "<jit-megakernel>", "exec"), env)
+        self.fn = env["_mega"]
         self._templates: dict = {}
 
     def matches(self, program) -> bool:
@@ -617,51 +807,18 @@ class JitKernel:
         return tmpl
 
 
-def _refuse_sanitizer() -> None:
-    raise ExecutionError(
-        "sanitizer hooks cannot run on the JIT executor; "
-        "use sequential dispatch for sanitized launches")
+class JitTracingExecutor(WideExecutor):
+    """Runs a program's megakernel on the stacked state of a chunk.
 
-
-class JitExecutor(WideExecutor):
-    """A :class:`WideExecutor` that runs a bound megakernel.
-
-    ``run()`` dispatches to the compiled function when the program is
-    the one the bound :class:`JitKernel` was compiled from, and falls
-    back to the wide interpreter otherwise — binding can never change
-    results, only speed.
-    """
-
-    def __init__(self, surfaces: Mapping[int, object] | None = None,
-                 num_regs: int = 128, num_threads: int = 0) -> None:
-        super().__init__(surfaces, num_regs, num_threads)
-        self._jit: Optional[JitKernel] = None
-
-    def bind_jit(self, jitk: Optional[JitKernel]) -> None:
-        self._jit = jitk
-
-    def run(self, program) -> None:
-        jitk = self._jit
-        if jitk is None or not jitk.matches(program):
-            super().run(program)
-            return
-        if self.san is not None:
-            _refuse_sanitizer()
-        self.plans = jitk.plans
-        jitk.fn_functional(self)
-        self.instructions_executed += len(program)
-
-
-class JitTracingExecutor(WideTracingExecutor):
-    """A :class:`WideTracingExecutor` that runs a bound megakernel.
-
-    Before calling the traced megakernel, ``run()`` installs the
+    ``run()`` compiles the program when the bound :class:`JitKernel`
+    was built from a different one (binding changes speed, never
+    results).  For a program without loops it first installs the
     (program, machine) template: the launch trace's issue totals and the
     per-launch event prototypes (template events stamped with this
-    launch's surface labels).  The megakernel's ``_send{k}`` closures
-    append the per-thread line counts, and the inherited
-    :meth:`~repro.isa.wide.WideTracingExecutor.drain_traces` fan-out
-    produces traces bit-identical to the wide interpreter's.
+    launch's surface labels); the megakernel's ``_send{k}`` closures
+    append the per-thread line counts.  A program with loops switches
+    the chunk to per-row accounting
+    (:meth:`~repro.isa.wide.WideExecutor.begin_cf_trace`) instead.
     """
 
     def __init__(self, surfaces: Mapping[int, object] | None = None,
@@ -674,134 +831,68 @@ class JitTracingExecutor(WideTracingExecutor):
         self._jit = jitk
 
     def run(self, program) -> None:
-        jitk = self._jit
-        if jitk is None or not jitk.matches(program):
-            super().run(program)
-            return
+        # Sanitizer hooks assume one thread's register file and lane
+        # masks; sanitized launches are always sequential (the race
+        # verdict is what *admits* a program to the vector tier).
         if self.san is not None:
-            _refuse_sanitizer()
+            raise ExecutionError(
+                "sanitizer hooks cannot run on the JIT executor; "
+                "use sequential dispatch for sanitized launches")
         trace = self.trace
         if trace is None:
             raise ExecutionError(
-                "begin_launch must be called before a traced JIT run")
+                "begin_launch must be called before a JIT run")
+        jitk = self._jit
+        if jitk is None or not jitk.matches(program):
+            jitk = self._jit = JitKernel(program, self.plans)
         self.plans = jitk.plans
-        tmpl = jitk.template(trace.machine)
-        trace.inst_count = tmpl.inst_count
-        trace.issue_cycles = tmpl.issue_cycles
-        trace.barriers = tmpl.barriers
-        surfs = self.surfaces
-        self._launch_events = [
-            dataclasses.replace(
-                ev, surface=(getattr(surfs.get(bti), "obs_label", None)
-                             or f"bti{bti}"))
-            for ev, bti in zip(tmpl.events, tmpl.btis)]
-        jitk.fn_traced(self)
-        self.instructions_executed += len(program)
-
-    def fold_chunk(self, acc, grf_bytes: int = 0) -> None:
-        """Fold this chunk's timing straight into a
-        :class:`~repro.sim.timing.TimingAccumulator`.
-
-        Bit-identical to ``acc.extend(self.drain_traces())`` (with
-        ``note_grf(grf_bytes)`` applied to each fanned-out trace) but
-        without materializing T :class:`ThreadTrace` objects — on short
-        programs the per-thread fan-out dominates the whole launch.
-        Integer totals vectorize exactly; the float running sums (issue
-        cycles, thread completion time) repeat the same per-thread
-        addition sequence the scalar fold performs, so ``finalize()``
-        produces the same :class:`KernelTiming` to the last bit.  The
-        per-thread stall is thread-invariant under the JIT: every event's
-        issue/consume positions come from the template, so
-        ``exec_cycles()`` is one number for the whole chunk.
-        """
-        from repro.sim.timing import LINE_BYTES, SCATTER_CLASS
-
-        tmpl = self.trace
-        count = self.num_threads
-        events = self._wide_events
-        m = tmpl.machine
-        issue = tmpl.issue_cycles
-        stall = 0.0
-        for we in events:
-            e = we.ev
-            if e.is_read and e.consumed_at is not None:
-                covered = e.consumed_at - e.issue_at
-                stall += max(0.0, e.latency(m) - covered)
-        thread_time = issue + stall + tmpl.barriers * m.barrier_cycles
-
-        acc.num_threads += count
-        for _ in range(count):
-            acc._total_issue += issue
-            acc._total_thread_time += thread_time
-        if count and thread_time > acc._max_thread_time:
-            acc._max_thread_time = thread_time
-        acc.total_instructions += tmpl.inst_count * count
-        acc.barriers += tmpl.barriers * count
-        acc.messages += len(events) * count
-        if count and grf_bytes > acc.max_grf_bytes:
-            acc.max_grf_bytes = grf_bytes
-
-        for we in events:
-            e = we.ev
-            lines_sum = int(np.sum(we.lines, dtype=np.int64))
-            dram_sum = int(np.sum(we.dram, dtype=np.int64))
-            acc._dram_lines += dram_sum
-            acc._l3_bytes += lines_sum * 64 if we.l3_from_lines \
-                else e.l3_bytes * count
-            acc.dram_bytes += dram_sum * LINE_BYTES
-            if e.is_read:
-                acc.global_read_bytes += e.nbytes * count
-            else:
-                acc.global_write_bytes += e.nbytes * count
-            if e.kind is MemKind.SAMPLER:
-                acc._texels += e.texels * count
-            elif e.kind in SCATTER_CLASS:
-                acc._dataport_bytes += e.nbytes * count
-                acc._scatter_msgs += e.msgs * count
-            else:
-                acc._dataport_bytes += e.nbytes * count
-                acc._block_msgs += e.msgs * count
-            if we.words is not None:
-                words = we.words.reshape(-1) if we.wmask is None \
-                    else we.words[we.wmask]
-                uniq, counts = np.unique(words, return_counts=True)
-                sid = we.surface_id
-                addrs = acc._atomic_addrs
-                for w, c in zip(uniq.tolist(), counts.tolist()):
-                    addrs[(sid, int(w))] += int(c)
-        self._wide_events = []
+        if jitk.per_row:
+            self.begin_cf_trace()
+        else:
+            tmpl = jitk.template(trace.machine)
+            trace.inst_count = tmpl.inst_count
+            trace.issue_cycles = tmpl.issue_cycles
+            trace.barriers = tmpl.barriers
+            surfs = self.surfaces
+            self._launch_events = [
+                dataclasses.replace(
+                    ev, surface=(getattr(surfs.get(bti), "obs_label", None)
+                                 or f"bti{bti}"))
+                for ev, bti in zip(tmpl.events, tmpl.btis)]
+        try:
+            self.instructions_executed += jitk.fn(self)
+        finally:
+            self._end_cf()
 
 
 # ---------------------------------------------------------------------------
 # kernel-cache attachment
 # ---------------------------------------------------------------------------
 
-#: Sentinel stored on ``CompiledKernel._jit`` after a failed compile, so
-#: ineligible kernels pay the compile attempt exactly once.
-_INELIGIBLE = object()
-
 
 def get_jit(kernel):
-    """(megakernel or None, was_cached) for a CompiledKernel.
+    """(megakernel, was_cached) for a CompiledKernel.
 
     The compiled :class:`JitKernel` is cached on the kernel object
     itself — right next to the program in the
     :class:`~repro.compiler.cache.KernelCache` — and released with it
-    (:meth:`CompiledKernel.release_derived`).  Compile failures cache an
-    ineligibility sentinel, so callers fall back to wide dispatch at
-    zero recurring cost.
+    (:meth:`CompiledKernel.release_derived`).  A compile failure raises
+    :class:`JitError`; its reason is cached in the same slot, so a
+    declined kernel pays the compile attempt exactly once.
     """
     cur = kernel._jit
+    if isinstance(cur, str):
+        raise JitError(cur)
     if cur is not None:
-        return (None if cur is _INELIGIBLE else cur), True
+        return cur, True
     with trace_span("jit:compile",
                     kernel=getattr(kernel, "name", "?")) as span:
         try:
             jitk = JitKernel(kernel.program, plans=kernel.plan_table())
         except JitError as exc:
-            kernel._jit = _INELIGIBLE
+            kernel._jit = str(exc)
             span.set(eligible=False, reason=str(exc))
-            return None, False
+            raise
         span.set(eligible=True, instructions=len(kernel.program))
     kernel._jit = jitk
     return jitk, False

@@ -45,8 +45,8 @@ class PlanTable:
 
     The table is *lazy*: slots fill in as the executor first touches
     each instruction, and one table can be shared by any number of
-    executors running the same program (sequential, wide, and JIT
-    dispatch build identical plans; slot assignment is idempotent and
+    executors running the same program (sequential and JIT dispatch
+    build identical plans; slot assignment is idempotent and
     atomic under the GIL).
 
     Identity contract: a table is valid for exactly the program list

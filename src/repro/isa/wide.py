@@ -1,133 +1,69 @@
-"""Grid-vectorized ("wide") execution of Gen programs.
+"""Stacked-GRF state and vectorized memory for the JIT vector tier.
 
 The paper's thesis is that explicit SIMD wins by issuing whole-vector
-operations in one step instead of emulating lanes.  The sequential
-dispatch path in :mod:`repro.sim.device` ironically does the SIMT
-thing one level up: it re-interprets the same program once per
-hardware thread, paying ``grid_size x program_length`` Python dispatch
-steps.  For straight-line programs every thread executes the identical
-instruction sequence, so the thread loop can be hoisted *inside* each
-NumPy op.
+operations in one step instead of emulating lanes.  The JIT tier
+(:mod:`repro.isa.jit`) applies that one level up: it runs a compiled
+program once for a whole chunk of T hardware threads, on T per-thread
+register files stacked into one ``(T, 4096)`` uint8 array.
 
-:class:`WideExecutor` stacks T per-thread register files into one
-``(T, 4096)`` uint8 array and executes each :class:`Instruction` once
-for all T threads:
+:class:`WideExecutor` is the state and runtime half of that tier; the
+generated megakernel supplies the instruction stream.  It holds
 
-- region plans stay the per-program column-index arrays the scalar
-  executor memoizes; fetches become ``grf2d[:, idx]`` (T, n) views;
-- ALU ops, conversions, and saturation run on ``(T, exec_size)``
-  arrays; flags become ``(T, 32)`` bools;
-- block SEND messages batch into strided copies across threads, and
-  gather/scatter/atomic flatten into ``(T*n)`` offset vectors with a
-  per-thread lane mask.  Atomics apply in thread order (integer
-  add/sub/inc/dec through a grouped prefix-sum reduction; everything
-  else through the sequential lane loop on the flattened vector), so
-  results stay bit-identical to per-thread execution.
-
-**Structured SIMD control flow** (:data:`~repro.isa.instructions.
-CF_OPCODES`) keeps the same property with one twist.  The mask ops
-(IF/ELSE/ENDIF/BREAK) are executed by every thread, so they never
-split a group; only WHILE's back-edge makes per-thread PCs diverge.
-The wide interpreter therefore runs a *group scheduler*: per-thread
-PCs start together, the scheduler repeatedly picks the minimum live PC
-and issues that instruction once for the whole group of threads parked
-there, and the per-program reconvergence schedule (immediate
-post-dominators, :meth:`~repro.isa.plans.PlanTable.cf_plan`) guarantees
-groups re-merge at ENDIF/loop exits.  Divergence state is vectorized
-exactly like the register file: ``(T, 32)`` active masks and
-``(T, depth, 32)`` restore/else frame stacks whose depth is a *static*
-function of the PC.  A chunk of T threads with data-divergent loop trip
-counts still issues one NumPy op per executed instruction.
-
-:class:`WideTracingExecutor` additionally produces per-thread
-:class:`~repro.sim.trace.ThreadTrace` streams.  For straight-line
-programs every issue-timeline quantity (instruction counts, issue
-cycles, event issue/consume positions) is *thread-invariant*, so the
-wide path drives a single template trace and fans it out per thread
-with the per-thread line counts recorded by the vectorized surface
-marking.  Under control flow those quantities become per-thread — each
-thread's dynamic instruction stream depends on its data — so the
-tracer switches to ``(T,)`` issue/instruction accumulators and per-row
-memory-event records, replaying for every thread exactly the
-accounting the sequential :class:`~repro.sim.batch.TracingExecutor`
-performs in that thread's own dynamic order.  Either way,
-:class:`~repro.sim.timing.TimingAccumulator` and the time-breakdown
-profiler see exactly the traces the sequential path would have
-produced.
+- the stacked GRF (:attr:`~WideExecutor.grf2d`) and ``(T, 32)`` flag
+  arrays, with the scalar executor's memoized region plans reused for
+  bounds checks and strided writes;
+- the vectorized SEND handlers: block messages batch into strided
+  copies across threads, gather/scatter/atomic flatten into ``(T*n)``
+  offset vectors with a per-thread lane mask.  Atomics apply in thread
+  order (integer add/sub/inc/dec through a grouped prefix-sum
+  reduction, everything else through the sequential lane loop on the
+  flattened vector), so results stay bit-identical to per-thread
+  execution;
+- the SIMD control-flow row state: the ``(T, 32)`` active mask and the
+  rows of the innermost running loop, which a SEND inside a loop
+  restricts itself to (:meth:`~WideExecutor._execute_send`);
+- timing: a program without loops shares one template trace across
+  its threads, plus the per-thread line counts recorded by the
+  vectorized surface marking; with loops each thread's dynamic
+  instruction stream depends on its data, so ``(T,)``
+  issue/instruction accumulators and per-row memory-event records
+  replay, for every thread, exactly the accounting the sequential
+  :class:`~repro.sim.batch.TracingExecutor` performs in that thread's
+  own order.  :meth:`~WideExecutor.fold_chunk` folds either form into a
+  :class:`~repro.sim.timing.TimingAccumulator`, and
+  :meth:`~WideExecutor.drain_traces` materializes the per-thread traces
+  the time-breakdown profiler needs — both exactly what the sequential
+  path would have produced.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.isa.cfg import CFError, analyze_cf
-from repro.isa.dtypes import UD, convert
+from repro.isa.dtypes import UD
 from repro.isa.executor import (
-    CF_STEP_LIMIT, ExecutionError, FunctionalExecutor, _alu_compute,
-    _contiguous_region, _emask_off,
+    ExecutionError, _contiguous_region, _emask_off,
 )
 from repro.isa.grf import GRF_SIZE_BYTES, RegOperand
-from repro.isa.instructions import (
-    CF_OPCODES, Immediate, Instruction, MsgKind, Opcode,
-)
+from repro.isa.instructions import Immediate, Instruction, MsgKind
 from repro.isa.msg_geometry import (
     media_block_messages, oword_block_messages, scatter_messages,
 )
 from repro.memory.surfaces import Surface
 from repro.sim.batch import CF_COSTS, TracingExecutor, _alu_cost
+from repro.sim.timing import LINE_BYTES, SCATTER_CLASS
 from repro.sim.trace import MemEvent, MemKind, ThreadTrace
 
-#: Message kinds the wide path knows how to vectorize (currently all of
-#: them; the check guards against future kinds silently mis-executing).
+#: Message kinds the vectorized handlers cover (currently all of them;
+#: the JIT eligibility check guards against future kinds silently
+#: mis-executing).
 _WIDE_MSG_KINDS = frozenset({
     MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE,
     MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE,
     MsgKind.GATHER, MsgKind.SCATTER, MsgKind.ATOMIC,
 })
-
-
-def ineligible_reason(program: Iterable[Instruction]) -> Optional[str]:
-    """Why a compiled program cannot run on the wide path (or ``None``).
-
-    Two distinct refusals, surfaced separately in the device gate
-    taxonomy:
-
-    - ``"unsupported-message"`` — a SEND uses a message kind the
-      vectorized handlers do not cover;
-    - ``"malformed-control-flow"`` — the program contains structured-CF
-      opcodes whose nesting does not validate (the group scheduler
-      depends on the per-program reconvergence plan, so a program that
-      has no plan has no wide schedule either).
-
-    Structured control flow itself is *not* disqualifying: divergent
-    programs run wide via per-thread PCs and mask stacks.
-    """
-    program = tuple(program)
-    has_cf = False
-    for inst in program:
-        if inst.opcode is Opcode.SEND:
-            msg = inst.msg
-            if msg is None or msg.kind not in _WIDE_MSG_KINDS:
-                return "unsupported-message"
-        elif inst.opcode in CF_OPCODES:
-            has_cf = True
-    if has_cf:
-        try:
-            analyze_cf(program)
-        except CFError:
-            return "malformed-control-flow"
-    return None
-
-
-def wide_eligible(program: Iterable[Instruction]) -> bool:
-    """Whether a compiled program can run on the wide path.
-
-    Straight-line *and* structured-control-flow programs both qualify;
-    see :func:`ineligible_reason` for what disqualifies one.
-    """
-    return ineligible_reason(program) is None
 
 
 class WideScratch(Surface):
@@ -155,7 +91,7 @@ class WideScratch(Surface):
     def read_linear_many(self, byte_offsets, nbytes: int,
                          rows=None) -> np.ndarray:
         """Per-thread reads; ``rows`` restricts to a subset of threads
-        (one offset per listed row) for divergent partial groups."""
+        (one offset per listed row) inside a loop some have left."""
         offs = np.asarray(byte_offsets, dtype=np.int64)
         if offs.size:
             self._check(int(offs.min()), 0)
@@ -179,16 +115,16 @@ class WideScratch(Surface):
             self.bytes2d[np.asarray(rows)[:, None], idx] = raw
 
 
-class WideExecutor(FunctionalExecutor):
-    """Execute one straight-line program for T threads at once.
+class WideExecutor(TracingExecutor):
+    """Architectural state, SENDs and timing for T threads at once.
 
-    The inherited :class:`FunctionalExecutor` machinery is reused for
-    everything thread-invariant — operand region plans, immediate
-    caches, per-instruction ALU/CMP plans (``self.grf`` serves purely
-    as the plan builder and bounds checker).  Architectural state lives
-    in :attr:`grf2d` (``(T, num_regs*32)`` uint8) and ``(T, 32)`` flag
-    arrays; every override swaps a per-lane op for the same op on a
-    ``(T, ...)`` array.
+    The inherited executor machinery serves everything thread-invariant
+    — operand region plans, immediate caches (``self.grf`` is only the
+    plan builder and bounds checker).  Architectural state lives in
+    :attr:`grf2d` (``(T, num_regs*32)`` uint8) and ``(T, 32)`` flag
+    arrays.  Instructions are issued by a subclass: the JIT's
+    :class:`~repro.isa.jit.JitTracingExecutor` runs a generated
+    megakernel against this state.
     """
 
     def __init__(self, surfaces: Mapping[int, object] | None = None,
@@ -197,23 +133,27 @@ class WideExecutor(FunctionalExecutor):
         self.num_threads = num_threads
         self.grf2d = np.zeros((num_threads, self.grf.bytes.size),
                               dtype=np.uint8)
-        # Divergence state, live only while _run_cf() is scheduling:
-        # (T, 32) active masks, the current group's rows / (T, 1) row
-        # mask, and whether the group covers every thread.
+        # SIMD-CF state, live only while a control-flow program runs:
+        # the (T, 32) active mask, the innermost loop's rows / (T, 1)
+        # row mask, and whether those rows cover every thread.
         self._wact: Optional[np.ndarray] = None
         self._rows: Optional[np.ndarray] = None
         self._rowm: Optional[np.ndarray] = None
         self._row_all = True
+        self._wide_events: list[_WideEvent] = []
+        # Per-row accounting mode: on only for programs with loops.
+        self._cf_trace = False
+        self._cf_events: list[_CFSendEvent] = []
+        self._pending_vec: dict = {}   # GRF reg -> (T,) event index or -1
+        self._inst_vec: Optional[np.ndarray] = None
+        self._issue_vec: Optional[np.ndarray] = None
+        self._barrier_vec: Optional[np.ndarray] = None
+        self._icpi = 0.0
 
     def run(self, program) -> None:
-        # Sanitizer hooks assume one thread's register file and lane
-        # masks; sanitized launches are always sequential (the race
-        # verdict is what *admits* a program to the wide path).
-        if self.san is not None:
-            raise ExecutionError(
-                "sanitizer hooks cannot run on the wide executor; "
-                "use sequential dispatch for sanitized launches")
-        super().run(program)
+        raise ExecutionError(
+            "WideExecutor issues no instructions itself; run programs "
+            "on repro.isa.jit.JitTracingExecutor")
 
     def reset(self, num_threads: Optional[int] = None) -> None:
         """Zero architectural state, optionally resizing to a new T."""
@@ -225,6 +165,10 @@ class WideExecutor(FunctionalExecutor):
             self.grf2d.fill(0)
         self.flags.clear()
         self.instructions_executed = 0
+        self._end_cf()
+
+    def _end_cf(self) -> None:
+        """Leave control-flow row state (every thread, no masks)."""
         self._wact = None
         self._rows = None
         self._rowm = None
@@ -235,6 +179,29 @@ class WideExecutor(FunctionalExecutor):
         vals = np.ascontiguousarray(np.asarray(values, dtype=np.int32))
         self.grf2d[:, byte_offset:byte_offset + 4] = \
             vals.view(np.uint8).reshape(self.num_threads, 4)
+
+    def begin_launch(self, machine) -> None:
+        """Attach a fresh template trace for the next chunk."""
+        self.begin_thread(ThreadTrace(machine))
+        self._wide_events = []
+        self._cf_trace = False
+        self._cf_events = []
+        self._pending_vec = {}
+
+    def begin_cf_trace(self) -> None:
+        """Switch this chunk to per-row (T,) timing accumulators.
+
+        Loop trip counts make each thread's dynamic instruction stream
+        depend on its data, so the template trace cannot be shared.
+        """
+        T = self.num_threads
+        self._cf_trace = True
+        self._icpi = self.trace.machine.issue_cycles_per_inst
+        self._inst_vec = np.zeros(T, dtype=np.int64)
+        self._issue_vec = np.zeros(T, dtype=np.float64)
+        self._barrier_vec = np.zeros(T, dtype=np.int64)
+        self._cf_events = []
+        self._pending_vec = {}
 
     # -- operand access (wide) --------------------------------------------
 
@@ -285,13 +252,13 @@ class WideExecutor(FunctionalExecutor):
         return ~lanes if inst.pred.invert else lanes.copy()
 
     def _cf_active_lanes(self, inst: Instruction) -> np.ndarray | None:
-        """Wide SIMD-CF write-enable: active-lane window AND group rows.
+        """SIMD-CF write-enable: active-lane window AND loop rows.
 
-        ``None`` outside control flow, or when every thread is in the
-        group with every covered lane active.  Unlike the sequential
-        version, a scalar (exec_size 1) instruction still needs masking
-        when the current group is partial — threads parked at other PCs
-        must not observe its write — so the row mask applies even then.
+        ``None`` outside control flow, or when every thread runs with
+        every covered lane active.  Unlike the sequential version, a
+        scalar (exec_size 1) instruction still needs masking inside a
+        loop some threads have left — their registers must not observe
+        its write — so the row mask applies even then.
         """
         act = self._wact
         if act is None:
@@ -313,169 +280,6 @@ class WideExecutor(FunctionalExecutor):
             m = None
         return m
 
-    # -- ALU (wide) --------------------------------------------------------
-
-    def _execute_alu(self, inst: Instruction) -> None:
-        dst = inst.dst
-        if dst is None:
-            raise ExecutionError(f"ALU instruction without destination: {inst}")
-        _, fetchers, exec_dtype, dst_idx, nopred = self._alu_plan(inst)
-        grf2d = self.grf2d
-        srcs = [payload if idx is None else
-                np.take(grf2d, idx.reshape(-1), axis=1).view(payload)
-                for idx, payload in fetchers]
-
-        if inst.opcode is Opcode.MOV:
-            result = srcs[0]
-        elif inst.opcode is Opcode.SEL:
-            mask = self._pred_mask(inst)
-            if mask is None:
-                raise ExecutionError("sel requires a predicate")
-            result = np.where(mask, srcs[0], srcs[1])
-            inst = nopred
-        else:
-            ops = [s if s.dtype == exec_dtype.np_dtype else
-                   convert(s, exec_dtype) for s in srcs]
-            result = _alu_compute(inst, exec_dtype, ops)
-
-        if inst.sat or result.dtype != dst.dtype.np_dtype:
-            result = convert(result, dst.dtype, saturate=inst.sat)
-        self._write_dst(dst, result, mask=self._exec_mask(inst), idx=dst_idx)
-
-    def _execute_cmp(self, inst: Instruction) -> None:
-        _, fetchers, exec_dtype, cmp_fn, dst_idx = self._cmp_plan(inst)
-        grf2d = self.grf2d
-        a, b = [payload if idx is None else
-                np.take(grf2d, idx.reshape(-1), axis=1).view(payload)
-                for idx, payload in fetchers]
-        result = np.broadcast_to(
-            cmp_fn(convert(a, exec_dtype), convert(b, exec_dtype)),
-            (self.num_threads, inst.exec_size))
-        lanes = self._cf_active_lanes(inst)
-        flag = self._flag_lanes(inst.flag.index if inst.flag else 0)
-        if lanes is None:
-            flag[:, : inst.exec_size] = result
-        else:
-            np.copyto(flag[:, : inst.exec_size], result, where=lanes)
-        if inst.dst is not None:
-            self._write_dst(inst.dst, result.astype(inst.dst.dtype.np_dtype),
-                            mask=lanes, idx=dst_idx)
-
-    # -- SIMD control flow (wide group scheduler) -------------------------
-
-    def _run_cf(self, program) -> None:
-        """Group-scheduled dispatch for programs with SIMD control flow.
-
-        Per-thread PCs start at 0; the scheduler repeatedly selects the
-        minimum live PC, gathers the group of threads parked there, and
-        issues that instruction once for the whole group.  Because the
-        mask ops are executed by every thread and only WHILE jumps,
-        groups split exclusively at loop back-edges and — by the
-        per-program reconvergence plan — re-merge at the loop exit, so
-        a chunk still pays one NumPy op per executed instruction.
-        Frame state is ``(T, depth, 32)``: ``depth_at`` is static per
-        PC, so all threads in a group share frame structure.
-        """
-        plan = self.plans.cf_plan()
-        T = self.num_threads
-        n = len(program)
-        depth = max(plan.max_depth, 1)
-        pcs = np.zeros(T, dtype=np.int64)
-        act = np.ones((T, 32), dtype=bool)
-        restore = np.zeros((T, depth, 32), dtype=bool)
-        pending = np.zeros((T, depth, 32), dtype=bool)
-        self._wact = act
-        steps = 0
-        try:
-            while True:
-                live = pcs < n
-                if not live.any():
-                    break
-                pc = int(pcs[live].min())
-                group = pcs == pc
-                rows = np.flatnonzero(group)
-                steps += 1
-                if steps > CF_STEP_LIMIT:
-                    raise ExecutionError(
-                        f"SIMD control flow executed more than "
-                        f"{CF_STEP_LIMIT} instructions (runaway loop?)")
-                inst = program[pc]
-                self._rows = rows
-                self._rowm = group[:, None]
-                self._row_all = rows.size == T
-                if inst.opcode in CF_OPCODES:
-                    self.instructions_executed += 1
-                    self._exec_cf_wide(inst, pc, rows, act, restore,
-                                       pending, pcs, plan)
-                    self._account_cf(inst, rows)
-                else:
-                    self.execute(inst)
-                    pcs[rows] = pc + 1
-        finally:
-            self._wact = None
-            self._rows = None
-            self._rowm = None
-            self._row_all = True
-
-    def _cf_cond_wide(self, inst: Instruction, rows: np.ndarray,
-                      act: np.ndarray) -> np.ndarray:
-        """The (R, 32) lane sets an IF/WHILE/BREAK acts on, per group
-        row: predicate flag lanes (all lanes when unpredicated) ANDed
-        with each thread's current active mask."""
-        cur = act[rows]
-        if inst.pred is None:
-            return cur
-        lanes = self._flag_lanes(inst.pred.flag.index)[rows, : inst.exec_size]
-        if inst.pred.invert:
-            lanes = ~lanes
-        cond = np.zeros((rows.size, 32), dtype=bool)
-        cond[:, : inst.exec_size] = lanes
-        cond &= cur
-        return cond
-
-    def _exec_cf_wide(self, inst, pc, rows, act, restore, pending, pcs,
-                      plan) -> None:
-        """Vectorized mask-frame semantics (mirrors the sequential
-        ``_execute_cf`` exactly, for a whole group of threads)."""
-        op = inst.opcode
-        d = plan.depth_at[pc]
-        if op is Opcode.SIMD_IF:
-            cond = self._cf_cond_wide(inst, rows, act)
-            cur = act[rows]
-            restore[rows, d] = cur
-            pending[rows, d] = cur & ~cond
-            act[rows] = cond
-        elif op is Opcode.SIMD_ELSE:
-            act[rows] = pending[rows, d - 1]
-        elif op is Opcode.SIMD_ENDIF:
-            act[rows] = restore[rows, d - 1]
-        elif op is Opcode.SIMD_DO:
-            restore[rows, d] = act[rows]
-        elif op is Opcode.SIMD_WHILE:
-            cond = self._cf_cond_wide(inst, rows, act)
-            again = cond.any(axis=1)
-            loop_rows = rows[again]
-            exit_rows = rows[~again]
-            if loop_rows.size:
-                act[loop_rows] = cond[again]
-                pcs[loop_rows] = plan.body_of[pc]
-            if exit_rows.size:
-                act[exit_rows] = restore[exit_rows, d - 1]
-                pcs[exit_rows] = pc + 1
-            return
-        else:  # SIMD_BREAK
-            cond = self._cf_cond_wide(inst, rows, act)
-            act[rows] = act[rows] & ~cond
-            # Broken lanes leave every IF frame up to the innermost
-            # loop too (see the sequential executor).
-            for lvl in plan.break_clear[pc]:
-                restore[rows, lvl] = restore[rows, lvl] & ~cond
-                pending[rows, lvl] = pending[rows, lvl] & ~cond
-        pcs[rows] = pc + 1
-
-    def _account_cf(self, inst: Instruction, rows: np.ndarray) -> None:
-        """Timing hook for CF opcodes (no-op without tracing)."""
-
     # -- memory (wide) ----------------------------------------------------
 
     def _scalar_vec(self, src) -> np.ndarray:
@@ -486,13 +290,15 @@ class WideExecutor(FunctionalExecutor):
         return np.take(self.grf2d, idx.reshape(-1), axis=1) \
             .view(src.dtype.np_dtype).reshape(-1).astype(np.int64)
 
-    def _load_payload(self, base: int, nbytes: int) -> np.ndarray:
+    def _load_payload(self, base: int, nbytes: int,
+                      sel=slice(None)) -> np.ndarray:
         self._check_payload(base, nbytes)
-        return self.grf2d[:, base:base + nbytes]
+        return self.grf2d[sel, base:base + nbytes]
 
-    def _store_payload(self, base: int, data: np.ndarray) -> None:
+    def _store_payload(self, base: int, data: np.ndarray,
+                       sel=slice(None)) -> None:
         self._check_payload(base, data.shape[1])
-        self.grf2d[:, base:base + data.shape[1]] = data
+        self.grf2d[sel, base:base + data.shape[1]] = data
 
     def _check_payload(self, base: int, nbytes: int) -> None:
         if base < 0 or base + nbytes > self.grf2d.shape[1]:
@@ -500,100 +306,46 @@ class WideExecutor(FunctionalExecutor):
                 f"GRF payload of {nbytes} bytes at offset {base} overruns "
                 f"the {self.grf2d.shape[1]}-byte register file")
 
-    def _load_payload_rows(self, base: int, nbytes: int,
-                           rows: np.ndarray) -> np.ndarray:
-        self._check_payload(base, nbytes)
-        return self.grf2d[rows, base:base + nbytes]
-
-    def _store_payload_rows(self, base: int, data: np.ndarray,
-                            rows: np.ndarray) -> None:
-        nbytes = data.shape[1]
-        self._check_payload(base, nbytes)
-        self.grf2d[rows[:, None], np.arange(base, base + nbytes)] = data
-
     def _execute_send(self, inst: Instruction) -> None:
         msg = inst.msg
         if msg is None:
             raise ExecutionError("send without message descriptor")
         surf = self._surface(msg.surface)
-        if self._wact is not None and not self._row_all:
-            # Divergent partial group: only the threads parked at this
-            # PC may touch memory or their payload registers.
-            self._execute_send_rows(inst, surf, self._rows)
-            return
+        # Inside a loop some threads have left: only the rows still
+        # looping may touch memory or their payload registers.
+        rows = None if self._row_all else self._rows
+        sel = slice(None) if rows is None else rows
         kind = msg.kind
         base = msg.payload_reg * GRF_SIZE_BYTES
-        T = self.num_threads
-
-        if kind is MsgKind.MEDIA_BLOCK_READ:
-            x = self._scalar_vec(msg.addr0)
-            y = self._scalar_vec(msg.addr1)
+        if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
+            x = self._scalar_vec(msg.addr0)[sel]
+            y = self._scalar_vec(msg.addr1)[sel]
             w, h = msg.block_width, msg.block_height
-            block = surf.read_block_many(x, y, w, h)  # (T, h, w)
-            self._store_payload(base, block.reshape(T, -1))
-        elif kind is MsgKind.MEDIA_BLOCK_WRITE:
-            x = self._scalar_vec(msg.addr0)
-            y = self._scalar_vec(msg.addr1)
-            w, h = msg.block_width, msg.block_height
-            data = np.ascontiguousarray(self._load_payload(base, w * h))
-            surf.write_block_many(x, y, w, h, data.reshape(T, h, w))
-        elif kind is MsgKind.OWORD_BLOCK_READ:
-            offset = self._scalar_vec(msg.addr0)
-            self._store_payload(
-                base, surf.read_linear_many(offset, msg.payload_bytes))
-        elif kind is MsgKind.OWORD_BLOCK_WRITE:
-            offset = self._scalar_vec(msg.addr0)
-            surf.write_linear_many(
-                offset, self._load_payload(base, msg.payload_bytes))
+            if kind is MsgKind.MEDIA_BLOCK_READ:
+                block = surf.read_block_many(x, y, w, h)  # (R, h, w)
+                self._store_payload(base, block.reshape(x.size, -1), sel)
+            else:
+                data = np.ascontiguousarray(
+                    self._load_payload(base, w * h, sel))
+                surf.write_block_many(x, y, w, h,
+                                      data.reshape(x.size, h, w))
+        elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
+            offset = self._scalar_vec(msg.addr0)[sel]
+            # scratch rows are per thread; other surfaces are shared
+            own = {"rows": rows} if isinstance(surf, WideScratch) else {}
+            if kind is MsgKind.OWORD_BLOCK_READ:
+                self._store_payload(base, surf.read_linear_many(
+                    offset, msg.payload_bytes, **own), sel)
+            else:
+                surf.write_linear_many(
+                    offset, self._load_payload(base, msg.payload_bytes, sel),
+                    **own)
         elif kind in (MsgKind.GATHER, MsgKind.SCATTER, MsgKind.ATOMIC):
-            self._execute_scattered(inst, surf)
+            self._execute_scattered(inst, surf, sel)
         else:
             raise ExecutionError(f"unhandled message kind {kind}")
 
-    def _execute_send_rows(self, inst: Instruction, surf,
-                           rows: np.ndarray) -> None:
-        """Partial-group SEND: subset every per-thread vector to the
-        group's rows so other threads' registers and line tracking stay
-        untouched."""
-        msg = inst.msg
-        kind = msg.kind
-        base = msg.payload_reg * GRF_SIZE_BYTES
-        nrows = rows.size
-        if kind is MsgKind.MEDIA_BLOCK_READ:
-            x = self._scalar_vec(msg.addr0)[rows]
-            y = self._scalar_vec(msg.addr1)[rows]
-            w, h = msg.block_width, msg.block_height
-            block = surf.read_block_many(x, y, w, h)  # (R, h, w)
-            self._store_payload_rows(base, block.reshape(nrows, -1), rows)
-        elif kind is MsgKind.MEDIA_BLOCK_WRITE:
-            x = self._scalar_vec(msg.addr0)[rows]
-            y = self._scalar_vec(msg.addr1)[rows]
-            w, h = msg.block_width, msg.block_height
-            data = np.ascontiguousarray(
-                self._load_payload_rows(base, w * h, rows))
-            surf.write_block_many(x, y, w, h, data.reshape(nrows, h, w))
-        elif kind is MsgKind.OWORD_BLOCK_READ:
-            offset = self._scalar_vec(msg.addr0)[rows]
-            if isinstance(surf, WideScratch):
-                data = surf.read_linear_many(offset, msg.payload_bytes,
-                                             rows=rows)
-            else:
-                data = surf.read_linear_many(offset, msg.payload_bytes)
-            self._store_payload_rows(base, data, rows)
-        elif kind is MsgKind.OWORD_BLOCK_WRITE:
-            offset = self._scalar_vec(msg.addr0)[rows]
-            data = self._load_payload_rows(base, msg.payload_bytes, rows)
-            if isinstance(surf, WideScratch):
-                surf.write_linear_many(offset, data, rows=rows)
-            else:
-                surf.write_linear_many(offset, data)
-        elif kind in (MsgKind.GATHER, MsgKind.SCATTER, MsgKind.ATOMIC):
-            self._execute_scattered(inst, surf, rows=rows)
-        else:
-            raise ExecutionError(f"unhandled message kind {kind}")
-
-    def _execute_scattered(self, inst: Instruction, surf,
-                           rows: Optional[np.ndarray] = None) -> None:
+    def _execute_scattered(self, inst: Instruction, surf, sel) -> None:
         msg = inst.msg
         n = inst.exec_size
         T = self.num_threads
@@ -603,73 +355,380 @@ class WideExecutor(FunctionalExecutor):
         if msg.addr0 is not None:
             offsets = offsets + self._scalar_vec(msg.addr0)[:, None]
         elem = msg.elem_dtype
-        offsets = offsets * elem.size
+        offsets = offsets[sel] * elem.size
+        nrows = offsets.shape[0]
         base = msg.payload_reg * GRF_SIZE_BYTES
+        # Inside a loop the mask also covers the row mask, so rows that
+        # left it keep their destination registers.
         mask = self._exec_mask(inst)
-        if rows is not None:
-            return self._execute_scattered_rows(inst, surf, rows, offsets,
-                                                mask)
         # Flatten thread-major: lane order within a thread, threads in
         # ascending id — the exact order the sequential dispatch loop
         # performs these accesses, so overlap/atomic semantics match.
         flat = offsets.reshape(-1)
-        fmask = None if mask is None else mask.reshape(-1)
+        fmask = None if mask is None else \
+            np.broadcast_to(mask[sel], (nrows, n)).reshape(-1)
 
         if msg.kind is MsgKind.GATHER:
             data = surf.gather(flat, elem, mask=fmask)
-            self._store_payload(base, data.reshape(T, n).view(np.uint8))
+            self._store_payload(
+                base, data.reshape(nrows, n).view(np.uint8), sel)
         elif msg.kind is MsgKind.SCATTER:
             raw = np.ascontiguousarray(
-                self._load_payload(base, n * elem.size)).view(elem.np_dtype)
-            surf.scatter(flat, raw.reshape(-1), mask=fmask)
-        else:  # ATOMIC
-            operands = None
-            if msg.payload_bytes:
-                operands = np.ascontiguousarray(
-                    self._load_payload(base, n * elem.size)) \
-                    .view(elem.np_dtype).reshape(-1)
-            old = _wide_atomic(surf, msg.atomic_op, flat, operands, elem,
-                               fmask)
-            if inst.dst is not None:
-                self._write_dst(inst.dst, old.reshape(T, n), mask=mask)
-
-    def _execute_scattered_rows(self, inst: Instruction, surf,
-                                rows: np.ndarray, offsets: np.ndarray,
-                                mask: Optional[np.ndarray]) -> None:
-        """Partial-group gather/scatter/atomic: flatten only the group's
-        rows (still thread-major within the group)."""
-        msg = inst.msg
-        n = inst.exec_size
-        elem = msg.elem_dtype
-        base = msg.payload_reg * GRF_SIZE_BYTES
-        nrows = rows.size
-        sub = None if mask is None else \
-            np.broadcast_to(mask[rows], (nrows, n))
-        flat = offsets[rows].reshape(-1)
-        fmask = None if sub is None else sub.reshape(-1)
-
-        if msg.kind is MsgKind.GATHER:
-            data = surf.gather(flat, elem, mask=fmask)
-            self._store_payload_rows(
-                base, data.reshape(nrows, n).view(np.uint8), rows)
-        elif msg.kind is MsgKind.SCATTER:
-            raw = np.ascontiguousarray(
-                self._load_payload_rows(base, n * elem.size, rows)) \
+                self._load_payload(base, n * elem.size, sel)) \
                 .view(elem.np_dtype)
             surf.scatter(flat, raw.reshape(-1), mask=fmask)
         else:  # ATOMIC
             operands = None
             if msg.payload_bytes:
                 operands = np.ascontiguousarray(
-                    self._load_payload_rows(base, n * elem.size, rows)) \
+                    self._load_payload(base, n * elem.size, sel)) \
                     .view(elem.np_dtype).reshape(-1)
             old = _wide_atomic(surf, msg.atomic_op, flat, operands, elem,
                                fmask)
             if inst.dst is not None:
-                vals = np.zeros((self.num_threads, n), dtype=elem.np_dtype)
-                vals[rows] = old.reshape(nrows, n)
-                self._write_dst(inst.dst, vals,
-                                mask=self._rowm if mask is None else mask)
+                vals = np.zeros((T, n), dtype=elem.np_dtype)
+                vals[sel] = old.reshape(nrows, n)
+                self._write_dst(inst.dst, vals, mask=mask)
+
+    # -- per-row timing under control flow ---------------------------------
+
+    def _account_cf(self, inst: Instruction, rows: np.ndarray) -> None:
+        cost = CF_COSTS[inst.opcode]
+        self._inst_vec[rows] += cost
+        self._issue_vec[rows] += cost * self._icpi
+
+    def _scalar_cf(self, rows: np.ndarray, count: int) -> None:
+        self._inst_vec[rows] += count
+        self._issue_vec[rows] += count * self._icpi
+
+    def _account_alu_cf(self, inst: Instruction, rows: np.ndarray) -> None:
+        """ALU/CMP accounting for the issuing rows: retire the loads its
+        sources consume, then charge its issue cost (the sequential
+        tracer's order; the instruction's own execution touches neither)."""
+        self._note_consumption_cf(inst, rows)
+        cost = None
+        slots = None
+        table = self.plans
+        if table is not None:
+            slot = table.slot(inst)
+            if slot is not None:
+                slots = table.cost_slots(self.trace.machine)
+                cost = slots[slot]
+        if cost is None:
+            cost = _alu_cost(inst, self.trace.machine)
+            if slots is not None:
+                slots[slot] = cost
+        self._inst_vec[rows] += cost[0]
+        self._issue_vec[rows] += cost[1]
+
+    def _note_consumption_cf(self, inst: Instruction,
+                             rows: np.ndarray) -> None:
+        """Per-row load-use tracking (mirrors _note_src_consumption)."""
+        pend = self._pending_vec
+        if not pend:
+            return
+        regs = None
+        table = self.plans
+        if table is not None:
+            slot = table.slot(inst)
+            if slot is not None:
+                regs = table.src_regs[slot]
+                if regs is None:
+                    regs = table.src_regs[slot] = self._merged_src_regs(inst)
+        if regs is None:
+            regs = self._merged_src_regs(inst)
+        for reg in regs:
+            vec = pend.get(reg)
+            if vec is None:
+                continue
+            evi = vec[rows]
+            for e in np.unique(evi[evi >= 0]):
+                ev = self._cf_events[e]
+                erows = rows[evi == e]
+                pos = np.searchsorted(ev.rows, erows)
+                fresh = ev.consumed_at[pos] < 0
+                if fresh.any():
+                    ev.consumed_at[pos[fresh]] = self._issue_vec[erows[fresh]]
+                # One consume retires the whole message's payload.
+                for v2 in pend.values():
+                    cur = v2[erows]
+                    v2[erows] = np.where(cur == e, -1, cur)
+
+    def _register_load_cf(self, first_reg: int, nbytes: int,
+                          ev: _CFSendEvent, rows: np.ndarray) -> None:
+        for reg in range(first_reg,
+                         first_reg + -(-nbytes // GRF_SIZE_BYTES)):
+            vec = self._pending_vec.get(reg)
+            if vec is None:
+                vec = self._pending_vec[reg] = \
+                    np.full(self.num_threads, -1, dtype=np.int64)
+            vec[rows] = ev.index
+
+    def _memory_cf(self, rows, kind, nbytes, lines, dram, l3_bytes,
+                   l3_from_lines, msgs, is_read, surface) -> _CFSendEvent:
+        # Same front-end charge as ThreadTrace.memory(): one
+        # instruction, two issue slots, issue_at captured *after*.
+        self._inst_vec[rows] += 1
+        self._issue_vec[rows] += 2 * self._icpi
+        ev = _CFSendEvent(kind, nbytes, l3_bytes, l3_from_lines, msgs,
+                          is_read, surface, rows.copy(),
+                          np.asarray(lines), np.asarray(dram),
+                          self._issue_vec[rows].astype(np.float64))
+        ev.index = len(self._cf_events)
+        self._cf_events.append(ev)
+        return ev
+
+    def _account_send_cf(self, inst: Instruction, rows: np.ndarray) -> None:
+        """Per-row SEND accounting (mirrors the sequential
+        TracingExecutor._account_send for exactly the issuing rows)."""
+        msg = inst.msg
+        surf = self._surface(msg.surface)
+        kind = msg.kind
+        label = getattr(surf, "obs_label", None) or f"bti{msg.surface}"
+
+        if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
+            x = self._scalar_vec(msg.addr0)[rows]
+            y = self._scalar_vec(msg.addr1)[rows]
+            w, h = msg.block_width, msg.block_height
+            nbytes = w * h
+            lines, new = surf.mark_lines_block2d_many(x, y, w, h, surf.pitch)
+            messages = media_block_messages(w, h)
+            if messages > 1:
+                self._scalar_cf(rows, 2 * (messages - 1))
+            is_read = kind is MsgKind.MEDIA_BLOCK_READ
+            ev = self._memory_cf(
+                rows,
+                MemKind.BLOCK2D_READ if is_read else MemKind.BLOCK2D_WRITE,
+                nbytes, lines, new, nbytes, False, messages, is_read, label)
+            if is_read:
+                self._register_load_cf(msg.payload_reg, nbytes, ev, rows)
+        elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
+            offset = self._scalar_vec(msg.addr0)[rows]
+            nbytes = msg.payload_bytes
+            lines, new = surf.mark_lines_range_many(offset, nbytes)
+            messages = oword_block_messages(nbytes)
+            if messages > 1:
+                self._scalar_cf(rows, 2 * (messages - 1))
+            is_read = kind is MsgKind.OWORD_BLOCK_READ
+            ev = self._memory_cf(
+                rows, MemKind.OWORD_READ if is_read else MemKind.OWORD_WRITE,
+                nbytes, lines, new, nbytes, False, messages, is_read, label)
+            if is_read:
+                self._register_load_cf(msg.payload_reg, nbytes, ev, rows)
+        else:  # GATHER / SCATTER / ATOMIC
+            n = inst.exec_size
+            elem = msg.elem_dtype
+            byte_offs = self._scattered_offsets(inst)[rows]
+            mask = self._exec_mask(inst)
+            sub = None if mask is None else \
+                np.broadcast_to(mask[rows], (rows.size, n))
+            lines, new = surf.mark_lines_offsets_many(byte_offs, elem.size,
+                                                      mask=sub)
+            messages = scatter_messages(n)
+            nbytes = n * elem.size
+            if kind is MsgKind.GATHER:
+                if messages > 1:
+                    self._scalar_cf(rows, 2 * (messages - 1))
+                ev = self._memory_cf(rows, MemKind.GATHER, nbytes, lines,
+                                     new, None, True, messages, True, label)
+                self._register_load_cf(msg.payload_reg, nbytes, ev, rows)
+            elif kind is MsgKind.SCATTER:
+                if messages > 1:
+                    self._scalar_cf(rows, 2 * (messages - 1))
+                self._memory_cf(rows, MemKind.SCATTER, nbytes, lines, new,
+                                None, True, messages, False, label)
+            else:  # ATOMIC
+                ev = self._memory_cf(rows, MemKind.ATOMIC, nbytes, lines,
+                                     new, None, True, messages, True, label)
+                ev.words = byte_offs // 4
+                ev.wmask = sub
+                ev.surface_id = id(surf)
+                if inst.dst is not None:
+                    self._register_load_cf(
+                        inst.dst.byte_offset // GRF_SIZE_BYTES, nbytes, ev,
+                        rows)
+
+    def _scattered_offsets(self, inst: Instruction) -> np.ndarray:
+        """(T, n) per-lane byte offsets (same math as execution)."""
+        msg = inst.msg
+        n = inst.exec_size
+        addr_op = RegOperand(msg.addr_reg, 0, UD,
+                             region=_contiguous_region(n))
+        offsets = self._fetch(addr_op, n).astype(np.int64)
+        if msg.addr0 is not None:
+            offsets = offsets + self._scalar_vec(msg.addr0)[:, None]
+        return offsets * msg.elem_dtype.size
+
+    # -- trace fan-out -----------------------------------------------------
+
+    def drain_traces(self) -> list[ThreadTrace]:
+        """Fan the template trace out into T per-thread traces.
+
+        In per-row mode (loops) there is no template: each thread's trace
+        is materialized from the (T,) accumulators and the per-row
+        event records, in the thread's own dynamic issue order.
+        """
+        if self._cf_trace:
+            return self._drain_traces_cf()
+        tmpl = self.trace
+        events = self._wide_events
+        out = []
+        for t in range(self.num_threads):
+            tr = ThreadTrace(tmpl.machine)
+            tr.issue_cycles = tmpl.issue_cycles
+            tr.inst_count = tmpl.inst_count
+            tr.barriers = tmpl.barriers
+            for we in events:
+                e = we.ev
+                lines = int(we.lines[t])
+                tr.events.append(MemEvent(
+                    kind=e.kind, nbytes=e.nbytes, lines=lines,
+                    dram_lines=int(we.dram[t]),
+                    l3_bytes=lines * 64 if we.l3_from_lines else e.l3_bytes,
+                    msgs=e.msgs, texels=e.texels, slm_cycles=e.slm_cycles,
+                    issue_at=e.issue_at, consumed_at=e.consumed_at,
+                    is_read=e.is_read, surface=e.surface))
+                if we.words is not None:
+                    words = we.words[t] if we.wmask is None else \
+                        we.words[t][we.wmask[t]]
+                    tr.atomic_addrs.update(
+                        (we.surface_id, int(w)) for w in words)
+            out.append(tr)
+        self._wide_events = []
+        return out
+
+    def _drain_traces_cf(self) -> list[ThreadTrace]:
+        machine = self.trace.machine
+        T = self.num_threads
+        per_thread: list[list] = [[] for _ in range(T)]
+        for ev in self._cf_events:
+            for i, t in enumerate(ev.rows):
+                per_thread[t].append((ev, i))
+        out = []
+        for t in range(T):
+            tr = ThreadTrace(machine)
+            tr.issue_cycles = float(self._issue_vec[t])
+            tr.inst_count = int(self._inst_vec[t])
+            tr.barriers = int(self._barrier_vec[t])
+            for ev, i in per_thread[t]:
+                lines = int(ev.lines[i])
+                consumed = ev.consumed_at[i]
+                tr.events.append(MemEvent(
+                    kind=ev.kind, nbytes=ev.nbytes, lines=lines,
+                    dram_lines=int(ev.dram[i]),
+                    l3_bytes=lines * 64 if ev.l3_from_lines else ev.l3_bytes,
+                    msgs=ev.msgs, issue_at=float(ev.issue_at[i]),
+                    consumed_at=None if consumed < 0 else float(consumed),
+                    is_read=ev.is_read, surface=ev.surface))
+                if ev.words is not None:
+                    words = ev.words[i] if ev.wmask is None else \
+                        ev.words[i][ev.wmask[i]]
+                    tr.atomic_addrs.update(
+                        (ev.surface_id, int(w)) for w in words)
+            out.append(tr)
+        self._cf_events = []
+        self._pending_vec = {}
+        self._cf_trace = False
+        return out
+
+    def fold_chunk(self, acc, grf_bytes: int = 0) -> None:
+        """Fold this chunk's timing straight into a
+        :class:`~repro.sim.timing.TimingAccumulator`.
+
+        Bit-identical to ``acc.extend(self.drain_traces())`` (with
+        ``note_grf(grf_bytes)`` applied to each fanned-out trace) but
+        without materializing T :class:`ThreadTrace` objects — on short
+        programs the per-thread fan-out dominates the whole launch.
+        Integer totals vectorize exactly; the float running sums (issue
+        cycles, thread completion time) repeat the same per-thread
+        addition sequence the scalar fold performs, so ``finalize()``
+        produces the same :class:`KernelTiming` to the last bit.  In a
+        program without loops every event's issue/consume positions come
+        from the template, so the stall is one number for the chunk;
+        with loops each thread's stall sums its own events in issue
+        order.
+        """
+        m = self.trace.machine
+        count = self.num_threads
+        if self._cf_trace:
+            events = self._cf_events
+            stall = np.zeros(count)
+            for ev in events:
+                if ev.is_read:
+                    hit = ev.consumed_at >= 0
+                    covered = ev.consumed_at[hit] - ev.issue_at[hit]
+                    stall[ev.rows[hit]] += np.maximum(
+                        0.0, MemEvent.latency(ev, m) - covered)
+            issue = self._issue_vec.tolist()
+            times = (self._issue_vec + stall
+                     + self._barrier_vec * m.barrier_cycles).tolist()
+            insts = int(self._inst_vec.sum())
+            barriers = int(self._barrier_vec.sum())
+            folds = [(ev, ev.rows.size, ev) for ev in events]
+            self._cf_events = []
+            self._pending_vec = {}
+            self._cf_trace = False
+        else:
+            tmpl = self.trace
+            stall = 0.0
+            for we in self._wide_events:
+                e = we.ev
+                if e.is_read and e.consumed_at is not None:
+                    covered = e.consumed_at - e.issue_at
+                    stall += max(0.0, e.latency(m) - covered)
+            issue = [tmpl.issue_cycles] * count
+            times = [tmpl.issue_cycles + stall
+                     + tmpl.barriers * m.barrier_cycles] * count
+            insts = tmpl.inst_count * count
+            barriers = tmpl.barriers * count
+            folds = [(we.ev, count, we) for we in self._wide_events]
+            self._wide_events = []
+
+        acc.num_threads += count
+        for v in issue:
+            acc._total_issue += v
+        for v in times:
+            acc._total_thread_time += v
+        if times:
+            acc._max_thread_time = max(acc._max_thread_time, max(times))
+        acc.total_instructions += insts
+        acc.barriers += barriers
+        acc.messages += sum(n for _, n, _ in folds)
+        if count and grf_bytes > acc.max_grf_bytes:
+            acc.max_grf_bytes = grf_bytes
+        for e, n, rec in folds:
+            _fold_event(acc, e, n, rec)
+
+
+def _fold_event(acc, e, count: int, rec) -> None:
+    """Fold one SEND's totals over its ``count`` issuing threads.
+
+    ``e`` carries the message shape (kind, bytes, messages); ``rec``
+    the per-thread line counts and atomic words (a :class:`_WideEvent`
+    or :class:`_CFSendEvent`).
+    """
+    lines_sum = int(np.sum(rec.lines, dtype=np.int64))
+    dram_sum = int(np.sum(rec.dram, dtype=np.int64))
+    acc._dram_lines += dram_sum
+    acc._l3_bytes += lines_sum * 64 if rec.l3_from_lines \
+        else e.l3_bytes * count
+    acc.dram_bytes += dram_sum * LINE_BYTES
+    if e.is_read:
+        acc.global_read_bytes += e.nbytes * count
+    else:
+        acc.global_write_bytes += e.nbytes * count
+    acc._dataport_bytes += e.nbytes * count
+    if e.kind in SCATTER_CLASS:
+        acc._scatter_msgs += e.msgs * count
+    else:
+        acc._block_msgs += e.msgs * count
+    if rec.words is not None:
+        words = rec.words.reshape(-1) if rec.wmask is None \
+            else rec.words[rec.wmask]
+        uniq, counts = np.unique(words, return_counts=True)
+        addrs = acc._atomic_addrs
+        for w, c in zip(uniq.tolist(), counts.tolist()):
+            addrs[(rec.surface_id, int(w))] += int(c)
 
 
 _FAST_ATOMIC_OPS = frozenset({"add", "sub", "inc", "dec"})
@@ -752,7 +811,7 @@ class _WideEvent:
 
 
 class _CFSendEvent:
-    """One SEND issued by a (possibly partial) group under control flow.
+    """One SEND issued by a set of rows under control flow.
 
     Unlike the straight-line template events, *everything* here is
     per-row: the rows that issued the message, their line footprints,
@@ -781,394 +840,3 @@ class _CFSendEvent:
         self.wmask = None
         self.surface_id = 0
         self.index = -1                     # position in _cf_events
-
-
-class WideTracingExecutor(WideExecutor, TracingExecutor):
-    """A :class:`WideExecutor` that reconstructs per-thread traces.
-
-    Execution drives a single *template* :class:`ThreadTrace`: for a
-    straight-line program, instruction counts, issue cycles, message
-    issue positions, and load-use consumption distances are identical
-    for every thread (no per-thread cost in the model depends on data
-    values).  The only per-thread quantities — cache-line footprints
-    and atomic target addresses — are recorded as (T,) vectors by the
-    vectorized surface marking.  :meth:`drain_traces` fans the template
-    out into T real traces, which feed the accumulators in thread
-    order, bit-identical to sequential dispatch.
-
-    Inherits the dependency/ALU accounting of
-    :class:`~repro.sim.batch.TracingExecutor` unchanged (those are
-    thread-invariant) and overrides only the SEND accounting.
-    """
-
-    def __init__(self, surfaces: Mapping[int, object] | None = None,
-                 num_regs: int = 128, num_threads: int = 0) -> None:
-        super().__init__(surfaces, num_regs, num_threads)
-        self._wide_events: list[_WideEvent] = []
-        # Control-flow tracing mode (per-thread accounting, see
-        # _run_cf): off for straight-line programs.
-        self._cf_trace = False
-        self._cf_events: list[_CFSendEvent] = []
-        self._pending_vec: dict = {}   # GRF reg -> (T,) event index or -1
-        self._inst_vec: Optional[np.ndarray] = None
-        self._issue_vec: Optional[np.ndarray] = None
-        self._barrier_vec: Optional[np.ndarray] = None
-        self._icpi = 0.0
-
-    def begin_launch(self, machine) -> None:
-        """Attach a fresh template trace for the next chunk."""
-        self.begin_thread(ThreadTrace(machine))
-        self._wide_events = []
-        self._cf_trace = False
-        self._cf_events = []
-        self._pending_vec = {}
-
-    # -- control-flow tracing mode ----------------------------------------
-
-    def _run_cf(self, program) -> None:
-        # Under divergence the issue timeline is per-thread (each
-        # thread's dynamic instruction stream depends on its data), so
-        # the template trace cannot be shared.  Switch to (T,) vectors
-        # that replay the sequential TracingExecutor's accounting for
-        # every thread in its own dynamic order.
-        if self.trace is not None:
-            T = self.num_threads
-            self._cf_trace = True
-            self._icpi = self.trace.machine.issue_cycles_per_inst
-            self._inst_vec = np.zeros(T, dtype=np.int64)
-            self._issue_vec = np.zeros(T, dtype=np.float64)
-            self._barrier_vec = np.zeros(T, dtype=np.int64)
-            self._cf_events = []
-            self._pending_vec = {}
-        super()._run_cf(program)
-
-    def execute(self, inst: Instruction) -> None:
-        if not self._cf_trace:
-            super().execute(inst)
-            return
-        op = inst.opcode
-        rows = self._rows
-        if op is Opcode.BARRIER:
-            self._barrier_vec[rows] += 1
-            FunctionalExecutor.execute(self, inst)
-            return
-        if op is Opcode.NOP:
-            FunctionalExecutor.execute(self, inst)
-            return
-        if op is Opcode.SEND:
-            FunctionalExecutor.execute(self, inst)
-            self._account_send_cf(inst, rows)
-            return
-        self._note_consumption_cf(inst, rows)
-        FunctionalExecutor.execute(self, inst)
-        self._account_alu_cf(inst, rows)
-
-    def _account_cf(self, inst: Instruction, rows: np.ndarray) -> None:
-        if not self._cf_trace:
-            return
-        cost = CF_COSTS[inst.opcode]
-        self._inst_vec[rows] += cost
-        self._issue_vec[rows] += cost * self._icpi
-
-    def _scalar_cf(self, rows: np.ndarray, count: int) -> None:
-        self._inst_vec[rows] += count
-        self._issue_vec[rows] += count * self._icpi
-
-    def _account_alu_cf(self, inst: Instruction, rows: np.ndarray) -> None:
-        cost = None
-        slots = None
-        table = self.plans
-        if table is not None:
-            slot = table.slot(inst)
-            if slot is not None:
-                slots = table.cost_slots(self.trace.machine)
-                cost = slots[slot]
-        if cost is None:
-            cost = _alu_cost(inst, self.trace.machine)
-            if slots is not None:
-                slots[slot] = cost
-        self._inst_vec[rows] += cost[0]
-        self._issue_vec[rows] += cost[1]
-
-    def _note_consumption_cf(self, inst: Instruction,
-                             rows: np.ndarray) -> None:
-        """Per-row load-use tracking (mirrors _note_src_consumption)."""
-        pend = self._pending_vec
-        if not pend:
-            return
-        regs = None
-        table = self.plans
-        if table is not None:
-            slot = table.slot(inst)
-            if slot is not None:
-                regs = table.src_regs[slot]
-                if regs is None:
-                    regs = table.src_regs[slot] = self._merged_src_regs(inst)
-        if regs is None:
-            regs = self._merged_src_regs(inst)
-        for reg in regs:
-            vec = pend.get(reg)
-            if vec is None:
-                continue
-            evi = vec[rows]
-            for e in np.unique(evi[evi >= 0]):
-                ev = self._cf_events[e]
-                erows = rows[evi == e]
-                pos = np.searchsorted(ev.rows, erows)
-                fresh = ev.consumed_at[pos] < 0
-                if fresh.any():
-                    ev.consumed_at[pos[fresh]] = self._issue_vec[erows[fresh]]
-                # One consume retires the whole message's payload.
-                for v2 in pend.values():
-                    cur = v2[erows]
-                    v2[erows] = np.where(cur == e, -1, cur)
-
-    def _register_load_cf(self, first_reg: int, nbytes: int,
-                          ev: _CFSendEvent, rows: np.ndarray) -> None:
-        for reg in range(first_reg,
-                         first_reg + -(-nbytes // GRF_SIZE_BYTES)):
-            vec = self._pending_vec.get(reg)
-            if vec is None:
-                vec = self._pending_vec[reg] = \
-                    np.full(self.num_threads, -1, dtype=np.int64)
-            vec[rows] = ev.index
-
-    def _memory_cf(self, rows, kind, nbytes, lines, dram, l3_bytes,
-                   l3_from_lines, msgs, is_read, surface) -> _CFSendEvent:
-        # Same front-end charge as ThreadTrace.memory(): one
-        # instruction, two issue slots, issue_at captured *after*.
-        self._inst_vec[rows] += 1
-        self._issue_vec[rows] += 2 * self._icpi
-        ev = _CFSendEvent(kind, nbytes, l3_bytes, l3_from_lines, msgs,
-                          is_read, surface, rows.copy(),
-                          np.asarray(lines), np.asarray(dram),
-                          self._issue_vec[rows].astype(np.float64))
-        ev.index = len(self._cf_events)
-        self._cf_events.append(ev)
-        return ev
-
-    def _account_send_cf(self, inst: Instruction, rows: np.ndarray) -> None:
-        """Per-group SEND accounting (mirrors the sequential
-        TracingExecutor._account_send for exactly the group's rows)."""
-        msg = inst.msg
-        surf = self._surface(msg.surface)
-        kind = msg.kind
-        label = getattr(surf, "obs_label", None) or f"bti{msg.surface}"
-
-        if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
-            x = self._scalar_vec(msg.addr0)[rows]
-            y = self._scalar_vec(msg.addr1)[rows]
-            w, h = msg.block_width, msg.block_height
-            nbytes = w * h
-            lines, new = surf.mark_lines_block2d_many(x, y, w, h, surf.pitch)
-            messages = media_block_messages(w, h)
-            if messages > 1:
-                self._scalar_cf(rows, 2 * (messages - 1))
-            is_read = kind is MsgKind.MEDIA_BLOCK_READ
-            ev = self._memory_cf(
-                rows,
-                MemKind.BLOCK2D_READ if is_read else MemKind.BLOCK2D_WRITE,
-                nbytes, lines, new, nbytes, False, messages, is_read, label)
-            if is_read:
-                self._register_load_cf(msg.payload_reg, nbytes, ev, rows)
-        elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
-            offset = self._scalar_vec(msg.addr0)[rows]
-            nbytes = msg.payload_bytes
-            lines, new = surf.mark_lines_range_many(offset, nbytes)
-            messages = oword_block_messages(nbytes)
-            if messages > 1:
-                self._scalar_cf(rows, 2 * (messages - 1))
-            is_read = kind is MsgKind.OWORD_BLOCK_READ
-            ev = self._memory_cf(
-                rows, MemKind.OWORD_READ if is_read else MemKind.OWORD_WRITE,
-                nbytes, lines, new, nbytes, False, messages, is_read, label)
-            if is_read:
-                self._register_load_cf(msg.payload_reg, nbytes, ev, rows)
-        else:  # GATHER / SCATTER / ATOMIC
-            n = inst.exec_size
-            elem = msg.elem_dtype
-            byte_offs = self._scattered_offsets(inst)[rows]
-            mask = self._exec_mask(inst)
-            sub = None if mask is None else \
-                np.broadcast_to(mask[rows], (rows.size, n))
-            lines, new = surf.mark_lines_offsets_many(byte_offs, elem.size,
-                                                      mask=sub)
-            messages = scatter_messages(n)
-            nbytes = n * elem.size
-            if kind is MsgKind.GATHER:
-                if messages > 1:
-                    self._scalar_cf(rows, 2 * (messages - 1))
-                ev = self._memory_cf(rows, MemKind.GATHER, nbytes, lines,
-                                     new, None, True, messages, True, label)
-                self._register_load_cf(msg.payload_reg, nbytes, ev, rows)
-            elif kind is MsgKind.SCATTER:
-                if messages > 1:
-                    self._scalar_cf(rows, 2 * (messages - 1))
-                self._memory_cf(rows, MemKind.SCATTER, nbytes, lines, new,
-                                None, True, messages, False, label)
-            else:  # ATOMIC
-                ev = self._memory_cf(rows, MemKind.ATOMIC, nbytes, lines,
-                                     new, None, True, messages, True, label)
-                ev.words = byte_offs // 4
-                ev.wmask = sub
-                ev.surface_id = id(surf)
-                if inst.dst is not None:
-                    self._register_load_cf(
-                        inst.dst.byte_offset // GRF_SIZE_BYTES, nbytes, ev,
-                        rows)
-
-    # -- memory accounting (wide) -----------------------------------------
-
-    def _account_send(self, inst: Instruction) -> None:
-        msg = inst.msg
-        surf = self._surface(msg.surface)
-        trace = self.trace
-        kind = msg.kind
-        label = getattr(surf, "obs_label", None) or f"bti{msg.surface}"
-
-        if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
-            x = self._scalar_vec(msg.addr0)
-            y = self._scalar_vec(msg.addr1)
-            w, h = msg.block_width, msg.block_height
-            nbytes = w * h
-            lines, new = surf.mark_lines_block2d_many(x, y, w, h, surf.pitch)
-            messages = media_block_messages(w, h)
-            self._extra_messages(messages)
-            is_read = kind is MsgKind.MEDIA_BLOCK_READ
-            ev = trace.memory(
-                MemKind.BLOCK2D_READ if is_read else MemKind.BLOCK2D_WRITE,
-                nbytes=nbytes, lines=0, dram_lines=0, l3_bytes=nbytes,
-                msgs=messages, is_read=is_read, surface=label)
-            self._wide_events.append(_WideEvent(ev, lines, new, False))
-            if is_read:
-                self._register_load(msg.payload_reg, nbytes, ev)
-        elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
-            offset = self._scalar_vec(msg.addr0)
-            nbytes = msg.payload_bytes
-            lines, new = surf.mark_lines_range_many(offset, nbytes)
-            messages = oword_block_messages(nbytes)
-            self._extra_messages(messages)
-            is_read = kind is MsgKind.OWORD_BLOCK_READ
-            ev = trace.memory(
-                MemKind.OWORD_READ if is_read else MemKind.OWORD_WRITE,
-                nbytes=nbytes, lines=0, dram_lines=0, l3_bytes=nbytes,
-                msgs=messages, is_read=is_read, surface=label)
-            self._wide_events.append(_WideEvent(ev, lines, new, False))
-            if is_read:
-                self._register_load(msg.payload_reg, nbytes, ev)
-        else:  # GATHER / SCATTER / ATOMIC
-            n = inst.exec_size
-            elem = msg.elem_dtype
-            byte_offs = self._scattered_offsets(inst)  # (T, n)
-            mask = self._pred_mask(inst)
-            lines, new = surf.mark_lines_offsets_many(byte_offs, elem.size,
-                                                      mask=mask)
-            messages = scatter_messages(n)
-            nbytes = n * elem.size
-            if kind is MsgKind.GATHER:
-                self._extra_messages(messages)
-                ev = trace.memory(MemKind.GATHER, nbytes=nbytes, lines=0,
-                                  dram_lines=0, l3_bytes=0, msgs=messages,
-                                  surface=label)
-                self._wide_events.append(_WideEvent(ev, lines, new, True))
-                self._register_load(msg.payload_reg, nbytes, ev)
-            elif kind is MsgKind.SCATTER:
-                self._extra_messages(messages)
-                ev = trace.memory(MemKind.SCATTER, nbytes=nbytes, lines=0,
-                                  dram_lines=0, l3_bytes=0, msgs=messages,
-                                  is_read=False, surface=label)
-                self._wide_events.append(_WideEvent(ev, lines, new, True))
-            else:  # ATOMIC
-                ev = trace.memory(MemKind.ATOMIC, nbytes=nbytes, lines=0,
-                                  dram_lines=0, l3_bytes=0, msgs=messages,
-                                  surface=label)
-                self._wide_events.append(_WideEvent(
-                    ev, lines, new, True, words=byte_offs // 4,
-                    wmask=None if mask is None else mask,
-                    surface_id=id(surf)))
-                if inst.dst is not None:
-                    self._register_load(
-                        inst.dst.byte_offset // GRF_SIZE_BYTES, nbytes, ev)
-
-    def _scattered_offsets(self, inst: Instruction) -> np.ndarray:
-        """(T, n) per-lane byte offsets (same math as execution)."""
-        msg = inst.msg
-        n = inst.exec_size
-        addr_op = RegOperand(msg.addr_reg, 0, UD,
-                             region=_contiguous_region(n))
-        offsets = self._fetch(addr_op, n).astype(np.int64)
-        if msg.addr0 is not None:
-            offsets = offsets + self._scalar_vec(msg.addr0)[:, None]
-        return offsets * msg.elem_dtype.size
-
-    # -- trace fan-out -----------------------------------------------------
-
-    def drain_traces(self) -> list[ThreadTrace]:
-        """Fan the template trace out into T per-thread traces.
-
-        In control-flow mode there is no template: each thread's trace
-        is materialized from the (T,) accumulators and the per-row
-        event records, in the thread's own dynamic issue order.
-        """
-        if self._cf_trace:
-            return self._drain_traces_cf()
-        tmpl = self.trace
-        events = self._wide_events
-        out = []
-        for t in range(self.num_threads):
-            tr = ThreadTrace(tmpl.machine)
-            tr.issue_cycles = tmpl.issue_cycles
-            tr.inst_count = tmpl.inst_count
-            tr.barriers = tmpl.barriers
-            for we in events:
-                e = we.ev
-                lines = int(we.lines[t])
-                tr.events.append(MemEvent(
-                    kind=e.kind, nbytes=e.nbytes, lines=lines,
-                    dram_lines=int(we.dram[t]),
-                    l3_bytes=lines * 64 if we.l3_from_lines else e.l3_bytes,
-                    msgs=e.msgs, texels=e.texels, slm_cycles=e.slm_cycles,
-                    issue_at=e.issue_at, consumed_at=e.consumed_at,
-                    is_read=e.is_read, surface=e.surface))
-                if we.words is not None:
-                    words = we.words[t] if we.wmask is None else \
-                        we.words[t][we.wmask[t]]
-                    tr.atomic_addrs.update(
-                        (we.surface_id, int(w)) for w in words)
-            out.append(tr)
-        self._wide_events = []
-        return out
-
-    def _drain_traces_cf(self) -> list[ThreadTrace]:
-        machine = self.trace.machine
-        T = self.num_threads
-        per_thread: list[list] = [[] for _ in range(T)]
-        for ev in self._cf_events:
-            for i, t in enumerate(ev.rows):
-                per_thread[t].append((ev, i))
-        out = []
-        for t in range(T):
-            tr = ThreadTrace(machine)
-            tr.issue_cycles = float(self._issue_vec[t])
-            tr.inst_count = int(self._inst_vec[t])
-            tr.barriers = int(self._barrier_vec[t])
-            for ev, i in per_thread[t]:
-                lines = int(ev.lines[i])
-                consumed = ev.consumed_at[i]
-                tr.events.append(MemEvent(
-                    kind=ev.kind, nbytes=ev.nbytes, lines=lines,
-                    dram_lines=int(ev.dram[i]),
-                    l3_bytes=lines * 64 if ev.l3_from_lines else ev.l3_bytes,
-                    msgs=ev.msgs, issue_at=float(ev.issue_at[i]),
-                    consumed_at=None if consumed < 0 else float(consumed),
-                    is_read=ev.is_read, surface=ev.surface))
-                if ev.words is not None:
-                    words = ev.words[i] if ev.wmask is None else \
-                        ev.words[i][ev.wmask[i]]
-                    tr.atomic_addrs.update(
-                        (ev.surface_id, int(w)) for w in words)
-            out.append(tr)
-        self._cf_events = []
-        self._pending_vec = {}
-        self._cf_trace = False
-        return out

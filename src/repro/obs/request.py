@@ -13,7 +13,7 @@ module adds the request axis:
   ``batch_assemble``) recorded by the cluster, plus every
   :func:`~repro.obs.tracing.trace_span` opened while the trace is
   :meth:`~RequestTrace.active` (the device's ``sanitize_gate``,
-  ``dispatch:{sequential|wide|jit}``, ``chunk`` and ``fold`` spans land
+  ``dispatch:{sequential|jit}``, ``chunk`` and ``fold`` spans land
   here with correct parent linkage, regardless of which worker thread
   runs them),
 - :func:`traces_to_chrome` renders many trees into one Chrome-trace

@@ -1,8 +1,8 @@
 """repro.sanitize — kernel sanitizer subsystem.
 
 Three checkers over the simulated GPU stack, all running during
-*sequential* dispatch (the grid-vectorized wide and JIT tiers are
-exactly what the verdicts guard):
+*sequential* dispatch (the grid-vectorized JIT tier is exactly what
+the verdicts guard):
 
 - :class:`~repro.sanitize.race.RaceDetector` — cross-thread data races
   on surfaces/SLM with barrier-based happens-before; its

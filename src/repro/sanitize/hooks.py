@@ -13,9 +13,9 @@ subclass) carries in its ``san`` slot.  The executor calls
   access (``_src_plan`` / ``_dst_plan``), so validity tracking follows
   regioning, strides, and execution masks bit-for-bit.
 
-The wide executor never carries hooks — sanitized launches are always
-sequential (that is the point: the verdict decides whether the wide
-path is safe).
+The JIT executor refuses hooks — sanitized launches are always
+sequential (that is the point: the verdict decides whether the JIT
+tier is safe).
 """
 
 from __future__ import annotations

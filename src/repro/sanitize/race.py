@@ -2,8 +2,8 @@
 
 The simulator dispatches hardware threads *sequentially*, so any
 cross-thread memory dependency is silently resolved by dispatch order —
-the exact class of bug that makes the grid-vectorized wide path
-(:mod:`repro.isa.wide`) produce different results from sequential
+the exact class of bug that makes the grid-vectorized JIT tier
+(:mod:`repro.isa.jit`) produce different results from sequential
 dispatch, and that is undefined behaviour on real hardware.  The
 :class:`RaceDetector` records per-thread read/write/atomic shadow sets
 for every attached surface (buffers, images, SLM) while a kernel runs

@@ -118,12 +118,13 @@ class DeviceWorker(threading.Thread):
                                    kernel=batch.kernel_name,
                                    size=batch.size):
             batch_busy_us = 0.0
-            # Pooled JIT executor: coalesced compiled batches reuse one
-            # grid-vectorized executor across the whole batch, and
-            # run_compiled binds the kernel's cached megakernel into it
+            # Pooled JIT executor: coalesced compiled batches —
+            # straight-line or divergent (SIMD control flow) alike —
+            # reuse one executor across the whole batch, and
+            # run_compiled binds the kernel's cached megakernel into it,
             # so every request after the first skips both plan
-            # construction and JIT compilation; launches that take
-            # another tier build their own executor.
+            # construction and JIT compilation.  A launch the gate
+            # sends to the sequential tier builds its own executor.
             pooled = JitTracingExecutor() if (
                 batch.size > 1 and batch.items[0].kind == "compiled") \
                 else None
@@ -298,8 +299,8 @@ class ServeCluster:
                 f"got {validate!r}")
         #: dispatch-gating mode for compiled launches: "first" sanitizes
         #: each kernel's first launch per device (certifying or refusing
-        #: the wide path), "always" sanitizes every launch, "off" trusts
-        #: the kernel and always allows wide selection.
+        #: the JIT tier), "always" sanitizes every launch, "off" trusts
+        #: the kernel and always allows the JIT tier.
         self.validate = validate
         self.obs = obs if obs is not None else get_observability()
         self.registry: MetricsRegistry = (
@@ -489,7 +490,7 @@ class ServeCluster:
 
     def adopt_race_verdicts(self, pairs) -> None:
         """Adopt (kernel name, RaceVerdict) pairs onto every device, so
-        a kernel another cluster already sanitized is wide-admitted here
+        a kernel another cluster already sanitized is JIT-admitted here
         without a redundant sanitized first launch."""
         for w in self.workers:
             with w.lock:

@@ -54,7 +54,8 @@ _MIXES: Dict[str, List[Tuple[str, list, float]]] = {
                   {"blocks_x": 4, "blocks_y": 2}], 0.15),
         ("sgemm", [{"m": 16, "n": 16, "k": 8},
                    {"m": 32, "n": 16, "k": 8}], 0.15),
-        # divergent control flow: these exercise the masked-CF wide path
+        # divergent control flow: these exercise the JIT's masked-CF
+        # lowering
         ("bitonic_cf", [{"n": 256}, {"n": 512}], 0.1),
         ("kmeans_cf", [{"n": 256, "k": 8}], 0.1),
     ],

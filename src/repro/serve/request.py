@@ -79,8 +79,8 @@ class Request:
     #: cluster's flight recorder after completion.
     trace_id: Optional[str] = None
     trace: Any = field(default=None, repr=False)
-    #: dispatch tier the (last) launch took: ``sequential`` / ``wide``
-    #: / ``jit`` for compiled requests, ``eager`` otherwise (``tuned``
+    #: dispatch tier the (last) launch took: ``sequential`` / ``jit``
+    #: for compiled requests, ``eager`` otherwise (``tuned``
     #: for autotuned-workload requests).
     tier: Optional[str] = None
     #: label of the tuned variant that served this request (tuned

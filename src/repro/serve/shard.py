@@ -158,7 +158,7 @@ class CompleteMsg:
     payload_out: Optional[Dict[str, Any]] = None
     #: (kernel name, RaceVerdict) pairs this shard's sanitized launches
     #: produced since the last completion; the parent rebroadcasts them
-    #: so a kernel sanitized once is wide-admitted on every shard.
+    #: so a kernel sanitized once is JIT-admitted on every shard.
     race_verdicts: List[Tuple[str, Any]] = field(default_factory=list)
 
 
@@ -675,7 +675,7 @@ class ShardedCluster:
     def _adopt_verdicts(self, pairs, from_shard: int) -> None:
         """Record shard-produced race verdicts and rebroadcast the new
         ones so every shard (including the origin's peer devices) admits
-        the kernel wide without its own sanitized launch."""
+        the kernel to the JIT tier without its own sanitized launch."""
         fresh = []
         with self._verdicts_lock:
             for kname, verdict in pairs:

@@ -23,6 +23,7 @@ property the serving stress test pins down.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -320,16 +321,15 @@ def _make_sgemm(params: Dict[str, Any]) -> KernelLaunch:
 
 # -- eager Figure 5 adapters --------------------------------------------------
 
-_FIG5_SPECS: Optional[dict] = None
-
-
+@functools.cache
 def _fig5_specs() -> dict:
-    """Build (once) the quick-size Figure 5 workload pairs."""
-    global _FIG5_SPECS
-    if _FIG5_SPECS is None:
-        from repro.report.figure5 import workload_specs
-        _FIG5_SPECS = {s.key: s for s in workload_specs(quick=True)}
-    return _FIG5_SPECS
+    """The quick-size Figure 5 workload pairs, built on first use.
+
+    ``functools.cache`` publishes the finished dict with one atomic
+    store, so a worker thread never sees a half-built module global.
+    """
+    from repro.report.figure5 import workload_specs
+    return {s.key: s for s in workload_specs(quick=True)}
 
 
 def _make_fig5(key: str):

@@ -57,7 +57,7 @@ def _alu_cost(inst: Instruction, machine) -> tuple:
 #: Scalar-op cost of each structured-CF opcode, mirroring the eager
 #: path's accounting (simd-goto ≈ 2 scalar ops at a divergent branch,
 #: simd-join ≈ 1 at a reconvergence point).  Thread-invariant, so the
-#: wide tracer charges the identical amounts per thread.
+#: JIT's per-row accounting charges the identical amounts per thread.
 CF_COSTS = {
     Opcode.SIMD_IF: 2, Opcode.SIMD_ELSE: 1, Opcode.SIMD_ENDIF: 1,
     Opcode.SIMD_DO: 1, Opcode.SIMD_WHILE: 2, Opcode.SIMD_BREAK: 2,

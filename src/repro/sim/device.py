@@ -15,12 +15,12 @@ Two dispatch paths exist:
   memory stays O(1) in the grid size.
 - :meth:`Device.run_compiled` runs a
   :class:`~repro.compiler.driver.CompiledKernel` over a grid in chunks
-  of at most ``max_live_threads`` threads, on one of three bit-identical
+  of at most ``max_live_threads`` threads, on one of two bit-identical
   tiers chosen by its ``tier`` argument and the sanitizer gate
   (:func:`choose_tier`): ``sequential`` (one pooled
-  :class:`~repro.sim.batch.TracingExecutor`), ``wide`` (every
-  instruction runs once for the whole chunk) or ``jit`` (a compiled
-  megakernel).  Operand plans are shared by every thread (a compiled
+  :class:`~repro.sim.batch.TracingExecutor`, the reference oracle) or
+  ``jit`` (a compiled megakernel runs the whole chunk at once).
+  Operand plans are shared by every thread (a compiled
   program is identical across threads); combined with
   :meth:`Device.compile`'s kernel cache this is the fast path for
   repeated launches.
@@ -67,7 +67,7 @@ class KernelRun:
     #: were enabled for the launch.
     breakdown: Optional[TimeBreakdown] = None
     #: dispatch tier that executed the launch: ``cm`` (eager),
-    #: ``sequential``, ``wide``, ``jit``, or ``external`` (submitted
+    #: ``sequential``, ``jit``, or ``external`` (submitted
     #: traces).  Simulated timing is tier-invariant; the tier only
     #: matters for wall-clock and observability.
     path: str = "sequential"
@@ -82,7 +82,7 @@ class KernelRun:
 
 
 #: Values of :meth:`Device.run_compiled`'s ``tier`` argument.
-TIERS = ("auto", "sequential", "wide", "jit")
+TIERS = ("auto", "sequential", "jit")
 
 
 def choose_tier(tier: str, mode: str, ineligible_reason: Optional[str],
@@ -91,11 +91,11 @@ def choose_tier(tier: str, mode: str, ineligible_reason: Optional[str],
 
     ``tier`` is the caller's request (:data:`TIERS`), ``mode`` the
     validate mode, ``ineligible_reason`` why the program cannot run
-    grid-vectorized (``None`` if it can), and ``verdict`` the kernel's
+    on the JIT tier (``None`` if it can), and ``verdict`` the kernel's
     :class:`~repro.sanitize.race.RaceVerdict` on file, if any.
     ``runs`` is ``"sanitized"`` (sequential with the race detector and
     uninitialized-GRF tracker attached), ``"sequential"`` or
-    ``"vector"`` (the JIT megakernel or the wide interpreter).
+    ``"vector"`` (the JIT megakernel).
     ``outcome`` names the decision for the profile and the
     ``sanitize_gate`` span.
     """
@@ -106,9 +106,9 @@ def choose_tier(tier: str, mode: str, ineligible_reason: Optional[str],
             f"validate must be one of {sanitize_mod.VALIDATE_MODES}, "
             f"got {mode!r}")
     eligible = ineligible_reason is None
-    if tier in ("wide", "jit"):
+    if tier == "jit":
         if not eligible:
-            raise ValueError(f"program is not wide-eligible "
+            raise ValueError(f"program is not JIT-eligible "
                              f"({ineligible_reason}; tier={tier!r})")
         return "bypassed", "vector"    # the caller asserts race freedom
     if mode == "always" or (mode == "first" and tier == "auto"
@@ -164,10 +164,10 @@ class DeviceProfile:
             "jit_compiles", "megakernel JIT compilations")
         self._jit_cache_hits = self.registry.counter(
             "jit_cache_hits", "launches reusing a cached megakernel")
-        #: per-tier launch counters (cm / sequential / wide / jit /
+        #: per-tier launch counters (cm / sequential / jit /
         #: external) — which dispatch tier actually ran each enqueue.
         self._tier_launches: Dict[str, Counter] = {}
-        #: wide-admission gate outcomes per launch (sanitized / admitted
+        #: vector-admission gate outcomes per launch (sanitized / admitted
         #: / refused / trusted / bypassed / ineligible / forced_scalar).
         self._gate_outcomes: Dict[str, Counter] = {}
 
@@ -180,7 +180,7 @@ class DeviceProfile:
         c.inc()
 
     def count_gate(self, outcome: str) -> None:
-        """Tally one wide-admission gate decision."""
+        """Tally one vector-admission gate decision."""
         c = self._gate_outcomes.get(outcome)
         if c is None:
             c = self._gate_outcomes[outcome] = self.registry.counter(
@@ -293,7 +293,7 @@ class Device:
         #: kernel *name* -> RaceVerdict adopted from elsewhere (a peer
         #: shard that sanitized the same kernel first); consulted when
         #: no identity-keyed verdict exists, so an adopted ``race_free``
-        #: admits the wide path without a local sanitized launch.
+        #: admits the JIT tier without a local sanitized launch.
         self._adopted_verdicts: Dict[str, object] = {}
         #: (kernel name, RaceVerdict) pairs produced by this device's
         #: own sanitized launches, not yet drained for broadcast.
@@ -433,27 +433,24 @@ class Device:
         dict shared by every thread, or a callable mapping a thread id
         tuple to that thread's dict (how per-thread coordinates are fed).
 
-        ``tier`` picks the execution tier; all three are bit-identical
-        in results and simulated timing, they differ only in wall clock:
+        ``tier`` picks the execution tier; both are bit-identical in
+        results and simulated timing, they differ only in wall clock:
 
         - ``"sequential"`` — one pooled :class:`TracingExecutor` runs
-          the threads one at a time;
-        - ``"wide"`` — a :class:`~repro.isa.wide.WideExecutor` stacks
-          the register files of a chunk of threads and runs each
-          instruction once for the chunk (grouped by PC under
-          divergent control flow);
+          the threads one at a time (the reference oracle);
         - ``"jit"`` — the program compiled once to a Python megakernel
           (:mod:`repro.isa.jit`, cached on the kernel) runs each chunk
-          with no per-instruction dispatch; raises ``ValueError`` on a
-          program the JIT declines (e.g. SIMD control flow);
+          of threads at once on their stacked register files, SIMD
+          control flow included, with no per-instruction dispatch;
         - ``"auto"`` (default) — the sanitizer gate below decides
-          between sequential and vector dispatch, and a vector launch
-          takes the JIT when it accepts the program, the wide
-          interpreter otherwise.
+          between sequential and JIT dispatch.
 
-        ``"wide"`` and ``"jit"`` bypass validation (the caller asserts
-        race freedom) and raise ``ValueError`` on a program that cannot
-        run grid-vectorized.  Under ``"auto"`` the gate
+        ``"jit"`` bypasses validation (the caller asserts race freedom)
+        and raises ``ValueError`` on a program the JIT declines: one
+        with an unsupported message kind or malformed control flow, or
+        one whose compilation fails (:class:`~repro.isa.jit.JitError`).
+        Under ``"auto"`` such a program runs sequentially, with the
+        reason on the ``sanitize_gate`` span.  Otherwise the gate
         (:func:`choose_tier`) follows ``validate``, default from
         :func:`repro.sanitize.default_validate` / ``REPRO_SANITIZE``:
 
@@ -472,16 +469,16 @@ class Device:
         vectorized, stacked register files) are live at a time.
 
         ``executor`` is a reuse hint: when it is an instance of the
-        chosen tier's tracing executor class (:class:`TracingExecutor`,
-        :class:`~repro.isa.wide.WideTracingExecutor` or
-        :class:`~repro.isa.jit.JitTracingExecutor`) it is rebound to
+        chosen tier's tracing executor class (:class:`TracingExecutor`
+        or :class:`~repro.isa.jit.JitTracingExecutor`) it is rebound to
         this launch and reused, so a serving batch of same-program
         requests shares one executor; otherwise a fresh one is built.
         """
         from repro.compiler.finalizer import SCRATCH_BTI
-        from repro.isa.wide import (
-            WideScratch, WideTracingExecutor, ineligible_reason,
+        from repro.isa.jit import (
+            JitError, JitTracingExecutor, ineligible_reason,
         )
+        from repro.isa.wide import WideScratch
 
         kname = name or kernel.name
         self.begin_enqueue()
@@ -502,6 +499,13 @@ class Device:
             adopted = verdict is not None
         ineligible = ineligible_reason(kernel.program)
         gate, runs = choose_tier(tier, mode, ineligible, verdict)
+        jitk = None
+        if runs == "vector":
+            try:
+                jitk = self._jit_for(kernel, kname)
+            except JitError as exc:  # a codegen corner case: run scalar
+                ineligible = f"jit: {exc}"
+                gate, runs = choose_tier(tier, mode, ineligible, verdict)
 
         # Tallied per launch and emitted as an (instant) ``sanitize_gate``
         # span, so a request's trace shows *why* its launch took the
@@ -510,8 +514,9 @@ class Device:
         gate_attrs = {"kernel": kname, "mode": mode, "outcome": gate}
         if gate == "ineligible":
             # distinguish *why* the program cannot vectorize: an
-            # unsupported message kind vs. malformed control flow
-            # (well-formed simd_if/simd_while programs are eligible).
+            # unsupported message kind, malformed control flow, or a
+            # JIT compile failure (well-formed simd_if/simd_while
+            # programs are eligible).
             gate_attrs["reason"] = ineligible
         if verdict is not None:
             gate_attrs["race_free"] = verdict.race_free
@@ -530,18 +535,9 @@ class Device:
             oob_base = [(s, s.oob_clipped_lanes) for s in table.values()]
 
         scratch_bytes = kernel.allocation.scratch_bytes
-        jitk = scratch = None
+        scratch = None
         if runs == "vector":
-            if tier != "wide":
-                jitk = self._jit_for(kernel, kname)
-                if jitk is None and tier == "jit":
-                    raise ValueError(f"{kname}: program is not JIT-eligible "
-                                     f"(tier='jit')")
-            if jitk is not None:
-                from repro.isa.jit import JitTracingExecutor
-                path, cls = "jit", JitTracingExecutor
-            else:
-                path, cls = "wide", WideTracingExecutor
+            path, cls = "jit", JitTracingExecutor
             if scratch_bytes:
                 scratch = WideScratch(0, scratch_bytes)
         else:
@@ -669,7 +665,7 @@ class Device:
 
         Verdicts travel between devices by kernel name (a shard cluster
         broadcasts each worker's fresh verdicts so a kernel sanitized
-        once is wide-admitted everywhere).  A locally produced verdict
+        once is JIT-admitted everywhere).  A locally produced verdict
         (identity-keyed) always wins over an adopted one; among adopted
         verdicts a racy one is never overwritten by a race-free one —
         refusal is sticky.
@@ -712,15 +708,14 @@ class Device:
     def _jit_for(self, kernel, kname: str):
         """Resolve the kernel's cached JIT megakernel (compiling once).
 
-        Returns ``None`` when the program is not JIT-eligible; updates
-        the device profile / metrics with compile-vs-hit accounting.
+        Raises :class:`~repro.isa.jit.JitError` when compilation fails;
+        updates the device profile / metrics with compile-vs-hit
+        accounting.
         """
         from repro.isa.jit import get_jit
 
         t0 = time.perf_counter()
         jitk, cached = get_jit(kernel)
-        if jitk is None:
-            return None
         if cached:
             self.profile.jit_cache_hits += 1
             if self.obs.enabled:

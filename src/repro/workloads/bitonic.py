@@ -136,7 +136,7 @@ def run_cm(device: Device, keys: np.ndarray) -> np.ndarray:
 # lane-packed bitonic step is *divergent*: half the lanes take the
 # ascending branch, half the descending one.  The compiled path expresses
 # that with masked SIMD control flow (``simd_if``/``simd_while``) and
-# dispatches on the wide tier; the eager baseline below serializes the
+# dispatches on the JIT tier; the eager baseline below serializes the
 # same work-items one lane at a time, which is what a per-thread
 # interpreter must do without a masked-CF ISA.
 
@@ -249,7 +249,7 @@ _CF_SIG = [("buf", False)]
 def run_cm_bitonic_compiled(device: Device, keys: np.ndarray,
                             tier: str = "auto",
                             validate: str = "off") -> np.ndarray:
-    """Sort via the compiled divergent kernels (wide-dispatch eligible).
+    """Sort via the compiled divergent kernels (JIT-tier eligible).
 
     One local launch covers stages 2..32 (15 split steps); each later
     stage runs its >=32 strides as global steps and its 16..1 strides as

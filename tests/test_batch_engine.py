@@ -262,7 +262,7 @@ class TestRunCompiledVsEager:
         assert run.timing.num_threads == eager.num_threads
 
     def test_gemm_chunked_dispatch_matches_unchunked(self):
-        # pin the scalar path (the vector tiers have their own chunking
+        # pin the scalar path (the JIT tier has its own chunking
         # tests in test_wide_dispatch.py and test_jit.py).
         _, _, dev1, out1, run1, _ = self._run_gemm_pair(
             max_live_threads=64, tier="sequential")

@@ -2,7 +2,7 @@
 
 End-to-end coverage for the masked-CF pipeline: the trace-mode
 ``simd_if`` / ``simd_while`` frontend, the structured-CF opcodes in the
-compiled program, sequential-vs-wide bit-identity (results *and* every
+compiled program, sequential-vs-JIT bit-identity (results *and* every
 simulated-timing field), the sanitizer's first-launch pass over a
 divergent kernel, cross-device race-verdict adoption, and the compiled
 bitonic / k-means workloads built on all of the above.
@@ -17,7 +17,6 @@ from repro.compiler import compile_kernel
 from repro.compiler.frontend import TraceError, trace_kernel
 from repro.isa.instructions import CF_OPCODES
 from repro.isa.jit import jit_eligible
-from repro.isa.wide import wide_eligible
 from repro.memory.surfaces import BufferSurface
 from repro.sim.device import Device
 from repro.workloads import bitonic, kmeans
@@ -92,13 +91,12 @@ class TestTraceCF:
 
 
 class TestCompiledDivergentKernel:
-    def test_cf_opcodes_present_wide_admits_jit_declines(self):
+    def test_cf_opcodes_present_jit_admits(self):
         kern = compile_kernel(_divergent_body, "cf_elig", SIG, ["t"])
         assert any(i.opcode in CF_OPCODES for i in kern.program)
-        assert wide_eligible(kern.program)
-        # the JIT tier has no CF support: it must decline statically,
-        # leaving dispatch to fall back to the wide interpreter.
-        assert not jit_eligible(kern.program)
+        # the JIT lowers structured control flow: the vector tier
+        # admits divergent programs like any other.
+        assert jit_eligible(kern.program)
 
     def test_functional_matches_oracle(self):
         kern = compile_kernel(_divergent_body, "cf_func", SIG, ["t"])
@@ -114,7 +112,7 @@ class TestCompiledDivergentKernel:
         data = _input()
         expect = _oracle(data)
         runs = {}
-        for tier in ("sequential", "wide"):
+        for tier in ("sequential", "jit"):
             dev = Device()
             b_in = dev.buffer(data.copy())
             b_out = dev.buffer(np.zeros(NT * W, np.int32))
@@ -126,11 +124,11 @@ class TestCompiledDivergentKernel:
                                    validate="off")
             assert np.array_equal(b_out.to_numpy().view(np.int32), expect)
             runs[tier] = run
-        assert runs["wide"].path == "wide"
-        seq_t, wide_t = runs["sequential"].timing, runs["wide"].timing
+        assert runs["jit"].path == "jit"
+        seq_t, jit_t = runs["sequential"].timing, runs["jit"].timing
         for f in dataclasses.fields(seq_t):
-            assert getattr(seq_t, f.name) == getattr(wide_t, f.name), \
-                f"timing field {f.name} diverged on the wide path"
+            assert getattr(seq_t, f.name) == getattr(jit_t, f.name), \
+                f"timing field {f.name} diverged on the JIT tier"
 
 
 class TestSanitizedCF:
@@ -151,7 +149,7 @@ class TestSanitizedCF:
         res = dev.sanitizer_results[0]
         assert res.verdict.race_free
         assert res.uninit_total == 0
-        assert r1.path != "wide" and r2.path == "wide"
+        assert r1.path == "sequential" and r2.path == "jit"
         assert np.array_equal(out1, _oracle(data))
         assert np.array_equal(out2, out1)
         # sanitizing is an observability mode, never a timing change
@@ -173,7 +171,7 @@ class TestSanitizedCF:
         run, out = self._launch(dev2, kern2, data)
         assert not dev2.sanitizer_results, \
             "adopted verdict must skip the sanitized first launch"
-        assert run.path == "wide"
+        assert run.path == "jit"
         assert np.array_equal(out, _oracle(data))
 
 
@@ -182,13 +180,13 @@ class TestCompiledDivergentWorkloads:
         keys = bitonic.make_input(6, seed=3)       # n = 64
         expect = np.sort(keys)
         outs = {}
-        for tier in ("sequential", "wide"):
+        for tier in ("sequential", "jit"):
             dev = Device()
             outs[tier] = bitonic.run_cm_bitonic_compiled(
                 dev, keys, tier=tier)
             assert {r.path for r in dev.runs} == {tier}
         assert np.array_equal(outs["sequential"], expect)
-        assert np.array_equal(outs["wide"], expect)
+        assert np.array_equal(outs["jit"], expect)
 
     def test_bitonic_eager_matches_compiled(self):
         keys = bitonic.make_input(6, seed=9)
@@ -200,7 +198,7 @@ class TestCompiledDivergentWorkloads:
         rng = np.random.default_rng(0)
         c0 = pts[rng.choice(128, 4, replace=False)].copy()
         ref = kmeans.reference(pts, c0, iterations=2)
-        for tier in ("sequential", "wide"):
+        for tier in ("sequential", "jit"):
             got = kmeans.run_cm_kmeans_compiled(
                 Device(), pts, c0, iterations=2, tier=tier)
             assert np.allclose(got, ref, atol=0.5)

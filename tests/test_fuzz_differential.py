@@ -8,6 +8,8 @@ hazard (an op split into chunks must not read registers an earlier
 chunk wrote).
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -112,13 +114,16 @@ def test_eager_matches_numpy_oracle(steps, seed):
     assert v.to_numpy().tolist() == expect.tolist()
 
 
-# -- wide executor vs per-thread sequential execution -------------------------
+# -- JIT megakernel vs per-thread sequential execution ------------------------
 #
-# The grid-vectorized WideExecutor claims bit-identical architectural
-# state to running the same straight-line program once per thread on the
-# sequential FunctionalExecutor (GRF bytes, flag registers, and shared
-# surface contents — including atomics, whose same-address collisions
-# must resolve in thread order).  Random programs are hand-built at the
+# The JIT tier (repro.isa.jit) runs a whole program for a chunk of
+# threads at once on their stacked register files.  It claims
+# bit-identical architectural state to running the same program once
+# per thread on the sequential TracingExecutor (GRF bytes, flag
+# registers, and shared surface contents — including atomics, whose
+# same-address collisions must resolve in thread order) *and* identical
+# values in every simulated-timing field.  Sequential dispatch is the
+# single reference oracle.  Random programs are hand-built at the
 # Instruction level because the frontend never emits atomics directly.
 
 from repro.compiler.finalizer import VectorImmediate  # noqa: E402
@@ -129,9 +134,13 @@ from repro.isa.instructions import (  # noqa: E402
     CondMod, FlagOperand, Immediate, Instruction, MathFn, MessageDesc,
     MsgKind, Opcode, Predicate,
 )
+from repro.isa.jit import JitTracingExecutor, jit_eligible  # noqa: E402
 from repro.isa.regions import Region  # noqa: E402
-from repro.isa.wide import WideExecutor  # noqa: E402
 from repro.sanitize import RaceDetector  # noqa: E402
+from repro.sim.batch import TracingExecutor  # noqa: E402
+from repro.sim.machine import GEN11_ICL  # noqa: E402
+from repro.sim.timing import TimingAccumulator  # noqa: E402
+from repro.sim.trace import ThreadTrace  # noqa: E402
 
 _TIDS = [0, 1, 2, 3, 7]          # includes a gap so addresses collide unevenly
 _TID_BASE = 32                   # r1.0:d
@@ -249,6 +258,19 @@ def _build_step(kind, a, b, c, idx=0):
                             [_src(_DATA[a % 4], D), _src(_DATA[b % 4], D)],
                             pred=Predicate(FlagOperand(0),
                                            invert=bool(a % 2)))]
+    if kind == "use":
+        # reads a message payload (gather data / atomic old values):
+        # the load-use dependency that timing charges as exposed latency
+        src = _PREG if c % 2 else _OREG
+        return [Instruction(Opcode.ADD, 8, _dst(_DATA[a % 4], D),
+                            [_src(src, D), _src(_DATA[b % 4], D)],
+                            pred=pred)]
+    if kind == "scalar":
+        # exec_size 1: uniform inside SIMD control flow, yet threads
+        # that left a loop must not see it
+        return [Instruction(Opcode.ADD, 1, _dst(_DATA[a % 4], D, b % 8),
+                            [_bcast(_DATA[b % 4], D, c % 8),
+                             Immediate(c % 50, D)])]
     if kind == "pred_mov":
         return [Instruction(Opcode.MOV, 8, _dst(_DATA[b % 4], D),
                             [_src(_DATA[a % 4], D)],
@@ -291,7 +313,7 @@ _WIDE_STEP = st.builds(
     lambda kind, a, b, c: (kind, a, b, c),
     st.sampled_from(["alu", "w_alu", "b_alu", "shift", "mad", "math",
                      "cmp", "sel", "pred_mov", "gather", "scatter",
-                     "atomic"]),
+                     "atomic", "use", "scalar"]),
     st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
 
 
@@ -319,34 +341,72 @@ def _surface_bytes(table):
 
 
 def _run_sequential(program, seed, certify=True):
+    """(GRFs, per-thread flags, surfaces, KernelTiming), one thread at a
+    time on the reference TracingExecutor."""
     table = _make_surfaces(seed)
     detector = RaceDetector()
     detector.attach(table.values())
-    ex = FunctionalExecutor(table)
-    grfs, flags = [], []
+    ex = TracingExecutor(table)
+    grfs, flags, traces = [], [], []
     for tid in _TIDS:
         ex.reset()
         detector.begin_thread(tid)
+        traces.append(ThreadTrace(GEN11_ICL))
+        ex.begin_thread(traces[-1])
         ex.grf.write_bytes(_TID_BASE, np.asarray([tid], dtype=np.int32))
         ex.run(program)
         grfs.append(ex.grf.bytes.copy())
         flags.append({k: v.copy() for k, v in ex.flags.items()})
     verdict = detector.finish()
     if certify:
-        # The wide-vs-sequential equivalence claim only holds for
+        # The JIT-vs-sequential equivalence claim only holds for
         # race-free programs; certify the generator's discipline.
         assert verdict.race_free, \
             "generator produced a racy program: " + \
             "; ".join(str(c) for c in verdict.conflicts)
-    return np.stack(grfs), flags, _surface_bytes(table)
+    acc = TimingAccumulator(GEN11_ICL)
+    acc.extend(traces)
+    return np.stack(grfs), flags, _surface_bytes(table), acc.finalize()
 
 
-def _run_wide(program, seed):
+def _run_jit(program, seed, chunk=len(_TIDS)):
+    """Same result tuple as :func:`_run_sequential`, from one pooled
+    JitTracingExecutor running the threads in chunks of ``chunk`` (the
+    device's ``max_live_threads`` loop, timing folded per chunk)."""
     table = _make_surfaces(seed)
-    ex = WideExecutor(table, num_threads=len(_TIDS))
-    ex.seed_scalar(_TID_BASE, np.asarray(_TIDS, dtype=np.int32))
-    ex.run(program)
-    return ex.grf2d.copy(), ex.flags, _surface_bytes(table)
+    ex = JitTracingExecutor(table)
+    acc = TimingAccumulator(GEN11_ICL)
+    grfs, flags = [], []
+    for start in range(0, len(_TIDS), chunk):
+        tids = _TIDS[start:start + chunk]
+        ex.reset(len(tids))
+        ex.begin_launch(GEN11_ICL)
+        ex.seed_scalar(_TID_BASE, np.asarray(tids, dtype=np.int32))
+        ex.run(program)
+        ex.fold_chunk(acc)
+        grfs.extend(ex.grf2d.copy())
+        flags.extend({k: v[t].copy() for k, v in ex.flags.items()}
+                     for t in range(len(tids)))
+    return np.stack(grfs), flags, _surface_bytes(table), acc.finalize()
+
+
+def _assert_bit_identical(seq, jit):
+    """GRF, flags, surfaces and every KernelTiming field agree."""
+    seq_grf, seq_flags, seq_surf, seq_t = seq
+    jit_grf, jit_flags, jit_surf, jit_t = jit
+    for bti in seq_surf:
+        assert np.array_equal(jit_surf[bti], seq_surf[bti]), \
+            f"surface {bti} state diverged"
+    assert np.array_equal(jit_grf, seq_grf), "GRF state diverged"
+    no_flag = np.zeros(32, dtype=bool)
+    for t, (seq_f, jit_f) in enumerate(zip(seq_flags, jit_flags)):
+        for idx in set(seq_f) | set(jit_f):
+            assert np.array_equal(jit_f.get(idx, no_flag),
+                                  seq_f.get(idx, no_flag)), \
+                f"thread {t}: flag f{idx} diverged"
+    for f in dataclasses.fields(seq_t):
+        assert getattr(jit_t, f.name) == getattr(seq_t, f.name), \
+            f"timing field {f.name} diverged"
 
 
 @settings(max_examples=30, deadline=None)
@@ -355,21 +415,8 @@ def _run_wide(program, seed):
 def test_wide_matches_sequential_bit_exact(steps, seed):
     program = _build_program(steps)
     with np.errstate(all="ignore"):
-        seq_grf, seq_flags, seq_surf = _run_sequential(program, seed)
-        wide_grf, wide_flags, wide_surf = _run_wide(program, seed)
-
-    for bti in seq_surf:
-        assert np.array_equal(wide_surf[bti], seq_surf[bti]), \
-            f"surface {bti} state diverged"
-    assert np.array_equal(wide_grf, seq_grf), "GRF state diverged"
-    indices = set(wide_flags)
-    for t, per_thread in enumerate(seq_flags):
-        indices |= set(per_thread)
-        for idx in indices:
-            seq_f = per_thread.get(idx, np.zeros(32, dtype=bool))
-            wide_f = wide_flags[idx][t] if idx in wide_flags else \
-                np.zeros(32, dtype=bool)
-            assert np.array_equal(wide_f, seq_f), f"flag f{idx} diverged"
+        _assert_bit_identical(_run_sequential(program, seed),
+                              _run_jit(program, seed))
 
 
 def _collision_atomic_program(op_idx, invert, with_dst):
@@ -400,11 +447,9 @@ def _collision_atomic_program(op_idx, invert, with_dst):
 def test_wide_predicated_atomics_thread_order(op_idx, invert, with_dst,
                                               seed):
     prog = _collision_atomic_program(op_idx, invert, with_dst)
-    seq_grf, _, seq_surf = _run_sequential(prog, seed)
-    wide_grf, _, wide_surf = _run_wide(prog, seed)
-    for bti in seq_surf:
-        assert np.array_equal(wide_surf[bti], seq_surf[bti])
-    assert np.array_equal(wide_grf, seq_grf)
+    with np.errstate(all="ignore"):
+        _assert_bit_identical(_run_sequential(prog, seed),
+                              _run_jit(prog, seed))
 
 
 # -- divergent structured control flow ----------------------------------------
@@ -412,16 +457,14 @@ def test_wide_predicated_atomics_thread_order(op_idx, invert, with_dst,
 # Random *divergent* programs: nested SIMD_IF/ELSE/ENDIF regions and
 # DO/WHILE loops with data-dependent (thread- and lane-varying) trip
 # counts, optional data-dependent BREAKs, and straight-line work in the
-# bodies.  The wide executor must keep bit-identical GRF/flag/surface
-# state to sequential per-thread dispatch, because empty-mask regions
-# still *step through* their instructions — no thread ever takes a
-# different instruction path, only different masks.  The JIT tier has no
-# CF support yet and must decline such programs statically rather than
-# miscompile them.
+# bodies.  The JIT must compile every such program and keep
+# bit-identical GRF/flag/surface state and timing to sequential
+# per-thread dispatch: empty-mask regions still *step through* their
+# instructions — no thread ever takes a different instruction path,
+# only different masks — and loop rows issue in the same order a
+# minimum-PC group scheduler would pick.
 
 from repro.isa.instructions import CF_OPCODES  # noqa: E402
-from repro.isa.jit import jit_eligible as _jit_ok  # noqa: E402
-from repro.isa.wide import wide_eligible  # noqa: E402
 
 _CF_CREG_BASE = 13               # per-loop-depth trip counters
 
@@ -490,7 +533,7 @@ def _emit_cf_node(node, out, depth):
 _CF_LEAF = st.builds(
     lambda kind, a, b, c: ("leaf", kind, a, b, c),
     st.sampled_from(["alu", "shift", "cmp", "sel", "pred_mov",
-                     "gather", "scatter"]),
+                     "gather", "scatter", "use", "scalar"]),
     st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
 
 
@@ -527,23 +570,10 @@ def _build_cf_program(nodes):
 
 def _assert_cf_bit_identical(program, seed):
     assert any(i.opcode in CF_OPCODES for i in program)
-    assert wide_eligible(program), "CF program must be wide-admitted"
-    assert not _jit_ok(program), "JIT must decline CF programs"
+    assert jit_eligible(program), "CF program must be JIT-admitted"
     with np.errstate(all="ignore"):
-        seq_grf, seq_flags, seq_surf = _run_sequential(program, seed)
-        wide_grf, wide_flags, wide_surf = _run_wide(program, seed)
-    for bti in seq_surf:
-        assert np.array_equal(wide_surf[bti], seq_surf[bti]), \
-            f"surface {bti} state diverged"
-    assert np.array_equal(wide_grf, seq_grf), "GRF state diverged"
-    indices = set(wide_flags)
-    for t, per_thread in enumerate(seq_flags):
-        indices |= set(per_thread)
-        for idx in indices:
-            seq_f = per_thread.get(idx, np.zeros(32, dtype=bool))
-            wide_f = wide_flags[idx][t] if idx in wide_flags else \
-                np.zeros(32, dtype=bool)
-            assert np.array_equal(wide_f, seq_f), f"flag f{idx} diverged"
+        _assert_bit_identical(_run_sequential(program, seed),
+                              _run_jit(program, seed))
 
 
 @settings(max_examples=120, deadline=None)
@@ -565,23 +595,12 @@ def test_wide_nested_loop_break_matches_sequential(loop, force_break, seed):
         _build_cf_program([(tag, a, use_break or force_break, body)]), seed)
 
 
-# -- JIT megakernel vs wide vs sequential -------------------------------------
+# -- chunked JIT launches vs sequential ---------------------------------------
 #
-# The JIT tier (repro.isa.jit) compiles the whole program to one
-# generated Python function; it claims the same architectural
-# bit-identity as the wide interpreter.  The three-way differential
-# holds all three back ends to one oracle over the same random corpus.
-
-from repro.isa.jit import JitExecutor, JitKernel, jit_eligible  # noqa: E402
-
-
-def _run_jit(program, seed):
-    table = _make_surfaces(seed)
-    ex = JitExecutor(table, num_threads=len(_TIDS))
-    ex.bind_jit(JitKernel(program))
-    ex.seed_scalar(_TID_BASE, np.asarray(_TIDS, dtype=np.int32))
-    ex.run(program)
-    return ex.grf2d.copy(), ex.flags, _surface_bytes(table)
+# The same two-way differential with the threads split into chunks of
+# two on one pooled executor, as Device.run_compiled does under a small
+# max_live_threads: state resizes between chunks, surfaces and line
+# tracking persist, and timing folds chunk by chunk.
 
 
 @settings(max_examples=30, deadline=None)
@@ -589,28 +608,11 @@ def _run_jit(program, seed):
        st.integers(0, 2**31 - 1))
 def test_jit_matches_wide_and_sequential_bit_exact(steps, seed):
     program = _build_program(steps)
-    # every construct the generator can emit must compile, not fall back
+    # every construct the generator can emit must compile
     assert jit_eligible(program)
     with np.errstate(all="ignore"):
-        seq_grf, seq_flags, seq_surf = _run_sequential(program, seed)
-        wide_grf, _, wide_surf = _run_wide(program, seed)
-        jit_grf, jit_flags, jit_surf = _run_jit(program, seed)
-
-    for bti in seq_surf:
-        assert np.array_equal(jit_surf[bti], seq_surf[bti]), \
-            f"surface {bti}: jit diverged from sequential"
-        assert np.array_equal(jit_surf[bti], wide_surf[bti]), \
-            f"surface {bti}: jit diverged from wide"
-    assert np.array_equal(jit_grf, seq_grf), "GRF: jit vs sequential"
-    assert np.array_equal(jit_grf, wide_grf), "GRF: jit vs wide"
-    indices = set(jit_flags)
-    for t, per_thread in enumerate(seq_flags):
-        indices |= set(per_thread)
-        for idx in indices:
-            seq_f = per_thread.get(idx, np.zeros(32, dtype=bool))
-            jit_f = jit_flags[idx][t] if idx in jit_flags else \
-                np.zeros(32, dtype=bool)
-            assert np.array_equal(jit_f, seq_f), f"flag f{idx} diverged"
+        _assert_bit_identical(_run_sequential(program, seed),
+                              _run_jit(program, seed, chunk=2))
 
 
 @settings(max_examples=15, deadline=None)
@@ -619,11 +621,9 @@ def test_jit_matches_wide_and_sequential_bit_exact(steps, seed):
 def test_jit_predicated_atomics_thread_order(op_idx, invert, with_dst,
                                              seed):
     prog = _collision_atomic_program(op_idx, invert, with_dst)
-    seq_grf, _, seq_surf = _run_sequential(prog, seed)
-    jit_grf, _, jit_surf = _run_jit(prog, seed)
-    for bti in seq_surf:
-        assert np.array_equal(jit_surf[bti], seq_surf[bti])
-    assert np.array_equal(jit_grf, seq_grf)
+    with np.errstate(all="ignore"):
+        _assert_bit_identical(_run_sequential(prog, seed),
+                              _run_jit(prog, seed, chunk=2))
 
 
 # -- seeded-bug corpus --------------------------------------------------------

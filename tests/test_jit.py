@@ -1,8 +1,8 @@
 """Kernel JIT megakernels: codegen, caching, dispatch plumbing — and
 the stale-plan regressions that motivated program-scoped PlanTables.
 
-Architectural bit-identity of the JIT tier against the sequential and
-wide interpreters is pinned by the three-way differential fuzz in
+Architectural and timing bit-identity of the JIT tier against the
+sequential interpreter is pinned by the differential fuzz in
 test_fuzz_differential.py; this file covers everything around it:
 
 - the ``id(inst)`` memoization bugs the :class:`~repro.isa.plans.
@@ -14,6 +14,7 @@ test_fuzz_differential.py; this file covers everything around it:
   chunking, pooled executors, and timing parity with the other tiers.
 """
 
+import contextlib
 import dataclasses
 import gc
 import weakref
@@ -29,11 +30,12 @@ from repro.isa.instructions import (
     Immediate, Instruction, MessageDesc, Opcode,
 )
 from repro.isa.jit import (
-    JitExecutor, JitKernel, JitTracingExecutor, get_jit, jit_eligible,
+    JitKernel, JitTracingExecutor, get_jit, jit_eligible,
 )
-from repro.isa.wide import WideTracingExecutor
 from repro.isa.regions import Region
+from repro.isa.wide import WideExecutor
 from repro.sim.device import Device
+from repro.sim.machine import GEN11_ICL
 
 _VEC = 16
 
@@ -179,8 +181,9 @@ class TestJitKernel:
         _load_reg(seq, 1, range(8), D)
         seq.run(prog)
 
-        jx = JitExecutor()
+        jx = JitTracingExecutor()
         jx.reset(4)
+        jx.begin_launch(GEN11_ICL)
         for t in range(4):
             jx.grf2d[t, 32:64] = np.arange(8, dtype=np.int32).view(np.uint8)
         jx.bind_jit(jitk)
@@ -189,14 +192,17 @@ class TestJitKernel:
             got = jx.grf2d[t, 96:128].view(np.int32)
             assert got.tolist() == seq.grf.dump_reg(3, D)[:8].tolist()
 
-    def test_unbound_program_falls_back_to_wide(self):
+    def test_unbound_program_compiles_its_own_megakernel(self):
         bound = [_add_imm(10)]
         other = [_add_imm(99)]
-        jx = JitExecutor()
+        jx = JitTracingExecutor()
         jx.reset(2)
+        jx.begin_launch(GEN11_ICL)
         jx.grf2d[:, 32:64] = np.arange(8, dtype=np.int32).view(np.uint8)
-        jx.bind_jit(JitKernel(bound))
-        jx.run(other)  # not the compiled program: interpreter path
+        jitk = JitKernel(bound)
+        jx.bind_jit(jitk)
+        jx.run(other)  # not the compiled program: compiled for it now
+        assert jx._jit is not jitk and jx._jit.matches(other)
         assert jx.grf2d[0, 64:96].view(np.int32).tolist() == \
             list(range(99, 107))
 
@@ -234,12 +240,10 @@ class TestKernelAttachedCache:
 
 class TestDeviceDispatch:
     def test_jit_matches_wide_and_scalar(self):
+        # two-way: the JIT is the one vector tier, sequential the oracle
         _, run_j, out_j = _run_saxpy("jit")
-        _, run_w, out_w = _run_saxpy("wide")
         _, run_s, out_s = _run_saxpy("sequential")
-        assert np.array_equal(out_j, out_w)
         assert np.array_equal(out_j, out_s)
-        assert _timing_equal(run_j.timing, run_w.timing)
         assert _timing_equal(run_j.timing, run_s.timing)
 
     def test_jit_is_the_default_top_tier(self):
@@ -274,18 +278,12 @@ class TestDeviceDispatch:
         assert _timing_equal(run2.timing, run_s.timing)
 
     def test_plain_pooled_wide_executor_stays_wide(self):
-        # a plain wide executor is reused by the wide tier …
-        pooled = WideTracingExecutor()
-        dev, run, _ = _run_saxpy("wide", executor=pooled, dev=Device())
-        assert pooled.num_threads == 32
-        assert dev.profile.jit_cache_hits + dev.profile.jit_compiles == 0
-        _, run_s, _ = _run_saxpy("sequential")
-        assert _timing_equal(run.timing, run_s.timing)
-        # … and is only a hint elsewhere: the JIT tier builds its own
-        # executor rather than raising or falling back.
-        pooled = WideTracingExecutor()
+        # a plain WideExecutor base is only a hint: the JIT tier builds
+        # its own executor rather than raising or repurposing it.
+        pooled = WideExecutor()
         _, run_j, _ = _run_saxpy("jit", executor=pooled)
         assert pooled.num_threads == 0
+        _, run_s, _ = _run_saxpy("sequential")
         assert _timing_equal(run_j.timing, run_s.timing)
 
     def test_unknown_tier_rejected(self):
@@ -298,7 +296,7 @@ class TestDeviceDispatch:
         kern.program.insert(0, Instruction(
             Opcode.SEND, msg=MessageDesc(kind=None, surface=0)))
         buf = dev.buffer(np.zeros(_VEC, dtype=np.float32))
-        with pytest.raises(ValueError, match="not wide-eligible"):
+        with pytest.raises(ValueError, match="not JIT-eligible"):
             dev.run_compiled(kern, grid=(1,), surfaces=[buf, buf],
                              scalars={"tid": 0}, tier="jit", validate="off")
 
@@ -315,6 +313,28 @@ class TestDeviceDispatch:
                                        max_live_threads=16)
         assert run_fan.breakdown is not None
         assert _timing_equal(run_fold.timing, run_fan.timing)
+
+    def test_fold_chunk_matches_trace_fanout_under_control_flow(self):
+        """The same agreement for a divergent kernel, whose per-thread
+        timelines fold row by row instead of from a template."""
+        from repro import obs as obs_mod
+        from repro.workloads import bitonic
+
+        keys = bitonic.make_input(7, seed=4)     # n = 128: 4 threads
+        runs = []
+        for observed in (False, True):
+            with obs_mod.observed(span_metrics=False) if observed \
+                    else contextlib.nullcontext():
+                dev = Device()
+                out = bitonic.run_cm_bitonic_compiled(dev, keys,
+                                                      tier="jit")
+            assert np.array_equal(out, np.sort(keys))
+            assert {r.path for r in dev.runs} == {"jit"}
+            assert all((r.breakdown is not None) == observed
+                       for r in dev.runs)
+            runs.append(dev.runs)
+        for fold, fan in zip(*runs):
+            assert _timing_equal(fold.timing, fan.timing)
 
     def test_dispatch_jit_spans_emitted(self):
         from repro import obs as obs_mod

@@ -1,11 +1,14 @@
 """The compiled-launch tier decision and the one chunked launch loop.
 
 ``choose_tier`` is pure, so its whole input space is pinned here as a
-table: requested tier x validate mode x wide eligibility x race
-verdict.  The integration tests check that a forced tier is the tier
-that runs, that the JIT tier refuses control-flow programs, that a
-pinned sequential tier stays unsanitized under ``"first"``, and that
-every tier chunks by ``max_live_threads`` with identical timing.
+table: requested tier x validate mode x JIT eligibility x race verdict
+(plus the retired ``"wide"`` tier name, which every input refuses).
+The integration tests check that a forced tier is the tier that runs,
+that the JIT tier runs control-flow programs, that a program the JIT
+fails to compile falls back to sequential under ``"auto"`` with its
+reason recorded, that a pinned sequential tier stays unsanitized under
+``"first"``, and that every tier chunks by ``max_live_threads`` with
+identical timing.
 """
 
 import dataclasses
@@ -14,6 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
+import repro.isa.jit as jit_mod
 from repro.sanitize.race import RaceVerdict
 from repro.sim.device import TIERS, Device, choose_tier
 
@@ -31,14 +35,20 @@ SANITIZED = ("sanitized", "sanitized")
 SEQUENTIAL = ("forced_scalar", "sequential")
 INELIGIBLE = ("ineligible", "sequential")
 BYPASSED = ("bypassed", "vector")
+#: expected refusals: (ValueError, message pattern)
+NOT_ELIGIBLE = (ValueError, "not JIT-eligible")
+UNKNOWN_TIER = (ValueError, "tier must be one of")
 
 
 def _expected():
-    """(tier, mode, eligible) -> verdict -> (outcome, runs) or ValueError."""
+    """(tier, mode, eligible) -> verdict -> (outcome, runs) or a
+    (ValueError, pattern) refusal."""
     table = {}
     for mode, eligible in itertools.product(MODES, (True, False)):
-        for tier in ("wide", "jit"):
-            table[tier, mode, eligible] = BYPASSED if eligible else ValueError
+        table["jit", mode, eligible] = BYPASSED if eligible else NOT_ELIGIBLE
+        # the grid-vectorized interpreter tier is retired: its name is
+        # refused whatever the gate inputs
+        table["wide", mode, eligible] = UNKNOWN_TIER
         table["sequential", mode, eligible] = \
             SANITIZED if mode == "always" else SEQUENTIAL
     table["auto", "always", True] = SANITIZED
@@ -60,14 +70,18 @@ def _expected():
 _EXPECTED = _expected()
 
 
+def test_tiers():
+    assert TIERS == ("auto", "sequential", "jit")
+
+
 @pytest.mark.parametrize("tier,mode,eligible,verdict", list(
-    itertools.product(TIERS, MODES, (True, False), VERDICTS)))
+    itertools.product((*TIERS, "wide"), MODES, (True, False), VERDICTS)))
 def test_choose_tier_table(tier, mode, eligible, verdict):
     expect = _EXPECTED[tier, mode, eligible][verdict]
     reason = None if eligible else "unsupported send kind"
     args = (tier, mode, reason, _VERDICT_OBJECTS[verdict])
-    if expect is ValueError:
-        with pytest.raises(ValueError, match="not wide-eligible"):
+    if expect[0] is ValueError:
+        with pytest.raises(ValueError, match=expect[1]):
             choose_tier(*args)
     else:
         assert choose_tier(*args) == expect
@@ -120,7 +134,7 @@ def _timing_equal(a, b):
                for f in dataclasses.fields(a))
 
 
-@pytest.mark.parametrize("tier", ["sequential", "wide", "jit"])
+@pytest.mark.parametrize("tier", ["sequential", "jit"])
 def test_forced_tier_is_the_tier_that_runs(tier):
     dev = Device()
     run = _saxpy(dev, tier, validate="first")
@@ -138,7 +152,7 @@ def test_sequential_tier_under_first_runs_unsanitized():
     assert dev.sanitizer_results == []
 
 
-def test_jit_tier_on_simd_if_program_raises():
+def test_jit_tier_runs_simd_if_program():
     dev = Device()
     data = np.arange(-32, 32, dtype=np.int32)
     kern = dev.compile(_clamp_body, "tclamp",
@@ -154,14 +168,35 @@ def test_jit_tier_on_simd_if_program_raises():
                               np.maximum(data, 0))
         return run
 
+    assert launch("jit").path == "jit"
+    # the JIT lowers control flow, so "auto" takes it too
+    assert launch("auto").path == "jit"
+    assert dev.profile.jit_compiles == 1
+
+
+def test_jit_refused_program_runs_sequential_with_reason(monkeypatch):
+    from repro import obs as obs_mod
+    from repro.obs.tracing import ChromeTraceSink
+
+    def refuse(program, pb, env, cf):
+        raise jit_mod.JitError("operand corner case")
+
+    monkeypatch.setattr(jit_mod, "_codegen", refuse)
+    sink = ChromeTraceSink()
+    dev = Device()
+    with obs_mod.observed(sink=sink, span_metrics=False):
+        run = _saxpy(dev, "auto", validate="off")
+    assert run.path == "sequential"
+    gates = [e["args"] for e in sink.events if e["name"] == "sanitize_gate"]
+    assert gates == [{"kernel": "tsaxpy", "mode": "off",
+                      "outcome": "ineligible",
+                      "reason": "jit: operand corner case"}]
+    assert dev.profile.gate_outcomes == {"ineligible": 1}
     with pytest.raises(ValueError, match="not JIT-eligible"):
-        launch("jit")
-    # the JIT declines control flow, so "auto" runs it on the wide tier
-    assert launch("auto").path == "wide"
-    assert launch("wide").path == "wide"
+        _saxpy(dev, "jit", validate="off")
 
 
-@pytest.mark.parametrize("tier", ["sequential", "wide", "jit"])
+@pytest.mark.parametrize("tier", ["sequential", "jit"])
 def test_every_tier_chunks_by_max_live_threads(tier):
     dev = Device()
     run = _saxpy(dev, tier, validate="off", max_live_threads=5)

@@ -3,7 +3,7 @@
 Unit tests for each checker plus the load-bearing integration: the
 race verdict from a kernel's first (sanitized, sequential) launch
 decides whether ``Device.run_compiled(tier="auto")`` may take the
-grid-vectorized wide path, and ``ServeCluster``/OCL enqueues fold
+grid-vectorized JIT tier, and ``ServeCluster``/OCL enqueues fold
 their findings into sessions and reports.
 """
 
@@ -371,7 +371,7 @@ class TestWideGating:
         dev = Device()
         xb, yb, _, _ = _saxpy_surfaces(dev)
         kern = _compile_saxpy(dev)
-        _launch(dev, kern, [xb, yb], tier="wide", validate="first")
+        _launch(dev, kern, [xb, yb], tier="jit", validate="first")
         assert dev.sanitizer_results == []
 
     def test_sanitized_launch_preserves_results(self):
@@ -391,9 +391,9 @@ class TestWideGating:
 
     def test_wide_executor_refuses_sanitizer_hooks(self):
         from repro.isa.executor import ExecutionError
-        from repro.isa.wide import WideExecutor
+        from repro.isa.jit import JitTracingExecutor
 
-        ex = WideExecutor({}, num_threads=2)
+        ex = JitTracingExecutor({}, num_threads=2)
         ex.san = ExecSanitizer(uninit=UninitTracker())
         with pytest.raises(ExecutionError, match="sanitizer"):
             ex.run([])

@@ -217,6 +217,35 @@ class TestClusterExecution:
         assert starts[1] == pytest.approx(
             starts[0] + reqs[0].service_sim_us)
 
+    def test_divergent_batch_reuses_the_pooled_jit_executor(
+            self, monkeypatch):
+        """A coalesced batch of a control-flow kernel runs on the JIT
+        tier through the batch's one pooled executor (divergent batches
+        used to take another tier and build a fresh executor each)."""
+        from repro.isa.jit import JitTracingExecutor
+
+        used = []
+        real_run = JitTracingExecutor.run
+
+        def spy(ex, program):
+            used.append(ex)
+            real_run(ex, program)
+
+        monkeypatch.setattr(JitTracingExecutor, "run", spy)
+        cluster = ServeCluster(num_devices=1, batching=True, max_batch=8)
+        worker = cluster.workers[0]
+        reqs = [Request(workload="bitonic_cf", params={"n": 64, "seed": i})
+                for i in range(3)]
+        batches = cluster.batcher.form([cluster._resolve(r) for r in reqs])
+        assert len(batches) == 1 and batches[0].size == 3
+        worker._execute(batches[0])
+        assert all(r.status is RequestStatus.DONE for r in reqs), \
+            [r.error for r in reqs]
+        # first launch sanitized-sequential, then the certified JIT tier
+        assert [r.tier for r in reqs] == ["sequential", "jit", "jit"]
+        assert len(used) == 2 and used[0] is used[1]
+        assert worker.device.profile.jit_compiles == 1
+
     def test_eager_fig5_request_served(self):
         with _sequential_cluster() as cluster:
             req = cluster.submit("fig5.prefix")

@@ -411,7 +411,7 @@ class TestVerdictBroadcast:
     def test_kernel_sanitized_at_most_once_cluster_wide(self):
         """A divergent kernel pays its sanitized first launch on ONE
         shard; the race verdict rides the CompleteMsg to the parent,
-        which rebroadcasts it, so every other shard wide-admits the
+        which rebroadcasts it, so every other shard JIT-admits the
         kernel without re-sanitizing."""
         with ShardedCluster(shards=2, devices_per_shard=1,
                             routing="round-robin",

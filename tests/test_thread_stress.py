@@ -6,9 +6,10 @@ keys every device's kernel cache), the frontend tracer, the sim thread
 context, and the sanitizer and observability globals.  Each thread here
 owns its own :class:`Device` and compiles and launches every compiled
 and tuned serve workload twice under ``validate="first"`` — a
-sanitized-sequential first launch, then the vector tier the verdict
-admits.  Results, tiers and every simulated-timing field must equal a
-single-threaded run.
+sanitized-sequential first launch, then the JIT tier the verdict
+admits.  The eager ``fig5.*`` workloads (whose specs are built on first
+use) run the same way.  Results, tiers and every simulated-timing field
+must equal a single-threaded run.
 """
 
 import dataclasses
@@ -71,39 +72,43 @@ def _workloads():
     return keys
 
 
+def _launch_records(runs):
+    return [(r.name, r.path,
+             tuple(getattr(r.timing, f.name)
+                   for f in dataclasses.fields(r.timing)))
+            for r in runs]
+
+
 def _run_all():
     """Every workload on one fresh device: (results, launch records)."""
     device = Device()
     results = {key: fn(key, device) for key, fn in _workloads()}
-    launches = [(r.name, r.path,
-                 tuple(getattr(r.timing, f.name)
-                       for f in dataclasses.fields(r.timing)))
-                for r in device.runs]
-    return results, launches
+    return results, _launch_records(device.runs)
 
 
-def test_workloads_cover_compiled_and_tuned_kinds():
-    kinds = {get_workload(key).kind for key, _ in _workloads()}
-    assert kinds == {"compiled", "tuned"}
+def _fig5(key):
+    """The CM side of an eager Figure 5 workload on a fresh device."""
+    device = Device()
+    run = get_workload(key).make({"side": "cm"})(device)
+    return (np.asarray(run.output).tobytes(), run.total_time_us,
+            _launch_records(device.runs))
 
 
-def test_concurrent_devices_match_a_single_threaded_run():
-    expect = _run_all()
-    assert {path for _, path, _ in expect[1]} >= {"sequential", "jit",
-                                                  "wide"}
-    start = threading.Barrier(N_THREADS)
-    got = [None] * N_THREADS
+def _in_threads(n_threads, job):
+    """``[job(0), ..., job(n_threads - 1)]``, run concurrently."""
+    start = threading.Barrier(n_threads)
+    got = [None] * n_threads
     errors = []
 
     def worker(i):
         try:
             start.wait()
-            got[i] = _run_all()
+            got[i] = job(i)
         except Exception as exc:  # noqa: BLE001 - surface in main
             errors.append(exc)
 
     threads = [threading.Thread(target=worker, args=(i,), daemon=True)
-               for i in range(N_THREADS)]
+               for i in range(n_threads)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)   # switch threads often: expose races
     try:
@@ -115,6 +120,32 @@ def test_concurrent_devices_match_a_single_threaded_run():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
-    for results, launches in got:
-        assert results == expect[0]
-        assert launches == expect[1]
+    return got
+
+
+def test_workloads_cover_compiled_and_tuned_kinds():
+    kinds = {get_workload(key).kind for key, _ in _workloads()}
+    assert kinds == {"compiled", "tuned"}
+
+
+def test_concurrent_devices_match_a_single_threaded_run():
+    expect = _run_all()
+    assert {path for _, path, _ in expect[1]} >= {"sequential", "jit"}
+    for got in _in_threads(N_THREADS, lambda i: _run_all()):
+        assert got == expect
+
+
+def test_concurrent_eager_fig5_workloads_match_a_single_threaded_run():
+    from repro.serve import workloads
+
+    keys = [key for key in workload_keys() if key.startswith("fig5.")]
+    assert len(keys) == 8
+    expect = {key: _fig5(key) for key in keys}
+    # Forget the lazily built Figure 5 specs, so every thread races to
+    # build them; eager runs are long, so each key runs in one thread.
+    workloads._fig5_specs.cache_clear()
+    got = {}
+    for part in _in_threads(N_THREADS, lambda i: {
+            key: _fig5(key) for key in keys[i::N_THREADS]}):
+        got.update(part)
+    assert got == expect

@@ -1,10 +1,14 @@
-"""Grid-vectorized (wide) dispatch: eligibility, chunking, timing parity.
+"""Grid-vectorized (wide) dispatch on the JIT tier: eligibility,
+chunking, per-thread scratch, timing parity, vectorized atomics.
 
-The differential fuzz in test_fuzz_differential.py pins architectural
-bit-identity between :class:`WideExecutor` and per-thread sequential
-execution; this file covers the dispatch plumbing around it — path
-selection in ``Device.run_compiled``, chunked execution under
-``max_live_threads``, per-thread scratch, trace/timing parity, and the
+The JIT megakernel runs on the stacked register files, vectorized SEND
+handlers and :class:`~repro.isa.wide.WideScratch` of
+:mod:`repro.isa.wide`.  The differential fuzz in
+test_fuzz_differential.py pins its bit-identity with per-thread
+sequential execution; this file covers the dispatch plumbing around it
+— path selection in ``Device.run_compiled``, chunked execution under
+``max_live_threads``, per-thread scratch spill rows, trace/timing
+parity with the breakdown profiler's per-thread fan-out, and the
 observability surface.
 """
 
@@ -14,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.isa.instructions import Instruction, MessageDesc, Opcode
-from repro.isa.wide import WideScratch, WideTracingExecutor, wide_eligible
+from repro.isa.jit import JitTracingExecutor, jit_eligible
+from repro.isa.wide import WideScratch
 from repro.memory.surfaces import BufferSurface
 from repro.obs import Observability
 from repro.sim.device import Device
@@ -67,14 +72,14 @@ class TestEligibility:
     def test_compiled_programs_are_eligible(self):
         dev = Device()
         kern = dev.compile(_saxpy_body, "wsaxpy", _SAXPY_SIG, ["tid"])
-        assert wide_eligible(kern.program)
+        assert jit_eligible(kern.program)
 
     def test_unknown_send_kind_is_ineligible(self):
-        # Forward-compat guard: a send the wide path has no handler for
-        # must route to the sequential path, not silently mis-execute.
+        # Forward-compat guard: a send the vectorized handlers do not
+        # cover must route to the sequential path, not mis-execute.
         bad = Instruction(Opcode.SEND,
                           msg=MessageDesc(kind=None, surface=0))
-        assert not wide_eligible([bad])
+        assert not jit_eligible([bad])
 
     def test_wide_true_on_ineligible_program_raises(self):
         dev = Device()
@@ -84,21 +89,21 @@ class TestEligibility:
             kern.program.insert(0, Instruction(
                 Opcode.SEND, msg=MessageDesc(kind=None, surface=0)))
         buf = dev.buffer(np.zeros(_VEC, dtype=np.float32))
-        with pytest.raises(ValueError, match="not wide-eligible"):
+        with pytest.raises(ValueError, match="not JIT-eligible"):
             dev.run_compiled(kern, grid=(1,), surfaces=[buf, buf],
-                             scalars={"tid": 0}, tier="wide")
+                             scalars={"tid": 0}, tier="jit")
 
 
 class TestTimingParity:
     def test_saxpy_wide_matches_scalar(self):
-        _, run_w = _run_saxpy("wide")
+        _, run_w = _run_saxpy("jit")
         _, run_s = _run_saxpy("sequential")
         assert _timing_equal(run_w.timing, run_s.timing)
 
     def test_chunked_wide_matches_unchunked(self):
         # 64 threads in chunks of 9: totals must not depend on chunking.
-        _, run_c = _run_saxpy("wide", max_live_threads=9)
-        _, run_u = _run_saxpy("wide")
+        _, run_c = _run_saxpy("jit", max_live_threads=9)
+        _, run_u = _run_saxpy("jit")
         assert _timing_equal(run_c.timing, run_u.timing)
         _, run_s = _run_saxpy("sequential")
         assert _timing_equal(run_c.timing, run_s.timing)
@@ -118,7 +123,7 @@ class TestTimingParity:
             assert run.path == tier
             return surfs[2].to_numpy().copy(), run
 
-        out_w, run_w = launch("wide")
+        out_w, run_w = launch("jit")
         out_s, run_s = launch("sequential")
         assert np.array_equal(out_w, out_s)
         assert _timing_equal(run_w.timing, run_s.timing)
@@ -161,7 +166,7 @@ class TestScratch:
             assert run.path == tier
             return out.to_numpy().view(np.float32).copy(), run
 
-        out_w, run_w = launch("wide")
+        out_w, run_w = launch("jit")
         out_s, run_s = launch("sequential")
         assert np.array_equal(out_w, out_s)
         assert _timing_equal(run_w.timing, run_s.timing)
@@ -187,21 +192,21 @@ class TestScratch:
 
 
 class TestDispatchPlumbing:
-    # These tests pin the wide plumbing itself, so they run with
+    # These tests pin the vector-tier plumbing itself, so they run with
     # validate="off" (the _run_saxpy default); the sanitized
     # first-launch gating of tier="auto" is covered in test_sanitize.py.
     def test_wide_is_the_default_for_eligible_programs(self):
         dev, run = _run_saxpy("auto")
-        assert run.path in ("wide", "jit")
+        assert run.path == "jit"
         # vector tiers keep whole chunks of traces live
         assert dev.profile.peak_live_traces == 64
         assert dev.profile.threads_run == 64
 
     def test_pooled_wide_executor_reused_across_launches(self):
-        pooled = WideTracingExecutor()
-        _, run1 = _run_saxpy("wide", executor=pooled)
+        pooled = JitTracingExecutor()
+        _, run1 = _run_saxpy("jit", executor=pooled)
         assert pooled.num_threads == 64  # the hint was taken
-        _, run2 = _run_saxpy("wide", executor=pooled)
+        _, run2 = _run_saxpy("jit", executor=pooled)
         _, run_s = _run_saxpy("sequential")
         assert _timing_equal(run1.timing, run_s.timing)
         assert _timing_equal(run2.timing, run_s.timing)
@@ -212,13 +217,13 @@ class TestDispatchPlumbing:
 
         sink = ChromeTraceSink()
         with obs_mod.observed(sink=sink, span_metrics=False):
-            _run_saxpy("wide", max_live_threads=40)
+            _run_saxpy("jit", max_live_threads=40)
         wide_spans = [e for e in sink.events
-                      if e["name"] == "dispatch:wide"]
+                      if e["name"] == "dispatch:jit"]
         assert len(wide_spans) == 2  # 64 threads in chunks of 40 + 24
         assert sorted(e["args"]["threads"] for e in wide_spans) == [24, 40]
         outer = [e for e in sink.events if e["name"] == "dispatch"]
-        assert outer and outer[0]["args"]["path"] == "wide"
+        assert outer and outer[0]["args"]["path"] == "jit"
 
 
 class TestWideAtomicReduction:
