@@ -10,9 +10,15 @@ stay within ``MAX_OVERHEAD`` of the frozen pre-instrumentation loop
 from ``bench_obs_overhead``.
 
 For context the benchmark also reports the cost of a fully sanitized
-launch (``validate="always"``: race shadow sets + uninit bitmap +
-OOB accounting); that price is informational, not asserted — it is
-paid once per kernel under the default ``validate="first"`` policy.
+launch (``validate="always"``: race detector + uninit bitmap + OOB
+accounting); that price is informational, not asserted.
+
+The default ``validate="first"`` policy pays its race check once per
+kernel, on the JIT tier: :func:`test_jit_gate_cost` times that gate
+launch (warm megakernel, no verdict on file) against an unchecked JIT
+launch and a sanitized-sequential one on the same grid, requires all
+three to model the same kernel time, and bounds the gate's cost over
+the unchecked launch by ``MAX_GATE_X``.
 """
 
 import os
@@ -35,6 +41,10 @@ from repro.workloads import gemm  # noqa: E402
 MAX_OVERHEAD = 0.15
 LAUNCHES = 3
 TRIALS = 3
+#: A race-checked JIT launch may cost at most this multiple of an
+#: unchecked one (measured 1.42-1.45x on a 2-CPU host: the recorder, the
+#: surface snapshot and the verdict).
+MAX_GATE_X = 2.5
 
 
 def _measure():
@@ -120,6 +130,68 @@ def test_disabled_sanitizer_overhead(benchmark, capsys):
     assert overhead < MAX_OVERHEAD, (
         f"disabled sanitizers cost {overhead:.1%} over the frozen "
         f"pre-sanitizer dispatch loop (allowed {MAX_OVERHEAD:.0%})")
+
+
+def _measure_gate():
+    """Best-of-TRIALS seconds for LAUNCHES launches of one warm kernel,
+    each on a fresh device: (gate, unchecked JIT, sanitized), plus the
+    three launches' KernelRuns."""
+    a, b, c = gemm.make_inputs(M, N, K, seed=3)
+    grid = (N // BN, M // BM)
+    scalars = lambda tid: {"tx": tid[0], "ty": tid[1]}  # noqa: E731
+    kern = Device().compile(_gemm_body, "gemm_batch", _SIG, ["tx", "ty"])
+
+    def launch(mode):
+        t = 0.0
+        for _ in range(LAUNCHES):
+            dev = Device()  # no verdict on file: "first" race-checks
+            bufs = _bind(dev, a, b, c)
+            t0 = time.perf_counter()
+            run = dev.run_compiled(kern, grid, bufs, scalars=scalars,
+                                   validate=mode)
+            t += time.perf_counter() - t0
+        return t, run
+
+    modes = ("first", "off", "always")
+    for mode in modes:  # warm-up: megakernel, plans, templates
+        launch(mode)
+    best = dict.fromkeys(modes, float("inf"))
+    runs = {}
+    for trial in range(TRIALS):
+        for mode in modes if trial % 2 == 0 else modes[::-1]:
+            t, runs[mode] = launch(mode)
+            best[mode] = min(best[mode], t)
+    return best, runs
+
+
+def test_jit_gate_cost(benchmark, capsys):
+    results = {}
+
+    def once():
+        results["r"] = _measure_gate()
+
+    benchmark.pedantic(once, rounds=1, iterations=1)
+    best, runs = results["r"]
+    assert [runs[m].path for m in ("first", "off", "always")] == \
+        ["jit", "jit", "sequential"]
+    # race-checking changes what the host checks, never the model
+    assert runs["first"].timing.time_us == runs["off"].timing.time_us \
+        == runs["always"].timing.time_us
+    gate_x = best["first"] / best["off"]
+    benchmark.extra_info.update({
+        "workload": f"sgemm {M}x{N}x{K} grid, {LAUNCHES} launches",
+        "gate_ms": round(best["first"] * 1e3, 1),
+        "unchecked_jit_ms": round(best["off"] * 1e3, 1),
+        "validate_always_ms": round(best["always"] * 1e3, 1),
+        "gate_cost_x": round(gate_x, 2),
+    })
+    with capsys.disabled():
+        print(f"\n  [jit gate] gate={best['first'] * 1e3:7.1f}ms "
+              f"unchecked={best['off'] * 1e3:7.1f}ms ({gate_x:4.2f}x) "
+              f"always={best['always'] * 1e3:7.1f}ms")
+    assert gate_x < MAX_GATE_X, (
+        f"the race-checked first launch costs {gate_x:.2f}x an unchecked "
+        f"JIT launch (allowed {MAX_GATE_X}x)")
 
 
 if __name__ == "__main__":

@@ -32,10 +32,12 @@ class CompiledKernel:
     allocation: Allocation
     surfaces: List[str] = field(default_factory=list)
     #: lazily-built derived execution state whose lifetime must match
-    #: the kernel's (program-scoped instruction plans, JIT megakernel).
-    #: ``KernelCache`` calls :meth:`release_derived` on eviction.
+    #: the kernel's (program-scoped instruction plans, JIT megakernel,
+    #: launch-gate facts).  ``KernelCache`` calls :meth:`release_derived`
+    #: on eviction.
     _plan_table: object = field(default=None, repr=False, compare=False)
     _jit: object = field(default=None, repr=False, compare=False)
+    _gate: object = field(default=None, repr=False, compare=False)
 
     @property
     def num_instructions(self) -> int:
@@ -55,10 +57,29 @@ class CompiledKernel:
             self._plan_table = table
         return table
 
+    def gate_facts(self) -> Tuple[object, bool]:
+        """``(ineligible_reason, has_barrier)`` for the launch gate.
+
+        Why the JIT tier declines the program (``None`` if it does not;
+        see :func:`repro.isa.jit.ineligible_reason`) and whether it
+        contains a ``BARRIER``; computed once, from the plan table's
+        cached control-flow analysis.
+        """
+        facts = self._gate
+        if facts is None:
+            from repro.isa.instructions import Opcode
+            from repro.isa.jit import ineligible_reason
+            facts = self._gate = (
+                ineligible_reason(self.program, self.plan_table()),
+                any(i.opcode is Opcode.BARRIER for i in self.program))
+        return facts
+
     def release_derived(self) -> None:
-        """Drop derived state (plans, JIT) when the kernel is evicted."""
+        """Drop derived state (plans, JIT, gate facts) when the kernel
+        is evicted."""
         self._plan_table = None
         self._jit = None
+        self._gate = None
 
     def asm(self) -> str:
         """Gen-assembly listing of the compiled kernel."""

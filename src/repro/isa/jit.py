@@ -94,7 +94,8 @@ class JitError(ExecutionError):
     """
 
 
-def ineligible_reason(program: Iterable[Instruction]) -> Optional[str]:
+def ineligible_reason(program: Iterable[Instruction],
+                      plans: Optional[PlanTable] = None) -> Optional[str]:
     """Why a compiled program cannot run on the JIT tier (or ``None``).
 
     Two static refusals, surfaced separately in the device gate
@@ -106,7 +107,9 @@ def ineligible_reason(program: Iterable[Instruction]) -> Optional[str]:
       nest (code generation lowers CF through the program's
       reconvergence plan, which such a program does not have).
 
-    Well-formed structured control flow is *not* disqualifying.
+    Well-formed structured control flow is *not* disqualifying.  Given
+    the program's ``plans``, the control-flow analysis is the table's
+    cached :meth:`~repro.isa.plans.PlanTable.cf_plan`.
     """
     program = tuple(program)
     has_cf = False
@@ -119,7 +122,10 @@ def ineligible_reason(program: Iterable[Instruction]) -> Optional[str]:
             has_cf = True
     if has_cf:
         try:
-            analyze_cf(program)
+            if plans is not None:
+                plans.cf_plan()
+            else:
+                analyze_cf(program)
         except CFError:
             return "malformed-control-flow"
     return None
@@ -832,8 +838,8 @@ class JitTracingExecutor(WideExecutor):
 
     def run(self, program) -> None:
         # Sanitizer hooks assume one thread's register file and lane
-        # masks; sanitized launches are always sequential (the race
-        # verdict is what *admits* a program to the vector tier).
+        # masks; sanitized launches run sequentially (the JIT tier's
+        # race check records its SENDs through ``self.race`` instead).
         if self.san is not None:
             raise ExecutionError(
                 "sanitizer hooks cannot run on the JIT executor; "

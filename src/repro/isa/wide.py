@@ -65,6 +65,13 @@ _WIDE_MSG_KINDS = frozenset({
     MsgKind.GATHER, MsgKind.SCATTER, MsgKind.ATOMIC,
 })
 
+#: race-detector access kind (read / write / atomic) of each message
+_ACCESS_KIND = {
+    MsgKind.MEDIA_BLOCK_READ: "r", MsgKind.MEDIA_BLOCK_WRITE: "w",
+    MsgKind.OWORD_BLOCK_READ: "r", MsgKind.OWORD_BLOCK_WRITE: "w",
+    MsgKind.GATHER: "r", MsgKind.SCATTER: "w", MsgKind.ATOMIC: "a",
+}
+
 
 class WideScratch(Surface):
     """Per-thread scratch (spill) storage for a wide chunk.
@@ -149,6 +156,9 @@ class WideExecutor(TracingExecutor):
         self._issue_vec: Optional[np.ndarray] = None
         self._barrier_vec: Optional[np.ndarray] = None
         self._icpi = 0.0
+        #: a :class:`~repro.sanitize.race.RaceDetector` fed one access
+        #: batch per SEND while a launch is race-checked, else ``None``
+        self.race = None
 
     def run(self, program) -> None:
         raise ExecutionError(
@@ -311,6 +321,7 @@ class WideExecutor(TracingExecutor):
         if msg is None:
             raise ExecutionError("send without message descriptor")
         surf = self._surface(msg.surface)
+        race = self.race
         # Inside a loop some threads have left: only the rows still
         # looping may touch memory or their payload registers.
         rows = None if self._row_all else self._rows
@@ -329,6 +340,8 @@ class WideExecutor(TracingExecutor):
                     self._load_payload(base, w * h, sel))
                 surf.write_block_many(x, y, w, h,
                                       data.reshape(x.size, h, w))
+            if race is not None:
+                race.note_blocks(surf, _ACCESS_KIND[kind], rows, x, y, w, h)
         elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
             offset = self._scalar_vec(msg.addr0)[sel]
             # scratch rows are per thread; other surfaces are shared
@@ -340,6 +353,9 @@ class WideExecutor(TracingExecutor):
                 surf.write_linear_many(
                     offset, self._load_payload(base, msg.payload_bytes, sel),
                     **own)
+            if race is not None:
+                race.note_rows(surf, _ACCESS_KIND[kind], rows, offset,
+                               msg.payload_bytes)
         elif kind in (MsgKind.GATHER, MsgKind.SCATTER, MsgKind.ATOMIC):
             self._execute_scattered(inst, surf, sel)
         else:
@@ -368,6 +384,11 @@ class WideExecutor(TracingExecutor):
         fmask = None if mask is None else \
             np.broadcast_to(mask[sel], (nrows, n)).reshape(-1)
 
+        if self.race is not None:
+            self.race.note_rows(
+                surf, _ACCESS_KIND[msg.kind],
+                None if isinstance(sel, slice) else sel, offsets, elem.size,
+                None if fmask is None else fmask.reshape(nrows, n))
         if msg.kind is MsgKind.GATHER:
             data = surf.gather(flat, elem, mask=fmask)
             self._store_payload(

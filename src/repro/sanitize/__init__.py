@@ -1,18 +1,24 @@
 """repro.sanitize — kernel sanitizer subsystem.
 
-Three checkers over the simulated GPU stack, all running during
-*sequential* dispatch (the grid-vectorized JIT tier is exactly what
-the verdicts guard):
+Three checkers over the simulated GPU stack:
 
 - :class:`~repro.sanitize.race.RaceDetector` — cross-thread data races
   on surfaces/SLM with barrier-based happens-before; its
   :class:`~repro.sanitize.race.RaceVerdict` gates
-  ``Device.run_compiled(tier="auto")``'s choice of a vector tier.
+  ``Device.run_compiled(tier="auto")``'s choice of the JIT tier.  It
+  judges access records from either feed: per-thread surface hooks
+  during sequential dispatch, or whole-chunk batches from the JIT
+  tier's vectorized SENDs — so under ``validate="first"`` a kernel's
+  first launch is race-checked on the JIT tier itself (rolled back and
+  re-run sanitized-sequential if it races).
 - OOB/clip sanitizer (:mod:`repro.sanitize.oob`) — counts
   silently-clamped out-of-bounds lanes per surface; strict mode raises
   :class:`~repro.memory.surfaces.OOBError`.
 - :class:`~repro.sanitize.uninit.UninitTracker` — uninitialized-GRF
-  reads via a shadow validity bitmap, honouring execution masks.
+  reads via a shadow validity bitmap, honouring execution masks.  It
+  follows one thread's register file, so it runs on sanitized-sequential
+  launches only: ``validate="always"`` and every launch inside a
+  :func:`session`.
 
 ``python -m repro.sanitize`` runs any registered workload under all
 checkers and emits a :class:`~repro.sanitize.report.SanitizerReport`
@@ -26,6 +32,7 @@ The dispatch-gating default comes from :func:`default_validate`
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 from typing import Dict, Optional
 
@@ -55,15 +62,16 @@ def default_validate() -> str:
 
 
 class SanitizerSession:
-    """Process-wide sanitizing scope for eager (CM / OpenCL) launches.
+    """Per-thread sanitizing scope for eager (CM / OpenCL) launches.
 
     While a session is current, ``Device.run_cm`` and the OpenCL
     runtime attach a fresh :class:`RaceDetector` per kernel enqueue,
     feed barrier edges from the work-group scheduler, and fold each
     kernel's verdict plus per-surface OOB clip deltas into
-    :attr:`report`.  Compiled launches that run sanitized-sequential
-    (``validate`` gating in ``Device.run_compiled``) also append their
-    results here when a session is current.
+    :attr:`report`.  Compiled launches race-checked by
+    ``Device.run_compiled`` (every one, unless ``validate`` is passed
+    explicitly) also append their results here.  Only the thread that
+    opened the session sees it (:func:`current_session`).
     """
 
     def __init__(self, strict_oob: bool = False) -> None:
@@ -111,25 +119,31 @@ class SanitizerSession:
         return result
 
 
-_CURRENT: Optional[SanitizerSession] = None
+#: the calling thread's current session: a session sanitizes only the
+#: launches made by the thread that opened it.
+_CURRENT = threading.local()
 
 
 def current_session() -> Optional[SanitizerSession]:
-    return _CURRENT
+    return getattr(_CURRENT, "session", None)
 
 
 @contextmanager
 def session(strict_oob: bool = False):
-    """Install a :class:`SanitizerSession` for the enclosed block."""
-    global _CURRENT
-    prev, prev_strict = _CURRENT, strict_enabled()
+    """Install a :class:`SanitizerSession` for the enclosed block.
+
+    The session is current in the calling thread only; launches other
+    threads make meanwhile are neither sanitized by it nor folded into
+    its report.
+    """
+    prev, prev_strict = current_session(), strict_enabled()
     sess = SanitizerSession(strict_oob=strict_oob)
-    _CURRENT = sess
+    _CURRENT.session = sess
     if strict_oob:
         set_strict(True)
     try:
         yield sess
     finally:
         sess.finish_kernel()
-        _CURRENT = prev
+        _CURRENT.session = prev
         set_strict(prev_strict)

@@ -13,9 +13,11 @@ subclass) carries in its ``san`` slot.  The executor calls
   access (``_src_plan`` / ``_dst_plan``), so validity tracking follows
   regioning, strides, and execution masks bit-for-bit.
 
-The JIT executor refuses hooks — sanitized launches are always
-sequential (that is the point: the verdict decides whether the JIT
-tier is safe).
+The JIT executor refuses these hooks: they follow one thread's
+register file and lane masks, so sanitized launches (``validate=
+"always"``, sessions) run sequentially.  The JIT tier's own race check
+(``validate="first"``) feeds the detector from its vectorized SENDs
+instead (:meth:`~repro.sanitize.race.RaceDetector.note_rows`).
 """
 
 from __future__ import annotations

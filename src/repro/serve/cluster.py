@@ -297,10 +297,11 @@ class ServeCluster:
             raise ValueError(
                 f"validate must be one of {sanitize_mod.VALIDATE_MODES}, "
                 f"got {validate!r}")
-        #: dispatch-gating mode for compiled launches: "first" sanitizes
-        #: each kernel's first launch per device (certifying or refusing
-        #: the JIT tier), "always" sanitizes every launch, "off" trusts
-        #: the kernel and always allows the JIT tier.
+        #: dispatch-gating mode for compiled launches: "first" race-checks
+        #: each kernel's first launch per device on the JIT tier
+        #: (certifying or refusing it), "always" sanitizes every launch
+        #: sequentially, "off" trusts the kernel and always allows the
+        #: JIT tier.
         self.validate = validate
         self.obs = obs if obs is not None else get_observability()
         self.registry: MetricsRegistry = (

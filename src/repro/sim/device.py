@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,14 +86,18 @@ TIERS = ("auto", "sequential", "jit")
 
 
 def choose_tier(tier: str, mode: str, ineligible_reason: Optional[str],
-                verdict) -> Tuple[str, str]:
+                verdict, vector_gate: bool = True) -> Tuple[str, str]:
     """The launch gate: ``(outcome, runs)`` for one compiled launch.
 
     ``tier`` is the caller's request (:data:`TIERS`), ``mode`` the
     validate mode, ``ineligible_reason`` why the program cannot run
-    on the JIT tier (``None`` if it can), and ``verdict`` the kernel's
-    :class:`~repro.sanitize.race.RaceVerdict` on file, if any.
-    ``runs`` is ``"sanitized"`` (sequential with the race detector and
+    on the JIT tier (``None`` if it can), ``verdict`` the kernel's
+    :class:`~repro.sanitize.race.RaceVerdict` on file, if any, and
+    ``vector_gate`` whether a first launch may be race-checked on the
+    JIT tier (``False`` for a program with a ``BARRIER``, whose epochs
+    only the sequential tier tracks).
+    ``runs`` is ``"checked"`` (the JIT megakernel with a race recorder
+    attached), ``"sanitized"`` (sequential with the race detector and
     uninitialized-GRF tracker attached), ``"sequential"`` or
     ``"vector"`` (the JIT megakernel).
     ``outcome`` names the decision for the profile and the
@@ -111,8 +115,9 @@ def choose_tier(tier: str, mode: str, ineligible_reason: Optional[str],
             raise ValueError(f"program is not JIT-eligible "
                              f"({ineligible_reason}; tier={tier!r})")
         return "bypassed", "vector"    # the caller asserts race freedom
-    if mode == "always" or (mode == "first" and tier == "auto"
-                            and eligible and verdict is None):
+    if mode == "first" and tier == "auto" and eligible and verdict is None:
+        return "sanitized", "checked" if vector_gate else "sanitized"
+    if mode == "always":
         return "sanitized", "sanitized"
     if tier == "sequential":
         return "forced_scalar", "sequential"
@@ -123,6 +128,18 @@ def choose_tier(tier: str, mode: str, ineligible_reason: Optional[str],
     if verdict.race_free:
         return "admitted", "vector"
     return "refused", "sequential"     # racy verdict: vector denied
+
+
+class _Launch(NamedTuple):
+    """One compiled launch's arguments, shared by its tier runs."""
+
+    kernel: object
+    name: str
+    grid: Sequence[int]
+    surfaces: list
+    scalars: object
+    executor: object
+    step: int  # max live threads per chunk
 
 
 def _scalar_columns(scalars, bases, ids) -> list:
@@ -323,7 +340,10 @@ class Device:
         return surf
 
     def begin_enqueue(self) -> None:
-        """Start a new kernel: caches are cold again for line tracking."""
+        """Start a new eager kernel: caches are cold again for line
+        tracking on every surface the device created (eager kernels
+        reach surfaces by closure; compiled launches reset only the
+        surfaces they bind)."""
         for surf in self.surfaces:
             surf.reset_line_tracking()
 
@@ -454,13 +474,20 @@ class Device:
         (:func:`choose_tier`) follows ``validate``, default from
         :func:`repro.sanitize.default_validate` / ``REPRO_SANITIZE``:
 
-        - ``"first"`` — a kernel's first launch runs sequentially with
-          the race detector and uninitialized-GRF tracker attached; the
-          cached :class:`~repro.sanitize.race.RaceVerdict` then admits
-          (``race_free``) or permanently refuses (conflicts found)
-          vector dispatch for later launches;
+        - ``"first"`` — a kernel's first launch runs on the JIT tier
+          with a race recorder fed by its vectorized SENDs (results and
+          timing bit-identical to sequential dispatch).  A race-free
+          :class:`~repro.sanitize.race.RaceVerdict` is cached and
+          admits vector dispatch for later launches.  A racy one (or
+          any error) restores the bound surfaces and re-runs the
+          launch sequentially with the race detector and
+          uninitialized-GRF tracker attached, whose verdict then
+          permanently refuses vector dispatch.  A program with a
+          ``BARRIER`` takes that sanitized-sequential first launch
+          directly;
         - ``"always"`` — every launch runs sanitized-sequential (also
-          under ``tier="sequential"``);
+          under ``tier="sequential"``), uninitialized-GRF tracking
+          included;
         - ``"off"`` — trust the caller; eligible programs go vector
           unchecked.
 
@@ -474,14 +501,14 @@ class Device:
         this launch and reused, so a serving batch of same-program
         requests shares one executor; otherwise a fresh one is built.
         """
-        from repro.compiler.finalizer import SCRATCH_BTI
-        from repro.isa.jit import (
-            JitError, JitTracingExecutor, ineligible_reason,
-        )
-        from repro.isa.wide import WideScratch
+        from repro.isa.jit import JitError
 
         kname = name or kernel.name
-        self.begin_enqueue()
+        surfaces = list(surfaces)
+        # A compiled kernel reaches only the surfaces it binds (an
+        # aged device holds many more), so only they go cold.
+        for surf in surfaces:
+            surf.reset_line_tracking()
         if validate is not None:
             mode = validate
         elif sanitize_mod.current_session() is not None:
@@ -497,10 +524,11 @@ class Device:
             # from a peer shard that already sanitized this kernel).
             verdict = self._adopted_verdicts.get(kname)
             adopted = verdict is not None
-        ineligible = ineligible_reason(kernel.program)
-        gate, runs = choose_tier(tier, mode, ineligible, verdict)
+        ineligible, has_barrier = kernel.gate_facts()
+        gate, runs = choose_tier(tier, mode, ineligible, verdict,
+                                 vector_gate=not has_barrier)
         jitk = None
-        if runs == "vector":
+        if runs in ("vector", "checked"):
             try:
                 jitk = self._jit_for(kernel, kname)
             except JitError as exc:  # a codegen corner case: run scalar
@@ -525,18 +553,77 @@ class Device:
         with trace_span("sanitize_gate", **gate_attrs):
             pass
 
-        table = dict(enumerate(surfaces))
-        san = oob_base = None
-        if runs == "sanitized":
-            race = sanitize_mod.RaceDetector()
-            race.attach(table.values())
-            san = sanitize_mod.ExecSanitizer(
-                race=race, uninit=sanitize_mod.UninitTracker())
-            oob_base = [(s, s.oob_clipped_lanes) for s in table.values()]
+        launch = _Launch(kernel, kname, grid, surfaces, scalars, executor,
+                         max(1, max_live_threads))
+        out = self._checked_launch(launch, jitk) if runs == "checked" \
+            else None
+        if out is None:  # not checked, or rolled back: dispatch as before
+            san = None
+            if runs in ("checked", "sanitized"):
+                oob_base = [(s, s.oob_clipped_lanes) for s in surfaces]
+                san = sanitize_mod.ExecSanitizer(
+                    race=sanitize_mod.RaceDetector().attach(surfaces),
+                    uninit=sanitize_mod.UninitTracker())
+            out = self._dispatch(launch, runs == "vector", jitk, san)
+            if san is not None:
+                self._finish_sanitized(kernel, kname, san.race.finish(),
+                                       oob_base, san.uninit)
+        timing, bacc, path = out
+        total, step = timing.num_threads, launch.step
+        self.profile.threads_run += total
+        self.profile.chunks_dispatched += -(-total // step)
+        self.profile.note_live_traces(min(step, total))
+        self.profile.count_launch(path)
+        self._collect_oob(surfaces)
+        return self._record(timing, kname, bacc, path=path)
 
+    def _checked_launch(self, launch: _Launch, jitk):
+        """The ``validate="first"`` gate on the JIT tier.
+
+        Runs the launch vectorized with a race recorder fed by every
+        SEND.  A race-free verdict is cached and the launch's result
+        kept (bit-identical to sequential dispatch).  Otherwise — a
+        racy verdict, or any error — the bound surfaces' bytes and OOB
+        counters are restored and ``None`` is returned, so the caller
+        re-runs the launch sanitized-sequential, which supplies the
+        verdict, its conflicts and the result exactly as before.
+        """
+        snap = [(s, s.bytes.copy(), s.oob_clipped_lanes, len(s.oob_events))
+                for s in launch.surfaces]
+        race = sanitize_mod.RaceDetector().attach(launch.surfaces, hook=False)
+        try:
+            out = self._dispatch(launch, True, jitk, race=race)
+            verdict = race.finish()
+        except Exception:  # the sequential re-run raises it in order
+            verdict = None
+        if verdict is not None and verdict.race_free:
+            self._finish_sanitized(launch.kernel, launch.name, verdict,
+                                   [(s, lanes) for s, _, lanes, _ in snap])
+            return out
+        for surf, data, lanes, events in snap:
+            surf.bytes[:] = data
+            surf.oob_clipped_lanes = lanes
+            del surf.oob_events[events:]
+            surf.reset_line_tracking()
+        return None
+
+    def _dispatch(self, launch: _Launch, vector: bool, jitk, san=None,
+                  race=None):
+        """Run every chunk of one launch; returns ``(KernelTiming,
+        breakdown accumulator or None, tier path)``.
+
+        ``vector`` picks the JIT tier (``race`` then records its
+        accesses), else the sequential one (``san`` its hooks).
+        """
+        from repro.compiler.finalizer import SCRATCH_BTI
+        from repro.isa.jit import JitTracingExecutor
+        from repro.isa.wide import WideScratch
+
+        kernel, kname, grid, surfaces, scalars, executor, step = launch
+        table = dict(enumerate(surfaces))
         scratch_bytes = kernel.allocation.scratch_bytes
         scratch = None
-        if runs == "vector":
+        if vector:
             path, cls = "jit", JitTracingExecutor
             if scratch_bytes:
                 scratch = WideScratch(0, scratch_bytes)
@@ -551,9 +638,8 @@ class Device:
         ex = executor if type(executor) is cls else cls()
         ex.rebind(table)
         ex.bind_plans(kernel.plan_table())
-        if jitk is not None:
+        if vector:
             ex.bind_jit(jitk)
-        ex.san = san
 
         # Scalar parameters optimized away have no GRF slot.
         bases = []
@@ -565,53 +651,53 @@ class Device:
         grf_bytes = kernel.allocation.max_grf_bytes
         thread_ids = list(self._grid_ids(grid))
         total = len(thread_ids)
-        step = max(1, max_live_threads)
+        if race is not None:
+            race.add_threads(thread_ids)
         acc = TimingAccumulator(self.machine)
         bacc = (BreakdownAccumulator(self.machine)
                 if self.obs.breakdowns else None)
         # JIT chunks fold timing without fanning the template out into
         # per-thread traces (the breakdown profiler still needs traces).
-        fold = path == "jit" and bacc is None
-        with trace_span("dispatch", kernel=kname, path=path,
-                        grid=tuple(grid), threads=total):
-            for chunk_idx, start in enumerate(range(0, total, step)):
-                ids = thread_ids[start:start + step]
-                count = len(ids)
-                cols = _scalar_columns(scalars, bases, ids)
-                with trace_span(f"dispatch:{path}", kernel=kname,
-                                grid=tuple(grid), chunk=chunk_idx,
-                                threads=count):
-                    if path == "sequential":
-                        traces = self._run_threads(ex, program, ids, cols,
-                                                   scratch, san)
-                    else:
-                        ex.reset(count)
-                        if scratch is not None:
-                            scratch.resize(count)
-                        ex.begin_launch(self.machine)
-                        for base, col in cols:
-                            ex.seed_scalar(base, col)
-                        ex.run(program)
-                        traces = None if fold else ex.drain_traces()
-                with trace_span("chunk", kernel=kname, threads=count):
-                    self.profile.chunks_dispatched += 1
-                    if traces is None:
-                        ex.fold_chunk(acc, grf_bytes)
-                    else:
-                        for tr in traces:
-                            tr.note_grf(grf_bytes)
-                        acc.extend(traces)
-                        if bacc is not None:
-                            bacc.extend(traces)
-        self.profile.threads_run += total
-        self.profile.note_live_traces(min(step, total))
-        self.profile.count_launch(path)
-
-        if san is not None:
-            ex.san = None
-            self._finish_sanitized(kernel, kname, san, oob_base)
-        self._collect_oob(table.values())
-        return self._record(acc.finalize(), kname, bacc, path=path)
+        fold = vector and bacc is None
+        ex.san, ex.race = san, race
+        try:
+            with trace_span("dispatch", kernel=kname, path=path,
+                            grid=tuple(grid), threads=total):
+                for chunk_idx, start in enumerate(range(0, total, step)):
+                    ids = thread_ids[start:start + step]
+                    count = len(ids)
+                    cols = _scalar_columns(scalars, bases, ids)
+                    with trace_span(f"dispatch:{path}", kernel=kname,
+                                    grid=tuple(grid), chunk=chunk_idx,
+                                    threads=count):
+                        if not vector:
+                            traces = self._run_threads(ex, program, ids, cols,
+                                                       scratch, san)
+                        else:
+                            if race is not None:
+                                race.row_base = start
+                            ex.reset(count)
+                            if scratch is not None:
+                                scratch.resize(count)
+                            ex.begin_launch(self.machine)
+                            for base, col in cols:
+                                ex.seed_scalar(base, col)
+                            ex.run(program)
+                            traces = None if fold else ex.drain_traces()
+                    with trace_span("chunk", kernel=kname, threads=count):
+                        if traces is None:
+                            ex.fold_chunk(acc, grf_bytes)
+                        else:
+                            for tr in traces:
+                                tr.note_grf(grf_bytes)
+                            acc.extend(traces)
+                            if bacc is not None:
+                                bacc.extend(traces)
+        finally:
+            # a pooled executor must never carry a checker into the
+            # next (serving) launch
+            ex.san = ex.race = None
+        return acc.finalize(), bacc, path
 
     def _run_threads(self, ex, program, ids, cols, scratch, san) -> list:
         """Run one chunk of threads one at a time; return their traces."""
@@ -632,9 +718,9 @@ class Device:
             traces.append(trace)
         return traces
 
-    def _finish_sanitized(self, kernel, kname: str, san, oob_base) -> None:
-        """Fold a sanitized-sequential launch into verdicts and reports."""
-        verdict = san.race.finish()
+    def _finish_sanitized(self, kernel, kname: str, verdict, oob_base,
+                          uninit=None) -> None:
+        """Fold a race-checked launch into verdicts and reports."""
         self._race_verdicts[id(kernel)] = (kernel, verdict)
         self._fresh_verdicts.append((kname, verdict))
         oob: Dict[str, int] = {}
@@ -644,9 +730,10 @@ class Device:
                 label = getattr(surf, "obs_label", "surface")
                 oob[label] = oob.get(label, 0) + delta
         result = sanitize_mod.KernelSanitizeResult(
-            kernel=kname, verdict=verdict,
-            uninit=list(san.uninit.findings),
-            uninit_total=san.uninit.total, oob_lanes=oob)
+            kernel=kname, verdict=verdict, oob_lanes=oob)
+        if uninit is not None:
+            result.uninit = list(uninit.findings)
+            result.uninit_total = uninit.total
         self.sanitizer_results.append(result)
         if self.obs.enabled:
             reg = self.obs.registry

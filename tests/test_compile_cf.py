@@ -149,7 +149,7 @@ class TestSanitizedCF:
         res = dev.sanitizer_results[0]
         assert res.verdict.race_free
         assert res.uninit_total == 0
-        assert r1.path == "sequential" and r2.path == "jit"
+        assert r1.path == "jit" and r2.path == "jit"  # race-checked first
         assert np.array_equal(out1, _oracle(data))
         assert np.array_equal(out2, out1)
         # sanitizing is an observability mode, never a timing change

@@ -57,7 +57,8 @@ def _expected():
     table["auto", "off", False] = INELIGIBLE
     table["auto", "first", False] = INELIGIBLE
     table["auto", "first", True] = {
-        "none": SANITIZED,
+        # a first launch is race-checked on the JIT tier
+        "none": ("sanitized", "checked"),
         "race_free": ("admitted", "vector"),
         "racy": ("refused", "sequential"),
         "adopted_race_free": ("admitted", "vector"),
@@ -205,3 +206,75 @@ def test_every_tier_chunks_by_max_live_threads(tier):
     assert dev.profile.threads_run == 12
     whole = _saxpy(Device(), "sequential", validate="off")
     assert _timing_equal(run.timing, whole.timing)
+
+
+# -- the validate="first" gate on the JIT tier ---------------------------------
+
+def test_barrier_program_keeps_the_sequential_gate():
+    # epochs only the sequential tier tracks: no JIT-tier check
+    assert choose_tier("auto", "first", None, None, vector_gate=False) == \
+        SANITIZED
+
+
+def test_first_launch_of_a_barrier_program_runs_sanitized_sequential():
+    from repro.isa.instructions import Instruction, Opcode
+
+    dev = Device()
+    kern = dev.compile(_saxpy_body, "tsaxpy", _SAXPY_SIG, ["tid"])
+    kern.program.append(Instruction(Opcode.BARRIER, 1, None, []))
+    kern.release_derived()
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(4 * _VEC).astype(np.float32)
+    bufs = [dev.buffer(x.copy()), dev.buffer(x.copy())]
+    runs = [dev.run_compiled(kern, (4,), bufs,
+                             scalars=lambda t: {"tid": t[0]},
+                             validate="first").path for _ in range(2)]
+    assert runs == ["sequential", "jit"]
+    (result,) = dev.sanitizer_results
+    assert result.verdict.race_free and result.verdict.epochs > 1
+
+
+def test_control_flow_eligibility_is_analyzed_once_per_kernel(monkeypatch):
+    import repro.isa.cfg as cfg_mod
+
+    calls = []
+    real = cfg_mod.analyze_cf
+
+    def counting(program):
+        calls.append(len(program))
+        return real(program)
+
+    monkeypatch.setattr(cfg_mod, "analyze_cf", counting)
+    monkeypatch.setattr(jit_mod, "analyze_cf", counting)
+    dev = Device()
+    kern = dev.compile(_clamp_body, "tclamp",
+                       [("src", False), ("dst", False)], ["tid"])
+    data = np.arange(-32, 32, dtype=np.int32)
+    for _ in range(5):
+        dev.run_compiled(kern, (4,), [dev.buffer(data.copy()),
+                                      dev.buffer(np.zeros_like(data))],
+                         scalars=lambda t: {"tid": t[0]}, validate="first")
+    assert calls == [len(kern.program)]
+    assert dev.profile.tier_launches == {"jit": 5}
+
+
+def test_compiled_launch_resets_line_tracking_on_bound_surfaces_only(
+        monkeypatch):
+    from repro.memory.surfaces import Surface
+
+    resets = []
+    real = Surface.reset_line_tracking
+
+    def counting(surf):
+        resets.append(surf)
+        real(surf)
+
+    aged = Device()
+    for _ in range(50):  # surfaces of earlier, finished requests
+        aged.buffer(np.zeros(64, dtype=np.uint8))
+    monkeypatch.setattr(Surface, "reset_line_tracking", counting)
+    run = _saxpy(aged, "auto", validate="off")
+    assert len(resets) == 2        # xbuf and ybuf, not the 50 others
+    monkeypatch.undo()
+    fresh = _saxpy(Device(), "auto", validate="off")
+    assert _timing_equal(run.timing, fresh.timing)

@@ -87,9 +87,10 @@ class TestRequestTrace:
         assert req.trace_id is None and req.trace is None
 
     def test_tree_spans_all_tiers_through_a_coalesced_batch(self):
-        """One batch, three same-kernel requests: the sanitized head
-        runs sequential, the certified followers take the jit tier —
-        and each request still gets its own complete causal tree."""
+        """One batch, three same-kernel requests: the head is
+        race-checked on the jit tier, the certified followers take it
+        too — and each request still gets its own complete causal
+        tree."""
         cluster = ServeCluster(num_devices=1, batching=True, max_batch=8,
                                validate="first")
         reqs = [_submit_direct(cluster, "saxpy", {"n": 64, "seed": 9})
@@ -97,7 +98,7 @@ class TestRequestTrace:
         batches = _run_direct(cluster, reqs)
         assert len(batches) == 1 and batches[0].size == 3
 
-        assert [r.tier for r in reqs] == ["sequential", "jit", "jit"]
+        assert [r.tier for r in reqs] == ["jit", "jit", "jit"]
         for pos, req in enumerate(reqs):
             tree = cluster.recorder.get(req.trace_id)
             assert tree is req.trace
@@ -312,8 +313,8 @@ class TestClusterAutoDump:
                 for _ in range(3)]
         _run_direct(cluster, reqs)
         report = cluster.report()
-        assert report["tiers"].get("sequential") == 1
-        assert report["tiers"].get("jit") == 2
+        assert report["tiers"].get("sequential") is None
+        assert report["tiers"].get("jit") == 3  # race-checked head too
         assert report["recorder"]["recorded"] == 3
 
 

@@ -318,8 +318,9 @@ class TestWideGating:
             _launch(dev, kern, [xb, yb], validate="first")
             return dev
         events, dev = _trace(go)
-        # second launch takes the top auto tier (JIT) once certified
-        assert _dispatch_paths(events) == ["sequential", "jit"]
+        # the first launch is race-checked on the JIT tier itself; the
+        # second takes it as a certified kernel
+        assert _dispatch_paths(events) == ["jit", "jit"]
         assert len(dev.sanitizer_results) == 1
         assert dev.sanitizer_results[0].verdict.race_free
         assert dev.sanitizer_results[0].clean
@@ -333,7 +334,11 @@ class TestWideGating:
                 _launch(dev, kern, [out], n_threads=8, validate="first")
             return dev
         events, dev = _trace(go)
-        assert _dispatch_paths(events) == ["sequential"] * 3
+        # the JIT-tier check of the first launch is rolled back and the
+        # launch re-run sanitized-sequential; later launches are refused
+        assert _dispatch_paths(events) == ["jit"] + ["sequential"] * 3
+        assert [r.path for r in dev.runs] == ["sequential"] * 3
+        assert len(dev.sanitizer_results) == 1
         v = dev.sanitizer_results[0].verdict
         assert not v.race_free
         kinds = {c.kind for c in v.conflicts}
@@ -452,6 +457,73 @@ class TestDeviceOOBMetrics:
         _launch(dev, kern, [img], n_threads=2, validate="always")
         (result,) = dev.sanitizer_results
         assert result.oob_lanes.get(img.obs_label, 0) > 0
+
+
+# -- the validate="first" gate on the JIT tier ---------------------------------
+
+def _racy_clip_body(cmx, img, tid):
+    # every thread increments the same edge-clipped block: write-write
+    # and read-write races plus OOB lanes, and a result that depends on
+    # thread order (sequential adds once per thread)
+    m = cmx.matrix(np.uint8, 4, 8)
+    cmx.read(img, 12, 0, m)
+    out = cmx.matrix(np.uint8, 4, 8)
+    out.assign(m + np.uint8(1))
+    cmx.write(img, 12, 0, out)
+
+
+class TestJitGate:
+    def _first_vs_always(self, body, n_threads):
+        """The same launch on two fresh devices, ``validate="first"``
+        (race-checked on the JIT tier) and ``"always"`` (today's
+        sanitized-sequential run)."""
+        data = np.random.default_rng(11).integers(
+            0, 255, (8, 16), dtype=np.uint8)
+        out = {}
+        for mode in ("first", "always"):
+            dev = Device()
+            img = dev.image2d(data.copy())
+            kern = dev.compile(body, "gate", [("img", True)], ["tid"])
+            run = _launch(dev, kern, [img], n_threads=n_threads,
+                          validate=mode)
+            out[mode] = (dev, img.bytes.copy(), run)
+        return out["first"], out["always"]
+
+    def test_racy_first_launch_is_rolled_back_to_sequential(self):
+        (dev, got, run), (ref, want, ref_run) = \
+            self._first_vs_always(_racy_clip_body, 4)
+        assert run.path == "sequential"
+        assert np.array_equal(got, want)
+        assert dev.oob_lanes == ref.oob_lanes and dev.oob_lanes
+        (result,), (expect,) = dev.sanitizer_results, ref.sanitizer_results
+        assert result.to_dict() == expect.to_dict()
+        assert {c.kind for c in result.verdict.conflicts} >= \
+            {"write-write", "read-write"}
+        assert _timing_equal(run.timing, ref_run.timing)
+
+    def test_race_free_first_launch_keeps_the_jit_result(self):
+        (dev, got, run), (ref, want, ref_run) = \
+            self._first_vs_always(_clipped_read_body, 2)
+        assert run.path == "jit"
+        assert np.array_equal(got, want)
+        assert dev.oob_lanes == ref.oob_lanes and dev.oob_lanes
+        (result,), (expect,) = dev.sanitizer_results, ref.sanitizer_results
+        assert result.verdict.race_free and expect.verdict.race_free
+        assert result.oob_lanes == expect.oob_lanes
+        assert _timing_equal(run.timing, ref_run.timing)
+
+    def test_pooled_executor_has_no_recorder_after_the_gate(self):
+        from repro.isa.jit import JitTracingExecutor
+
+        dev = Device()
+        xb, yb, _, _ = _saxpy_surfaces(dev)
+        kern = _compile_saxpy(dev)
+        pooled = JitTracingExecutor()
+        run = _launch(dev, kern, [xb, yb], validate="first",
+                      executor=pooled)
+        assert run.path == "jit" and pooled.num_threads == 16
+        assert pooled.race is None and pooled.san is None
+        assert dev.sanitizer_results[0].verdict.race_free
 
 
 # -- sessions: eager CM and OCL paths -----------------------------------------

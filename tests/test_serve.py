@@ -241,9 +241,10 @@ class TestClusterExecution:
         worker._execute(batches[0])
         assert all(r.status is RequestStatus.DONE for r in reqs), \
             [r.error for r in reqs]
-        # first launch sanitized-sequential, then the certified JIT tier
-        assert [r.tier for r in reqs] == ["sequential", "jit", "jit"]
-        assert len(used) == 2 and used[0] is used[1]
+        # first launch race-checked on the JIT tier, then certified
+        assert [r.tier for r in reqs] == ["jit", "jit", "jit"]
+        assert len(used) == 3 and used[0] is used[1] is used[2]
+        assert used[0].race is None  # the recorder left with its launch
         assert worker.device.profile.jit_compiles == 1
 
     def test_eager_fig5_request_served(self):

@@ -5,11 +5,12 @@ module-level state: the memoized kernel-body factories (whose identity
 keys every device's kernel cache), the frontend tracer, the sim thread
 context, and the sanitizer and observability globals.  Each thread here
 owns its own :class:`Device` and compiles and launches every compiled
-and tuned serve workload twice under ``validate="first"`` — a
-sanitized-sequential first launch, then the JIT tier the verdict
+and tuned serve workload twice under ``validate="first"`` — a first
+launch race-checked on the JIT tier, then the JIT tier the verdict
 admits.  The eager ``fig5.*`` workloads (whose specs are built on first
 use) run the same way.  Results, tiers and every simulated-timing field
-must equal a single-threaded run.
+must equal a single-threaded run.  A sanitizer session is local to
+the thread that opened it.
 """
 
 import dataclasses
@@ -130,7 +131,8 @@ def test_workloads_cover_compiled_and_tuned_kinds():
 
 def test_concurrent_devices_match_a_single_threaded_run():
     expect = _run_all()
-    assert {path for _, path, _ in expect[1]} >= {"sequential", "jit"}
+    # first launches are race-checked on the JIT tier too
+    assert {path for _, path, _ in expect[1]} >= {"jit"}
     for got in _in_threads(N_THREADS, lambda i: _run_all()):
         assert got == expect
 
@@ -149,3 +151,48 @@ def test_concurrent_eager_fig5_workloads_match_a_single_threaded_run():
             key: _fig5(key) for key in keys[i::N_THREADS]}):
         got.update(part)
     assert got == expect
+
+
+def test_session_is_local_to_its_thread():
+    """A ``sanitize.session()`` opened in thread A neither sanitizes
+    thread B's launches nor loses its own in-flight verdict to them."""
+    import repro.sanitize as sanitize
+    from repro import cm
+
+    a_mid, b_done = threading.Event(), threading.Event()
+    seen = {}
+
+    def job(i):
+        dev = Device()
+        if i == 0:  # thread A: a session around a 4-thread eager kernel
+            buf = dev.buffer(np.zeros(4 * 16, dtype=np.float32))
+
+            @cm.cm_kernel
+            def kern():
+                tid = cm.thread_x()
+                if tid == 0:  # hold the kernel open while B launches
+                    a_mid.set()
+                    assert b_done.wait(60)
+                cm.write(buf, tid * 64, cm.vector(cm.float32, 16, 1.0))
+
+            with sanitize.session() as sess:
+                dev.run_cm(kern, grid=(4,), name="a_kernel")
+            return sess.report.results
+        assert a_mid.wait(60)  # thread B, while A's kernel is running
+        try:
+            seen["session"] = sanitize.current_session()
+            dev.run_cm(lambda: None, grid=(2,), name="b_eager")
+            launch = get_workload("saxpy").make({"seed": 3})
+            surfaces, scalars = launch.bind(dev)
+            kern = dev.compile(launch.body, launch.name, launch.sig,
+                               launch.scalar_params)
+            dev.run_compiled(kern, launch.grid, surfaces, scalars=scalars,
+                             name=launch.name)
+        finally:
+            b_done.set()
+
+    results, _ = _in_threads(2, job)
+    assert seen["session"] is None
+    (result,) = results
+    assert result.kernel == "a_kernel"
+    assert result.verdict.race_free and result.verdict.threads == 4
