@@ -4,8 +4,8 @@ Sequential dispatch pays one Python interpreter step per instruction
 per thread.  Given a compiled program, :class:`JitKernel` instead
 *generates Python source* for one function — the **megakernel** — that
 executes the whole program for a chunk of T threads at once, on the
-stacked ``(T, 4096)`` register file of :class:`~repro.isa.wide.
-WideExecutor`, with zero interpreter dispatch:
+stacked ``(T, 4096)`` register file of :class:`JitTracingExecutor`,
+with zero interpreter dispatch:
 
 - every region operand is pre-resolved to a baked slice (contiguous /
   scalar regions become zero-copy ``grf2d[:, a:b].view(dtype)`` views
@@ -32,19 +32,25 @@ of a scheduler that always runs the minimum per-thread PC, so memory
 effects and atomics keep thread order.  Inside a loop every write and
 SEND is masked to the loop's rows as well as to the active lanes.
 
-Timing never needs an interpreter either.  For a program without loops
-every issue-timeline quantity is thread-invariant (IF/ELSE/ENDIF skip
-no instruction), so a static **template trace** is built once per
-(program, machine) by replaying the exact accounting sequence of
-:class:`~repro.sim.batch.TracingExecutor`, and
-:meth:`JitTracingExecutor.run` installs its totals and event prototypes
-before the megakernel runs; the SEND closures add only the per-thread
-cache-line counts.  Loop trip counts make each thread's instruction
-stream depend on its data, so a program with loops calls the per-row
-accounting helpers of :class:`~repro.isa.wide.WideExecutor` after every
-instruction, for exactly the rows that issue it, in issue order.
-Either way the per-thread traces are bit-identical to the sequential
-path's.
+Timing never needs an interpreter either.  SIMD control flow changes
+only the active masks: every thread steps through every instruction
+of a structured region, and only loop trip counts give a thread its
+own instruction stream.  Code generation therefore cuts the program
+into static **blocks** and the megakernel charges each block's issue
+cost (instructions, issue cycles, barriers) once, to the ``(T,)``
+accumulators of the rows that run it.  A block ends where the row set
+changes (DO/WHILE), at a SEND (which stamps its issue position), and
+before an ALU instruction whose sources may hold a pending SEND payload
+(a may-pending dataflow over the structured program, loop back edges
+included, finds those at codegen, and only there does the megakernel
+retire payloads).  A loop-free program is the case where the rows are
+always all T threads.  :class:`JitTracingExecutor` holds the stacked
+state, the vectorized SENDs and the ``(T,)`` timing accumulators the
+megakernel runs against.  Costs depend on the machine, so
+:meth:`JitKernel.block_costs` sums them lazily per machine, and
+declines (:class:`JitError`) a machine whose costs do not sum exactly
+in any grouping.  The per-thread traces are bit-identical to the
+sequential path's.
 
 Plan state is shared through the program-scoped
 :class:`~repro.isa.plans.PlanTable` and the compiled function caches on
@@ -55,28 +61,31 @@ JIT artifacts live exactly as long as their program does in the
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from repro.isa.cfg import CFError, analyze_cf
-from repro.isa.dtypes import DType, convert, promote, signed, unsigned
+from repro.isa.dtypes import UD, DType, convert, promote, signed, unsigned
 from repro.isa.executor import (
-    CF_STEP_LIMIT, ExecutionError, FunctionalExecutor, _emask_off,
+    CF_STEP_LIMIT, ExecutionError, FunctionalExecutor, _contiguous_region,
+    _emask_off,
 )
 from repro.isa.grf import GRF_SIZE_BYTES, RegOperand
 from repro.isa.instructions import (
-    CF_OPCODES, CondMod, Instruction, MathFn, MsgKind, Opcode,
+    CF_OPCODES, CondMod, Immediate, Instruction, MathFn, MsgKind, Opcode,
 )
 from repro.isa.msg_geometry import (
     media_block_messages, oword_block_messages, scatter_messages,
 )
 from repro.isa.plans import PlanTable
-from repro.isa.wide import _WIDE_MSG_KINDS, _WideEvent, WideExecutor
+from repro.isa.wide import (
+    _ACCESS_KIND, _MEM_KIND, _WIDE_MSG_KINDS, WideScratch, _fold_event,
+    _SendEvent, _wide_atomic,
+)
 from repro.obs.tracing import trace_span
 from repro.sim.batch import CF_COSTS, _alu_cost
-from repro.sim.trace import MemKind, ThreadTrace
+from repro.sim.trace import MemEvent, ThreadTrace
 
 __all__ = [
     "JitError", "JitKernel", "JitTracingExecutor", "get_jit",
@@ -151,12 +160,15 @@ def _bind(env: dict, prefix: str, value) -> str:
 
     Identical objects share one name (dtype singletons, interned
     ``np.dtype`` instances), which keeps the generated source readable.
+    The ``id`` side table makes each lookup O(1); every interned value
+    stays alive in ``env`` for the whole codegen, so no id is reused.
     """
-    for k, v in env.items():
-        if v is value and k.startswith(prefix):
-            return k
-    name = f"{prefix}{len(env)}"
-    env[name] = value
+    names = env["_ids"]
+    key = (prefix, id(value))
+    name = names.get(key)
+    if name is None:
+        name = names[key] = f"{prefix}{len(env)}"
+        env[name] = value
     return name
 
 
@@ -459,17 +471,15 @@ def _emit_cf(out: list, env: dict, inst: Instruction, i: int, cf,
     d = cf.depth_at[i]
     sel = f"rw{level}" if level else ":"
     rows = f"rw{level}"
-    # per-row timing only with loops (see _codegen)
-    acct = [f"acf(_I{i}, {rows})"] if cf.body_of else []
     if op is Opcode.SIMD_IF:
         out += [f"_c = {_cf_cond(env, inst, sel)}",
                 f"rs[{sel}, {d}] = a[{sel}]",
                 f"pd[{sel}, {d}] = a[{sel}] & ~_c",
-                f"a[{sel}] = _c", *acct]
+                f"a[{sel}] = _c"]
     elif op is Opcode.SIMD_ELSE:
-        out += [f"a[{sel}] = pd[{sel}, {d - 1}]", *acct]
+        out.append(f"a[{sel}] = pd[{sel}, {d - 1}]")
     elif op is Opcode.SIMD_ENDIF:
-        out += [f"a[{sel}] = rs[{sel}, {d - 1}]", *acct]
+        out.append(f"a[{sel}] = rs[{sel}, {d - 1}]")
     elif op is Opcode.SIMD_BREAK:
         # Broken lanes leave every IF frame up to the innermost loop
         # too, so they cannot resurrect at an ELSE/ENDIF.
@@ -478,10 +488,9 @@ def _emit_cf(out: list, env: dict, inst: Instruction, i: int, cf,
         for lvl in cf.break_clear[i]:
             out += [f"rs[{sel}, {lvl}] = rs[{sel}, {lvl}] & ~_c",
                     f"pd[{sel}, {lvl}] = pd[{sel}, {lvl}] & ~_c"]
-        out += acct
     elif op is Opcode.SIMD_DO:
         inner = level + 1
-        out += [f"rs[{sel}, {d}] = a[{sel}]", *acct,
+        out += [f"rs[{sel}, {d}] = a[{sel}]",
                 f"rw{inner} = {rows}",
                 "while True:",
                 f"    rm{inner} = np.zeros((_T, 1), dtype=bool)",
@@ -489,7 +498,7 @@ def _emit_cf(out: list, env: dict, inst: Instruction, i: int, cf,
                 "    " + _sync_rows(inner)]
         return inner
     else:  # SIMD_WHILE: threads with no live lane leave the loop
-        out += [f"_c = {_cf_cond(env, inst, sel)}", *acct,
+        out += [f"_c = {_cf_cond(env, inst, sel)}",
                 "_ag = _c.any(axis=1)",
                 f"_xr = {rows}[~_ag]",
                 f"a[_xr] = rs[_xr, {d - 1}]",
@@ -505,19 +514,229 @@ def _emit_cf(out: list, env: dict, inst: Instruction, i: int, cf,
     return level
 
 
-def _codegen(program, pb: FunctionalExecutor, env: dict, cf):
-    """Generate megakernel source; returns (source, send count).
+# -- static timing: pending payloads and block costs --------------------------
 
-    The generated ``_mega(ex)`` returns the number of instructions it
-    issued (re-executed loop bodies included).  Only loops make issue
-    timelines per-thread (IF/ELSE/ENDIF skip nothing), so only a program
-    with loops calls the per-row accounting helpers; every other one is
-    timed by its static template.
+
+#: Opcodes that are not ALU instructions: only ALU/CMP sources retire
+#: pending payloads, and only SENDs leave them.
+_NON_ALU = CF_OPCODES | {Opcode.SEND, Opcode.BARRIER, Opcode.NOP}
+
+#: Most pending maps the load-use analysis carries into a loop before
+#: it falls back to a coarser answer (see :func:`_consume_points`).
+_MAX_PENDING_MAPS = 64
+
+
+def _payload_regs(inst: Instruction) -> tuple:
+    """The GRF registers a SEND leaves pending until their first use:
+    its read payload, or an atomic's returned old values."""
+    msg = inst.msg
+    kind = msg.kind
+    if kind is MsgKind.MEDIA_BLOCK_READ:
+        first, nbytes = msg.payload_reg, msg.block_width * msg.block_height
+    elif kind is MsgKind.OWORD_BLOCK_READ:
+        first, nbytes = msg.payload_reg, msg.payload_bytes
+    elif kind is MsgKind.GATHER:
+        first = msg.payload_reg
+        nbytes = inst.exec_size * msg.elem_dtype.size
+    elif kind is MsgKind.ATOMIC and inst.dst is not None:
+        first = inst.dst.byte_offset // GRF_SIZE_BYTES
+        nbytes = inst.exec_size * msg.elem_dtype.size
+    else:
+        return ()
+    return tuple(range(first, first + -(-nbytes // GRF_SIZE_BYTES)))
+
+
+def _source_regs(pb: FunctionalExecutor, inst: Instruction) -> frozenset:
+    """The GRF registers an instruction's register sources read."""
+    regs: set = set()
+    for s in inst.srcs:
+        if isinstance(s, RegOperand):
+            idx = pb._src_plan(s, inst.exec_size)
+            regs.update((idx // GRF_SIZE_BYTES).reshape(-1).tolist())
+    return frozenset(regs)
+
+
+def _reads(pending: frozenset, regs: frozenset) -> dict:
+    """Pending SEND site -> the lowest of ``regs`` that awaits it."""
+    out: dict = {}
+    for r, s in sorted(pending):
+        if r in regs:
+            out.setdefault(s, r)
+    return out
+
+
+def _consume_points(program, pb: FunctionalExecutor, cf) -> dict:
+    """ALU index -> (registers to look up per row, SEND sites to stamp).
+
+    The sequential tracer maps each register to the SEND whose payload
+    it still awaits, and an ALU instruction reading one retires that
+    SEND's whole payload.  Keyed by SEND *site* the map is exact: a
+    SEND re-registers all its registers, so every register naming a
+    site names its latest instance.  The analysis tracks the set of
+    site-level maps that can reach each point.  Every thread takes the
+    same path through IF/ELSE and only loop trip counts differ, so a
+    loop body is re-walked until the set entering it stops growing (the
+    back edge).
+
+    A SEND outside every loop issues one record for all rows.  When an
+    ALU outside every loop reads such a site's payload on every path,
+    the megakernel stamps that record directly; any other pending site
+    is found per row through one source register that names it.  Past
+    :data:`_MAX_PENDING_MAPS` maps the analysis looks up every source
+    register some SEND loads.
     """
-    per_row = bool(cf.body_of)
-    lines = ["def _mega(ex):",
+    loads = {i: _payload_regs(inst) for i, inst in enumerate(program)
+             if inst.opcode is Opcode.SEND}
+    if not any(loads.values()):
+        return {}
+    do_while = {d - 1: w for w, d in cf.body_of.items()}
+    memo: dict = {}
+    points: dict = {}
+    outside = set()  # SEND sites outside every loop
+
+    def sources(i: int) -> frozenset:
+        regs = memo.get(i)
+        if regs is None:
+            regs = memo[i] = _source_regs(pb, program[i])
+        return regs
+
+    def walk(lo: int, hi: int, maps: set, loop: int) -> set:
+        i = lo
+        while i < hi:
+            op = program[i].opcode
+            if op is Opcode.SIMD_DO:
+                w, entry = do_while[i], maps
+                while True:
+                    maps = walk(i + 1, w + 1, entry, loop + 1)
+                    if maps <= entry:
+                        break
+                    entry = entry | maps
+                    if len(entry) > _MAX_PENDING_MAPS:
+                        raise OverflowError
+                i = w + 1
+                continue
+            if op is Opcode.SEND and loads[i]:
+                if not loop:
+                    outside.add(i)
+                regs = loads[i]
+                maps = {frozenset([p for p in m if p[0] not in regs]
+                                  + [(r, i) for r in regs]) for m in maps}
+            elif op not in _NON_ALU:
+                regs = sources(i)
+                reads = {m: _reads(m, regs) for m in maps}
+                if any(reads.values()):
+                    look, stamp = points.setdefault(i, (set(), set()))
+                    for read in reads.values():
+                        for s, r in read.items():
+                            if not loop and s in outside and all(
+                                    s in other for other in reads.values()):
+                                stamp.add(s)  # read on every path
+                            else:
+                                look.add(r)
+                    # one use retires the SEND's whole payload
+                    maps = {frozenset(p for p in m if p[1] not in reads[m])
+                            for m in maps}
+            i += 1
+        return maps
+
+    try:
+        walk(0, len(program), {frozenset()}, 0)
+    except OverflowError:
+        loaded = {r for regs in loads.values() for r in regs}
+        points = {i: (sources(i) & loaded, ()) for i, inst in
+                  enumerate(program) if inst.opcode not in _NON_ALU}
+    return {i: (tuple(sorted(look)), tuple(sorted(stamp)))
+            for i, (look, stamp) in points.items() if look or stamp}
+
+
+def _send_messages(inst: Instruction) -> int:
+    """Hardware messages one SEND splits into."""
+    msg = inst.msg
+    if msg.kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
+        return media_block_messages(msg.block_width, msg.block_height)
+    if msg.kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
+        return oword_block_messages(msg.payload_bytes)
+    return scatter_messages(inst.exec_size)
+
+
+def _issue_steps(inst: Instruction, machine) -> tuple:
+    """The (instructions, issue cycles) additions the sequential tracer
+    makes for one instruction, in its order."""
+    op = inst.opcode
+    icpi = machine.issue_cycles_per_inst
+    if op in CF_OPCODES:
+        n = CF_COSTS[op]
+        return ((n, n * icpi),)
+    if op is Opcode.SEND:
+        steps = ((1, 2 * icpi),)  # the front end (ThreadTrace.memory)
+        extra = 2 * (_send_messages(inst) - 1)
+        if extra and inst.msg.kind is not MsgKind.ATOMIC:
+            steps = ((extra, extra * icpi),) + steps
+        return steps
+    return (_alu_cost(inst, machine),)
+
+
+def _block_costs(program, blocks, machine) -> tuple:
+    """``(bn, bc)``: each block's instruction count and issue cycles.
+
+    The megakernel adds a block's cycles in one step where the
+    sequential tracer adds them one instruction at a time, so every
+    addend must sum exactly in any grouping: a multiple of 2**-10 below
+    2**20 keeps a thread's sum of at most 2 * CF_STEP_LIMIT (< 2**23)
+    addends within float64's 53 bits.  Integer costs and ``n / lanes``
+    with power-of-two lanes qualify; any other cost raises
+    :class:`JitError`, and the device runs the launch sequentially.
+    """
+    bn, bc = [], []
+    for block in blocks:
+        n = c = 0
+        for i in block:
+            for dn, dc in _issue_steps(program[i], machine):
+                if not (0 <= dc < 2.0 ** 20 and (dc * 1024.0).is_integer()):
+                    raise JitError(
+                        f"issue cost {dc!r} of `{program[i].asm()}` on "
+                        f"{machine.name} does not sum exactly")
+                n += dn
+                c += dc
+        bn.append(n)
+        bc.append(float(c))
+    return bn, bc
+
+
+# -- megakernel source ---------------------------------------------------------
+
+
+def _send_fn(inst: Instruction, looked_up: set):
+    """The ``_send{k}`` closure: run one SEND for ``rows``, then return
+    its timing record.  Of its payload registers it tracks only those a
+    consume point ``looked_up``."""
+    regs = tuple(r for r in _payload_regs(inst) if r in looked_up)
+
+    def _send(ex, rows, _inst=inst, _regs=regs):
+        ex._execute_send(_inst)
+        return ex._record_send(_inst, rows, _regs)
+    return _send
+
+
+def _codegen(program, pb: FunctionalExecutor, env: dict, cf):
+    """Generate megakernel source; returns (source, send count, blocks).
+
+    ``blocks`` holds each static block's cost-bearing instruction
+    indices.  The generated ``_mega(ex, bn, bc)`` charges block k's
+    instruction count ``bn[k]`` and issue cycles ``bc[k]`` (and its
+    barriers) once to the rows that run it, retires pending payloads
+    only at the points :func:`_consume_points` finds, and returns the
+    number of instructions it issued (re-executed loop bodies
+    included).  The ``_send{k}`` closures are bound into ``env``.
+    """
+    consumes = _consume_points(program, pb, cf)
+    looked_up = {r for look, _ in consumes.values() for r in look}
+    loops = bool(cf.body_of)
+    lines = ["def _mega(ex, bn, bc):",
              "    g = ex.grf2d",
-             "    _T = g.shape[0]"]
+             "    _T = g.shape[0]",
+             "    iv, isv, bv = ex._inst_vec, ex._issue_vec, ex._barrier_vec",
+             "    rw0 = np.arange(_T)"]
     flag_idxs = set()
     for inst in program:
         if inst.pred is not None:
@@ -531,12 +750,31 @@ def _codegen(program, pb: FunctionalExecutor, env: dict, cf):
         lines += ["    a = ex._wact = np.ones((_T, 32), dtype=bool)",
                   f"    rs = np.zeros((_T, {depth}, 32), dtype=bool)",
                   f"    pd = np.zeros((_T, {depth}, 32), dtype=bool)",
-                  "    rw0 = np.arange(_T)",
                   "    " + _sync_rows(0)]
-    if per_row:
-        lines += ["    aa, acf = ex._account_alu_cf, ex._account_cf",
-                  "    bv = ex._barrier_vec",
-                  "    st = 0"]
+    if any(look for look, _ in consumes.values()):
+        lines.append("    cs = ex._consume")
+    stamped = {s for _, stamp in consumes.values() for s in stamp}
+    if loops:
+        lines.append("    st = 0")
+    blocks: list = []
+    block: list = []
+    barriers = 0
+
+    def charge(out: list, level: int) -> None:
+        """Close the open block: one charge to the rows at ``level``."""
+        nonlocal barriers
+        if not block and not barriers:
+            return
+        k = len(blocks)
+        blocks.append(tuple(block))
+        sel = f"[rw{level}]" if level else ""
+        stmt = f"iv{sel} += bn[{k}]; isv{sel} += bc[{k}]"
+        if barriers:
+            stmt += f"; bv{sel} += {barriers}"
+        out.append(stmt)
+        block.clear()
+        barriers = 0
+
     n_sends = 0
     level = 0
     for i, inst in enumerate(program):
@@ -544,219 +782,46 @@ def _codegen(program, pb: FunctionalExecutor, env: dict, cf):
         out = [f"# [{i:>3}] {inst.asm()}"]
         indent = "    " * (level + 1)
         rows = f"rw{level}"
-        if per_row:
-            env[f"_I{i}"] = inst
         if op in CF_OPCODES:
+            block.append(i)
+            if op in (Opcode.SIMD_DO, Opcode.SIMD_WHILE):
+                charge(out, level)  # the row set changes right after
             level = _emit_cf(out, env, inst, i, cf, level)
         elif op is Opcode.SEND:
             msg = inst.msg
             if msg is None or msg.kind not in _WIDE_MSG_KINDS:
                 raise JitError(f"send not vectorizable: {inst.asm()}")
-            out.append(f"_send{n_sends}(ex)")
+            block.append(i)
+            charge(out, level)  # the SEND stamps its issue position
+            keep = f"e{i} = " if i in stamped else ""
+            out.append(f"{keep}_send{n_sends}(ex, {rows})")
+            env[f"_send{n_sends}"] = _send_fn(inst, looked_up)
             n_sends += 1
         elif op is Opcode.BARRIER:
-            if per_row:
-                out.append(f"bv[{rows}] += 1")
+            barriers += 1
         elif op is not Opcode.NOP:
+            if i in consumes:
+                charge(out, level)  # the first use reads the issue position
+                look, stamp = consumes[i]
+                if look:
+                    out.append(f"cs({look}, {rows})")
+                out += [f"e{s}.consumed_at = isv.copy()" for s in stamp]
+            block.append(i)
             cfm = _cf_write_mask(inst, level, cf.depth_at[i]) \
                 if cf.has_cf else None
             if op is Opcode.CMP:
                 _emit_cmp(out, env, pb, inst, i, cfm)
             else:
                 _emit_alu(out, env, pb, inst, i, cfm)
-            if per_row:
-                out.append(f"aa(_I{i}, {rows})")
         lines.extend(indent + ln for ln in out)
         if op is Opcode.SIMD_WHILE:  # after the loop: the outer rows
             lines.append("    " * (level + 1) + _sync_rows(level))
-    issued = f"{len(program)} + st" if per_row else f"{len(program)}"
+    tail: list = []
+    charge(tail, 0)
+    lines.extend("    " + ln for ln in tail)
+    issued = f"{len(program)} + st" if loops else f"{len(program)}"
     lines.append(f"    return {issued}")
-    return "\n".join(lines) + "\n", n_sends
-
-
-# ---------------------------------------------------------------------------
-# SEND closures
-# ---------------------------------------------------------------------------
-
-
-def _traced_send(inst: Instruction, k: int):
-    def _send(ex, _inst=inst, _k=k):
-        ex._execute_send(_inst)
-        _account_send_jit(ex, _inst, _k)
-    return _send
-
-
-def _cf_send(inst: Instruction, k: int):
-    def _send(ex, _inst=inst):
-        ex._execute_send(_inst)
-        ex._account_send_cf(_inst, ex._rows)
-    return _send
-
-
-def _account_send_jit(ex, inst: Instruction, k: int) -> None:
-    """Runtime half of template-timed SEND accounting (no loops).
-
-    The issue-timeline half (instruction counts, issue positions,
-    consumption distances) is precomputed in the template trace; only
-    the data-dependent half runs here: cache-line marking and the
-    per-thread :class:`_WideEvent` record that
-    :meth:`~repro.isa.wide.WideExecutor.drain_traces` fans out.
-    """
-    msg = inst.msg
-    surf = ex._surface(msg.surface)
-    kind = msg.kind
-    ev = ex._launch_events[k]
-    if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
-        x = ex._scalar_vec(msg.addr0)
-        y = ex._scalar_vec(msg.addr1)
-        lines, new = surf.mark_lines_block2d_many(
-            x, y, msg.block_width, msg.block_height, surf.pitch)
-        ex._wide_events.append(_WideEvent(ev, lines, new, False))
-    elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
-        offset = ex._scalar_vec(msg.addr0)
-        lines, new = surf.mark_lines_range_many(offset, msg.payload_bytes)
-        ex._wide_events.append(_WideEvent(ev, lines, new, False))
-    else:  # GATHER / SCATTER / ATOMIC
-        byte_offs = ex._scattered_offsets(inst)
-        mask = ex._exec_mask(inst)
-        lines, new = surf.mark_lines_offsets_many(
-            byte_offs, msg.elem_dtype.size, mask=mask)
-        if kind is MsgKind.ATOMIC:
-            ex._wide_events.append(_WideEvent(
-                ev, lines, new, True, words=byte_offs // 4, wmask=mask,
-                surface_id=id(surf)))
-        else:
-            ex._wide_events.append(_WideEvent(ev, lines, new, True))
-
-
-# ---------------------------------------------------------------------------
-# static template trace
-# ---------------------------------------------------------------------------
-
-
-class JitTemplate:
-    """Thread-invariant timing for one (program, machine) pair."""
-
-    __slots__ = ("inst_count", "issue_cycles", "barriers", "events", "btis")
-
-    def __init__(self, inst_count, issue_cycles, barriers, events, btis):
-        self.inst_count = inst_count
-        self.issue_cycles = issue_cycles
-        self.barriers = barriers
-        #: MemEvent prototypes (surface=None) in send order, with final
-        #: issue_at/consumed_at; never mutated — launches stamp surface
-        #: labels onto ``dataclasses.replace`` copies.
-        self.events = events
-        #: binding-table index per event, for the per-launch label.
-        self.btis = btis
-
-
-def _register_load(pending: dict, first_reg: int, nbytes: int, ev) -> None:
-    for reg in range(first_reg, first_reg + -(-nbytes // GRF_SIZE_BYTES)):
-        pending[reg] = ev
-
-
-def _merged_regs(pb: FunctionalExecutor, inst: Instruction) -> tuple:
-    merged: list = []
-    for s in inst.srcs:
-        if isinstance(s, RegOperand):
-            idx = pb._src_plan(s, inst.exec_size)
-            merged.extend(np.unique(idx // GRF_SIZE_BYTES).tolist())
-    return tuple(dict.fromkeys(merged))
-
-
-def _build_template(program, machine, pb: FunctionalExecutor,
-                    table: PlanTable) -> JitTemplate:
-    """Statically replay :class:`~repro.sim.batch.TracingExecutor`'s
-    accounting for one thread (which is every thread: programs without
-    loops skip no instruction, so their issue timelines are
-    thread-invariant)."""
-    trace = ThreadTrace(machine)
-    pending: dict = {}
-    btis: list = []
-
-    def extra(count: int) -> None:
-        if count > 1:
-            trace.scalar_op(2 * (count - 1))
-
-    for i, inst in enumerate(program):
-        op = inst.opcode
-        if op is Opcode.BARRIER:
-            trace.barrier()
-            continue
-        if op is Opcode.NOP:
-            continue
-        if op in CF_OPCODES:  # IF/ELSE/ENDIF: loop-free programs only
-            trace.scalar_op(CF_COSTS[op])
-            continue
-        if op is Opcode.SEND:
-            msg = inst.msg
-            kind = msg.kind
-            btis.append(msg.surface)
-            if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
-                w, h = msg.block_width, msg.block_height
-                nbytes = w * h
-                messages = media_block_messages(w, h)
-                extra(messages)
-                is_read = kind is MsgKind.MEDIA_BLOCK_READ
-                ev = trace.memory(
-                    MemKind.BLOCK2D_READ if is_read else MemKind.BLOCK2D_WRITE,
-                    nbytes=nbytes, lines=0, dram_lines=0, l3_bytes=nbytes,
-                    msgs=messages, is_read=is_read)
-                if is_read:
-                    _register_load(pending, msg.payload_reg, nbytes, ev)
-            elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
-                nbytes = msg.payload_bytes
-                messages = oword_block_messages(nbytes)
-                extra(messages)
-                is_read = kind is MsgKind.OWORD_BLOCK_READ
-                ev = trace.memory(
-                    MemKind.OWORD_READ if is_read else MemKind.OWORD_WRITE,
-                    nbytes=nbytes, lines=0, dram_lines=0, l3_bytes=nbytes,
-                    msgs=messages, is_read=is_read)
-                if is_read:
-                    _register_load(pending, msg.payload_reg, nbytes, ev)
-            else:  # GATHER / SCATTER / ATOMIC
-                n = inst.exec_size
-                messages = scatter_messages(n)
-                nbytes = n * msg.elem_dtype.size
-                if kind is MsgKind.GATHER:
-                    extra(messages)
-                    ev = trace.memory(MemKind.GATHER, nbytes=nbytes, lines=0,
-                                      dram_lines=0, l3_bytes=0, msgs=messages)
-                    _register_load(pending, msg.payload_reg, nbytes, ev)
-                elif kind is MsgKind.SCATTER:
-                    extra(messages)
-                    trace.memory(MemKind.SCATTER, nbytes=nbytes, lines=0,
-                                 dram_lines=0, l3_bytes=0, msgs=messages,
-                                 is_read=False)
-                else:  # ATOMIC
-                    ev = trace.memory(MemKind.ATOMIC, nbytes=nbytes, lines=0,
-                                      dram_lines=0, l3_bytes=0, msgs=messages)
-                    if inst.dst is not None:
-                        _register_load(
-                            pending, inst.dst.byte_offset // GRF_SIZE_BYTES,
-                            nbytes, ev)
-            continue
-        # ALU / CMP: consume pending loads, then charge issue cost.
-        if pending:
-            regs = table.src_regs[i]
-            if regs is None:
-                regs = table.src_regs[i] = _merged_regs(pb, inst)
-            for reg in regs:
-                ev = pending.get(reg)
-                if ev is not None:
-                    trace.consume(ev)
-                    for r in [r for r, e in pending.items() if e is ev]:
-                        del pending[r]
-        cost = _alu_cost(inst, machine)
-        slots = table.cost_slots(machine)
-        if slots[i] is None:
-            slots[i] = cost
-        trace.inst_count += cost[0]
-        trace.issue_cycles += cost[1]
-    return JitTemplate(trace.inst_count, trace.issue_cycles, trace.barriers,
-                       tuple(trace.events), tuple(btis))
+    return "\n".join(lines) + "\n", n_sends, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +833,11 @@ class JitKernel:
     """A compiled megakernel for one program binding.
 
     Holds the generated source (``.source``, for inspection/tests), the
-    compiled function ``fn``, the shared :class:`PlanTable`, and a
-    per-machine cache of template traces (straight-line programs only).
-    Like a plan table, a :class:`JitKernel` is valid for exactly the
-    program *object* it was compiled from.
+    compiled function ``fn``, the shared :class:`PlanTable`, the static
+    ``blocks`` the megakernel charges, and a per-machine cache of their
+    costs (:meth:`block_costs`).  Like a plan table, a
+    :class:`JitKernel` is valid for exactly the program *object* it was
+    compiled from.
     """
 
     def __init__(self, program, plans: Optional[PlanTable] = None) -> None:
@@ -784,57 +850,113 @@ class JitKernel:
             cf = self.plans.cf_plan()
         except CFError as exc:
             raise JitError(f"malformed control flow: {exc}") from None
-        #: per-row timing: the program has loops (see :func:`_codegen`)
-        self.per_row = bool(cf.body_of)
-        # Plan-building executor: bounds checks and region resolution
-        # only; kept for template building (shares its region plans).
-        self._pb = FunctionalExecutor()
+        # Plan-building executor: bounds checks and region resolution.
+        pb = FunctionalExecutor()
         env = {"np": np, "_cv": convert, "_XE": ExecutionError,
-               "_LIM": CF_STEP_LIMIT - len(program)}
-        self.source, self.n_sends = _codegen(program, self._pb, env, cf)
-        make_send = _cf_send if self.per_row else _traced_send
-        k = 0
-        for inst in program:
-            if inst.opcode is Opcode.SEND:
-                env[f"_send{k}"] = make_send(inst, k)
-                k += 1
+               "_LIM": CF_STEP_LIMIT - len(program), "_ids": {}}
+        self.source, self.n_sends, self.blocks = _codegen(
+            program, pb, env, cf)
         exec(compile(self.source, "<jit-megakernel>", "exec"), env)
         self.fn = env["_mega"]
-        self._templates: dict = {}
+        self._costs: dict = {}
 
     def matches(self, program) -> bool:
         return program is self.program
 
-    def template(self, machine) -> JitTemplate:
-        tmpl = self._templates.get(machine)
-        if tmpl is None:
-            tmpl = self._templates[machine] = _build_template(
-                self.program, machine, self._pb, self.plans)
-        return tmpl
+    def block_costs(self, machine) -> tuple:
+        """Per-block costs on ``machine`` (cached); raises
+        :class:`JitError` when they do not sum exactly."""
+        costs = self._costs.get(machine)
+        if costs is None:
+            costs = self._costs[machine] = _block_costs(
+                self.program, self.blocks, machine)
+        return costs
 
 
-class JitTracingExecutor(WideExecutor):
+class JitTracingExecutor(FunctionalExecutor):
     """Runs a program's megakernel on the stacked state of a chunk.
+
+    Architectural state for T threads lives in :attr:`grf2d`
+    (``(T, num_regs*32)`` uint8) and ``(T, 32)`` flag arrays; the
+    inherited executor machinery serves only what is thread-invariant,
+    operand region plans and immediate caches (``self.grf`` only
+    resolves plans and checks bounds).  Each SEND runs once for all the
+    chunk's rows (helpers in :mod:`repro.isa.wide`), restricted inside
+    a loop to the rows still looping.  Timing lives in ``(T,)`` instruction,
+    issue-cycle and barrier accumulators, which the megakernel charges
+    block by block, plus one per-row record per SEND;
+    :meth:`fold_chunk` folds them into a
+    :class:`~repro.sim.timing.TimingAccumulator` and
+    :meth:`drain_traces` fans them out into per-thread traces, both
+    exactly what the sequential path would have produced.
 
     ``run()`` compiles the program when the bound :class:`JitKernel`
     was built from a different one (binding changes speed, never
-    results).  For a program without loops it first installs the
-    (program, machine) template: the launch trace's issue totals and the
-    per-launch event prototypes (template events stamped with this
-    launch's surface labels); the megakernel's ``_send{k}`` closures
-    append the per-thread line counts.  A program with loops switches
-    the chunk to per-row accounting
-    (:meth:`~repro.isa.wide.WideExecutor.begin_cf_trace`) instead.
+    results).
     """
 
     def __init__(self, surfaces: Mapping[int, object] | None = None,
                  num_regs: int = 128, num_threads: int = 0) -> None:
-        super().__init__(surfaces, num_regs, num_threads)
+        super().__init__(surfaces, num_regs)
+        self.num_threads = num_threads
+        self.grf2d = np.zeros((num_threads, self.grf.bytes.size),
+                              dtype=np.uint8)
+        # SIMD-CF state, live only while a control-flow program runs:
+        # the (T, 32) active mask, the innermost loop's rows / (T, 1)
+        # row mask, and whether those rows cover every thread.
+        self._wact: Optional[np.ndarray] = None
+        self._rows: Optional[np.ndarray] = None
+        self._rowm: Optional[np.ndarray] = None
+        self._row_all = True
+        # Timing of the current chunk (see begin_launch).
+        self.machine = None
+        self._inst_vec: Optional[np.ndarray] = None
+        self._issue_vec: Optional[np.ndarray] = None
+        self._barrier_vec: Optional[np.ndarray] = None
+        self._events: list[_SendEvent] = []
+        self._pending_vec: dict = {}   # GRF reg -> (T,) event index or -1
+        #: a :class:`~repro.sanitize.race.RaceDetector` fed one access
+        #: batch per SEND while a launch is race-checked, else ``None``
+        self.race = None
         self._jit: Optional[JitKernel] = None
-        self._launch_events: list = []
 
     def bind_jit(self, jitk: Optional[JitKernel]) -> None:
         self._jit = jitk
+
+    def reset(self, num_threads: Optional[int] = None) -> None:
+        """Zero architectural state, optionally resizing to a new T."""
+        if num_threads is not None and num_threads != self.num_threads:
+            self.num_threads = num_threads
+            self.grf2d = np.zeros((num_threads, self.grf.bytes.size),
+                                  dtype=np.uint8)
+        else:
+            self.grf2d.fill(0)
+        self.flags.clear()
+        self.instructions_executed = 0
+        self._end_cf()
+
+    def _end_cf(self) -> None:
+        """Leave control-flow row state (every thread, no masks)."""
+        self._wact = None
+        self._rows = None
+        self._rowm = None
+        self._row_all = True
+
+    def seed_scalar(self, byte_offset: int, values: np.ndarray) -> None:
+        """Seed a 4-byte scalar parameter column (one int32 per thread)."""
+        vals = np.ascontiguousarray(np.asarray(values, dtype=np.int32))
+        self.grf2d[:, byte_offset:byte_offset + 4] = \
+            vals.view(np.uint8).reshape(self.num_threads, 4)
+
+    def begin_launch(self, machine) -> None:
+        """Fresh per-row timing accumulators for the next chunk."""
+        T = self.num_threads
+        self.machine = machine
+        self._inst_vec = np.zeros(T, dtype=np.int64)
+        self._issue_vec = np.zeros(T, dtype=np.float64)
+        self._barrier_vec = np.zeros(T, dtype=np.int64)
+        self._events = []
+        self._pending_vec = {}
 
     def run(self, program) -> None:
         # Sanitizer hooks assume one thread's register file and lane
@@ -844,31 +966,382 @@ class JitTracingExecutor(WideExecutor):
             raise ExecutionError(
                 "sanitizer hooks cannot run on the JIT executor; "
                 "use sequential dispatch for sanitized launches")
-        trace = self.trace
-        if trace is None:
+        if self.machine is None:
             raise ExecutionError(
                 "begin_launch must be called before a JIT run")
         jitk = self._jit
         if jitk is None or not jitk.matches(program):
             jitk = self._jit = JitKernel(program, self.plans)
         self.plans = jitk.plans
-        if jitk.per_row:
-            self.begin_cf_trace()
-        else:
-            tmpl = jitk.template(trace.machine)
-            trace.inst_count = tmpl.inst_count
-            trace.issue_cycles = tmpl.issue_cycles
-            trace.barriers = tmpl.barriers
-            surfs = self.surfaces
-            self._launch_events = [
-                dataclasses.replace(
-                    ev, surface=(getattr(surfs.get(bti), "obs_label", None)
-                                 or f"bti{bti}"))
-                for ev, bti in zip(tmpl.events, tmpl.btis)]
+        bn, bc = jitk.block_costs(self.machine)
         try:
-            self.instructions_executed += jitk.fn(self)
+            self.instructions_executed += jitk.fn(self, bn, bc)
         finally:
             self._end_cf()
+
+    # -- operand access (wide) --------------------------------------------
+
+    def _fetch(self, src, exec_size: int) -> np.ndarray:
+        if isinstance(src, RegOperand):
+            # np.take (not grf2d[:, idx]): mixed basic/advanced indexing
+            # can return an F-ordered copy, which .view() rejects.
+            idx = self._src_plan(src, exec_size)
+            return np.take(self.grf2d, idx.reshape(-1),
+                           axis=1).view(src.dtype.np_dtype)
+        return super()._fetch(src, exec_size)  # immediates broadcast (n,)
+
+    def _write_dst(self, operand: RegOperand, values: np.ndarray,
+                   mask: np.ndarray | None = None,
+                   idx: np.ndarray | None = None) -> None:
+        dtype = operand.dtype.np_dtype
+        T = self.num_threads
+        values = np.asarray(values)
+        n = values.shape[-1]
+        if idx is None:
+            idx = self._dst_plan(operand, n)
+        if values.shape != (T, n) or values.dtype != dtype or \
+                not values.flags["C_CONTIGUOUS"]:
+            values = np.ascontiguousarray(
+                np.broadcast_to(values, (T, n)), dtype=dtype)
+        raw = values.view(np.uint8).reshape(T, n, operand.dtype.size)
+        if mask is None:
+            self.grf2d[:, idx] = raw
+        else:
+            keep = np.asarray(mask, dtype=bool)
+            if keep.ndim == 1:
+                keep = np.broadcast_to(keep, (T, n))
+            cur = self.grf2d[:, idx]  # (T, n, size) read-modify-write
+            np.copyto(cur, raw, where=keep[:, :, None])
+            self.grf2d[:, idx] = cur
+
+    def _flag_lanes(self, index: int) -> np.ndarray:
+        f = self.flags.get(index)
+        if f is None:
+            f = np.zeros((self.num_threads, 32), dtype=bool)
+            self.flags[index] = f
+        return f
+
+    def _pred_mask(self, inst: Instruction) -> np.ndarray | None:
+        if inst.pred is None:
+            return None
+        lanes = self._flag_lanes(inst.pred.flag.index)[:, : inst.exec_size]
+        return ~lanes if inst.pred.invert else lanes.copy()
+
+    def _cf_active_lanes(self, inst: Instruction) -> np.ndarray | None:
+        """SIMD-CF write-enable: active-lane window AND loop rows.
+
+        ``None`` outside control flow, or when every thread runs with
+        every covered lane active.  Unlike the sequential version, a
+        scalar (exec_size 1) instruction still needs masking inside a
+        loop some threads have left — their registers must not observe
+        its write — so the row mask applies even then.
+        """
+        act = self._wact
+        if act is None:
+            return None
+        n = inst.exec_size
+        m = None
+        if n > 1:
+            off = _emask_off(inst)
+            if off + n > 32:
+                raise ExecutionError(
+                    f"operation covers lanes {off}..{off + n - 1} inside "
+                    f"SIMD control flow (only 32 execution-mask channels "
+                    f"exist)")
+            m = act[:, off:off + n]
+        if not self._row_all:
+            rowm = self._rowm
+            m = rowm if m is None else (m & rowm)
+        elif m is not None and m.all():
+            m = None
+        return m
+
+    # -- memory (wide) ----------------------------------------------------
+
+    def _scalar_vec(self, src) -> np.ndarray:
+        """A per-message scalar address operand as a (T,) int64 column."""
+        if isinstance(src, Immediate):
+            return np.full(self.num_threads, int(src.value), dtype=np.int64)
+        idx = self._src_plan(src, 1)
+        return np.take(self.grf2d, idx.reshape(-1), axis=1) \
+            .view(src.dtype.np_dtype).reshape(-1).astype(np.int64)
+
+    def _load_payload(self, base: int, nbytes: int,
+                      sel=slice(None)) -> np.ndarray:
+        self._check_payload(base, nbytes)
+        return self.grf2d[sel, base:base + nbytes]
+
+    def _store_payload(self, base: int, data: np.ndarray,
+                       sel=slice(None)) -> None:
+        self._check_payload(base, data.shape[1])
+        self.grf2d[sel, base:base + data.shape[1]] = data
+
+    def _check_payload(self, base: int, nbytes: int) -> None:
+        if base < 0 or base + nbytes > self.grf2d.shape[1]:
+            raise IndexError(
+                f"GRF payload of {nbytes} bytes at offset {base} overruns "
+                f"the {self.grf2d.shape[1]}-byte register file")
+
+    def _execute_send(self, inst: Instruction) -> None:
+        msg = inst.msg
+        if msg is None:
+            raise ExecutionError("send without message descriptor")
+        surf = self._surface(msg.surface)
+        race = self.race
+        # Inside a loop some threads have left: only the rows still
+        # looping may touch memory or their payload registers.
+        rows = None if self._row_all else self._rows
+        sel = slice(None) if rows is None else rows
+        kind = msg.kind
+        base = msg.payload_reg * GRF_SIZE_BYTES
+        if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
+            x = self._scalar_vec(msg.addr0)[sel]
+            y = self._scalar_vec(msg.addr1)[sel]
+            w, h = msg.block_width, msg.block_height
+            if kind is MsgKind.MEDIA_BLOCK_READ:
+                block = surf.read_block_many(x, y, w, h)  # (R, h, w)
+                self._store_payload(base, block.reshape(x.size, -1), sel)
+            else:
+                data = np.ascontiguousarray(
+                    self._load_payload(base, w * h, sel))
+                surf.write_block_many(x, y, w, h,
+                                      data.reshape(x.size, h, w))
+            if race is not None:
+                race.note_blocks(surf, _ACCESS_KIND[kind], rows, x, y, w, h)
+        elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
+            offset = self._scalar_vec(msg.addr0)[sel]
+            # scratch rows are per thread; other surfaces are shared
+            own = {"rows": rows} if isinstance(surf, WideScratch) else {}
+            if kind is MsgKind.OWORD_BLOCK_READ:
+                self._store_payload(base, surf.read_linear_many(
+                    offset, msg.payload_bytes, **own), sel)
+            else:
+                surf.write_linear_many(
+                    offset, self._load_payload(base, msg.payload_bytes, sel),
+                    **own)
+            if race is not None:
+                race.note_rows(surf, _ACCESS_KIND[kind], rows, offset,
+                               msg.payload_bytes)
+        elif kind in (MsgKind.GATHER, MsgKind.SCATTER, MsgKind.ATOMIC):
+            self._execute_scattered(inst, surf, sel)
+        else:
+            raise ExecutionError(f"unhandled message kind {kind}")
+
+    def _execute_scattered(self, inst: Instruction, surf, sel) -> None:
+        msg = inst.msg
+        n = inst.exec_size
+        T = self.num_threads
+        elem = msg.elem_dtype
+        offsets = self._scattered_offsets(inst)[sel]
+        nrows = offsets.shape[0]
+        base = msg.payload_reg * GRF_SIZE_BYTES
+        # Inside a loop the mask also covers the row mask, so rows that
+        # left it keep their destination registers.
+        mask = self._exec_mask(inst)
+        # Flatten thread-major: lane order within a thread, threads in
+        # ascending id — the exact order the sequential dispatch loop
+        # performs these accesses, so overlap/atomic semantics match.
+        flat = offsets.reshape(-1)
+        fmask = None if mask is None else \
+            np.broadcast_to(mask[sel], (nrows, n)).reshape(-1)
+
+        if self.race is not None:
+            self.race.note_rows(
+                surf, _ACCESS_KIND[msg.kind],
+                None if isinstance(sel, slice) else sel, offsets, elem.size,
+                None if fmask is None else fmask.reshape(nrows, n))
+        if msg.kind is MsgKind.GATHER:
+            data = surf.gather(flat, elem, mask=fmask)
+            self._store_payload(
+                base, data.reshape(nrows, n).view(np.uint8), sel)
+        elif msg.kind is MsgKind.SCATTER:
+            raw = np.ascontiguousarray(
+                self._load_payload(base, n * elem.size, sel)) \
+                .view(elem.np_dtype)
+            surf.scatter(flat, raw.reshape(-1), mask=fmask)
+        else:  # ATOMIC
+            operands = None
+            if msg.payload_bytes:
+                operands = np.ascontiguousarray(
+                    self._load_payload(base, n * elem.size, sel)) \
+                    .view(elem.np_dtype).reshape(-1)
+            old = _wide_atomic(surf, msg.atomic_op, flat, operands, elem,
+                               fmask)
+            if inst.dst is not None:
+                vals = np.zeros((T, n), dtype=elem.np_dtype)
+                vals[sel] = old.reshape(nrows, n)
+                self._write_dst(inst.dst, vals, mask=mask)
+
+    def _scattered_offsets(self, inst: Instruction) -> np.ndarray:
+        """(T, n) per-lane byte offsets (same math as execution)."""
+        msg = inst.msg
+        n = inst.exec_size
+        addr_op = RegOperand(msg.addr_reg, 0, UD,
+                             region=_contiguous_region(n))
+        offsets = self._fetch(addr_op, n).astype(np.int64)
+        if msg.addr0 is not None:
+            offsets = offsets + self._scalar_vec(msg.addr0)[:, None]
+        return offsets * msg.elem_dtype.size
+
+    # -- timing -------------------------------------------------------------
+
+    def _record_send(self, inst: Instruction, rows: np.ndarray,
+                     regs: tuple) -> _SendEvent:
+        """Record one SEND issued by ``rows``.
+
+        Mirrors :meth:`~repro.sim.batch.TracingExecutor._account_send`
+        minus its front-end charge, which the megakernel already added
+        with the block the SEND ends: mark the message's cache lines,
+        stamp each row's issue position, and point the payload
+        registers ``regs`` at the new record.
+        """
+        msg = inst.msg
+        surf = self._surface(msg.surface)
+        kind = msg.kind
+        l3_bytes = None  # scattered messages move whole lines
+        words = wmask = None
+        if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
+            x = self._scalar_vec(msg.addr0)[rows]
+            y = self._scalar_vec(msg.addr1)[rows]
+            w, h = msg.block_width, msg.block_height
+            nbytes = l3_bytes = w * h
+            lines, new = surf.mark_lines_block2d_many(x, y, w, h, surf.pitch)
+        elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
+            offset = self._scalar_vec(msg.addr0)[rows]
+            nbytes = l3_bytes = msg.payload_bytes
+            lines, new = surf.mark_lines_range_many(offset, nbytes)
+        else:  # GATHER / SCATTER / ATOMIC
+            n = inst.exec_size
+            byte_offs = self._scattered_offsets(inst)[rows]
+            mask = self._exec_mask(inst)
+            if mask is not None:
+                mask = np.broadcast_to(mask[rows], (rows.size, n))
+            lines, new = surf.mark_lines_offsets_many(
+                byte_offs, msg.elem_dtype.size, mask=mask)
+            nbytes = n * msg.elem_dtype.size
+            if kind is MsgKind.ATOMIC:
+                words, wmask = byte_offs // 4, mask
+        ev = _SendEvent(
+            _MEM_KIND[kind], nbytes, l3_bytes, _send_messages(inst),
+            _ACCESS_KIND[kind] != "w",
+            getattr(surf, "obs_label", None) or f"bti{msg.surface}",
+            rows, lines, new, self._issue_vec[rows])
+        if words is not None:
+            ev.words, ev.wmask, ev.surface_id = words, wmask, id(surf)
+        index = len(self._events)
+        self._events.append(ev)
+        pend = self._pending_vec
+        for reg in regs:
+            vec = pend.get(reg)
+            if vec is None:
+                vec = pend[reg] = np.full(self.num_threads, -1,
+                                          dtype=np.int64)
+            vec[rows] = index
+        return ev
+
+    def _consume(self, regs: tuple, rows: np.ndarray) -> None:
+        """First use of ``regs`` by ``rows``: stamp ``consumed_at`` on
+        every SEND record one of them points at, per row
+        (:meth:`~repro.sim.batch.TracingExecutor._consume_regs`).  A
+        stamped record is retired: its whole payload no longer stalls,
+        so the other registers pointing at it are skipped.  The
+        megakernel calls this only where the codegen found a register
+        that may be pending."""
+        pend = self._pending_vec
+        for reg in regs:
+            vec = pend.get(reg)
+            if vec is None:
+                continue
+            evi = vec[rows]
+            for e in np.unique(evi[evi >= 0]).tolist():
+                ev = self._events[e]
+                erows = rows[evi == e]
+                pos = np.searchsorted(ev.rows, erows)
+                fresh = ev.consumed_at[pos] < 0
+                ev.consumed_at[pos[fresh]] = self._issue_vec[erows[fresh]]
+
+    def drain_traces(self) -> list[ThreadTrace]:
+        """Materialize the chunk's T per-thread traces from the (T,)
+        accumulators and the per-row SEND records, each thread's events
+        in its own issue order."""
+        per_thread: list[list] = [[] for _ in range(self.num_threads)]
+        for ev in self._events:
+            for i, t in enumerate(ev.rows.tolist()):
+                per_thread[t].append((ev, i))
+        out = []
+        for t, sent in enumerate(per_thread):
+            tr = ThreadTrace(self.machine)
+            tr.issue_cycles = float(self._issue_vec[t])
+            tr.inst_count = int(self._inst_vec[t])
+            tr.barriers = int(self._barrier_vec[t])
+            for ev, i in sent:
+                lines = int(ev.lines[i])
+                consumed = ev.consumed_at[i]
+                tr.events.append(MemEvent(
+                    kind=ev.kind, nbytes=ev.nbytes, lines=lines,
+                    dram_lines=int(ev.dram[i]),
+                    l3_bytes=lines * 64 if ev.l3_bytes is None
+                    else ev.l3_bytes,
+                    msgs=ev.msgs, issue_at=float(ev.issue_at[i]),
+                    consumed_at=None if consumed < 0 else float(consumed),
+                    is_read=ev.is_read, surface=ev.surface))
+                if ev.words is not None:
+                    words = ev.words[i] if ev.wmask is None else \
+                        ev.words[i][ev.wmask[i]]
+                    tr.atomic_addrs.update(
+                        (ev.surface_id, int(w)) for w in words)
+            out.append(tr)
+        self._events = []
+        self._pending_vec = {}
+        return out
+
+    def fold_chunk(self, acc, grf_bytes: int = 0) -> None:
+        """Fold this chunk's timing straight into a
+        :class:`~repro.sim.timing.TimingAccumulator`.
+
+        Bit-identical to ``acc.extend(self.drain_traces())`` (with
+        ``note_grf(grf_bytes)`` applied to each fanned-out trace) but
+        without materializing T :class:`ThreadTrace` objects — on short
+        programs the per-thread fan-out dominates the whole launch.
+        Integer totals vectorize exactly; the float running sums (issue
+        cycles, thread completion time) repeat the same per-thread
+        addition sequence the scalar fold performs, each thread's stall
+        summed over its own events in issue order, so ``finalize()``
+        produces the same :class:`KernelTiming` to the last bit.
+        """
+        m = self.machine
+        count = self.num_threads
+        events = self._events
+        stall = np.zeros(count)
+        for ev in events:
+            if ev.is_read:  # adding 0.0 for a never-used load is exact
+                late = np.maximum(0.0, MemEvent.latency(ev, m)
+                                  - (ev.consumed_at - ev.issue_at))
+                late[ev.consumed_at < 0] = 0.0
+                stall[ev.rows] += late
+        # ThreadTrace.exec_cycles per thread, in its float order
+        times = (self._issue_vec + stall
+                 + self._barrier_vec * m.barrier_cycles).tolist()
+        acc.num_threads += count
+        total = acc._total_issue  # the scalar fold's addition sequence
+        for v in self._issue_vec.tolist():
+            total += v
+        acc._total_issue = total
+        total = acc._total_thread_time
+        for v in times:
+            total += v
+        acc._total_thread_time = total
+        if times:
+            acc._max_thread_time = max(acc._max_thread_time, max(times))
+        acc.total_instructions += int(self._inst_vec.sum())
+        acc.barriers += int(self._barrier_vec.sum())
+        acc.messages += sum(ev.rows.size for ev in events)
+        if count and grf_bytes > acc.max_grf_bytes:
+            acc.max_grf_bytes = grf_bytes
+        for ev in events:
+            _fold_event(acc, ev)
+        self._events = []
+        self._pending_vec = {}
 
 
 # ---------------------------------------------------------------------------

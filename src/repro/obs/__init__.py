@@ -145,7 +145,15 @@ def disable() -> Observability:
 
 @contextmanager
 def observed(**kwargs):
-    """Enable observability for a block, restoring the previous state."""
+    """Enable observability for a block, restoring the previous state.
+
+    Not thread-safe: the installed bundle is process-wide, and the
+    save on entry and the restore on exit are separate steps.  Two
+    threads whose ``observed()`` blocks overlap can leave the wrong
+    :class:`Observability` installed (whichever the last one to exit
+    saved).  Use it from one thread, or pass a per-device bundle
+    (``Device(obs=...)``) instead.
+    """
     previous = _current
     obs = enable(**kwargs)
     try:

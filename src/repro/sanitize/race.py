@@ -16,8 +16,9 @@ byte range, instruction) from two feeds:
   stamped with ``cur_thread`` / ``cur_inst``; the eager CM intrinsics,
   the sequential executor's SENDs and the OpenCL SLM builtins all go
   through these hooks;
-- the JIT tier's vectorized SENDs (:class:`~repro.isa.wide.WideExecutor`)
-  append one batch per SEND for a whole chunk of threads
+- the JIT tier's vectorized SENDs
+  (:class:`~repro.isa.jit.JitTracingExecutor`) append one batch per
+  SEND for a whole chunk of threads
   (:meth:`~RaceDetector.note_rows`), which is how ``validate="first"``
   certifies a kernel on its first, vectorized launch.
 

@@ -37,8 +37,8 @@ def _alu_cost(inst: Instruction, machine) -> tuple:
 
     Same math as :meth:`ThreadTrace.alu` with ``inst_factor`` folded to
     1, precomputed so per-thread replay is two additions.  Shared with
-    the JIT template builder (:mod:`repro.isa.jit`), which folds these
-    costs into a statically-simulated trace.
+    the JIT (:mod:`repro.isa.jit`), which sums these costs into the
+    static blocks its megakernel charges once per row set.
     """
     exec_dtype: Optional[DType] = None
     for s in inst.srcs:
@@ -57,7 +57,7 @@ def _alu_cost(inst: Instruction, machine) -> tuple:
 #: Scalar-op cost of each structured-CF opcode, mirroring the eager
 #: path's accounting (simd-goto ≈ 2 scalar ops at a divergent branch,
 #: simd-join ≈ 1 at a reconvergence point).  Thread-invariant, so the
-#: JIT's per-row accounting charges the identical amounts per thread.
+#: JIT's static block costs charge the identical amounts per thread.
 CF_COSTS = {
     Opcode.SIMD_IF: 2, Opcode.SIMD_ELSE: 1, Opcode.SIMD_ENDIF: 1,
     Opcode.SIMD_DO: 1, Opcode.SIMD_WHILE: 2, Opcode.SIMD_BREAK: 2,

@@ -656,8 +656,8 @@ class Device:
         acc = TimingAccumulator(self.machine)
         bacc = (BreakdownAccumulator(self.machine)
                 if self.obs.breakdowns else None)
-        # JIT chunks fold timing without fanning the template out into
-        # per-thread traces (the breakdown profiler still needs traces).
+        # JIT chunks fold timing without fanning it out into per-thread
+        # traces (the breakdown profiler still needs traces).
         fold = vector and bacc is None
         ex.san, ex.race = san, race
         try:
@@ -795,9 +795,10 @@ class Device:
     def _jit_for(self, kernel, kname: str):
         """Resolve the kernel's cached JIT megakernel (compiling once).
 
-        Raises :class:`~repro.isa.jit.JitError` when compilation fails;
-        updates the device profile / metrics with compile-vs-hit
-        accounting.
+        Raises :class:`~repro.isa.jit.JitError` when compilation fails
+        or when the megakernel's block costs do not sum exactly on this
+        device's machine; updates the device profile / metrics with
+        compile-vs-hit accounting.
         """
         from repro.isa.jit import get_jit
 
@@ -815,6 +816,7 @@ class Device:
                 reg = self.obs.registry
                 reg.counter("jit_compiles", kernel=kname).inc()
                 reg.counter("jit_compile_seconds", kernel=kname).inc(dt)
+        jitk.block_costs(self.machine)
         return jitk
 
     def submit(self, traces: Sequence[ThreadTrace], name: str) -> KernelRun:

@@ -868,3 +868,112 @@ def test_jit_verdict_matches_sequential_on_seeded_bugs(kinds):
         prog.extend(_racy_step(kind, 0, 0, 0))
     seq = _assert_same_verdict(prog)
     assert seq.race_free == (kinds == ("scatter", "gather"))
+
+
+# -- load-use across loop edges -------------------------------------------------
+#
+# The JIT retires a SEND payload only where a may-pending dataflow over
+# the structured program says one can be waiting, back edges included.
+# These deterministic programs put the first use of a payload on the
+# other side of a loop edge, with per-thread trip counts (tid & 1 plus
+# 1..3 per lane), and require every KernelTiming field and each drained
+# event's issue/first-use positions to match the sequential tracer.
+
+from repro.isa import jit as jit_mod  # noqa: E402
+
+_LOOP_CREG = _CF_CREG_BASE
+
+
+def _loop_edge_program(body, after):
+    """Prologue, then DO <count down, ``body``> WHILE, then ``after``."""
+    prog = list(_prologue())
+    lanes = tuple(1 + j % 3 for j in range(8))
+    prog += [
+        Instruction(Opcode.AND, 8, _dst(_LOOP_CREG, UD),
+                    [_bcast(1, UD), Immediate(1, UD)]),
+        Instruction(Opcode.ADD, 8, _dst(_LOOP_CREG, D),
+                    [_src(_LOOP_CREG, D), VectorImmediate(lanes, D)]),
+        Instruction(Opcode.SIMD_DO, 8, None, []),
+        Instruction(Opcode.ADD, 8, _dst(_LOOP_CREG, D),
+                    [_src(_LOOP_CREG, D), Immediate(-1, D)]),
+        Instruction(Opcode.CMP, 8, None,
+                    [_src(_LOOP_CREG, D), Immediate(0, D)],
+                    cond_mod=CondMod.GT, flag=FlagOperand(1)),
+        *body,
+        Instruction(Opcode.SIMD_WHILE, 8, None, [],
+                    pred=Predicate(FlagOperand(1))),
+        *after]
+    return prog
+
+
+def _use(payload_reg, dst_reg):
+    return Instruction(Opcode.ADD, 8, _dst(dst_reg, D),
+                       [_src(payload_reg, D), _src(_DATA[1], D)])
+
+
+def _gather_last_in_body():
+    # first ALU of the next iteration and first ALU after the loop both
+    # read the payload of the body's last instruction
+    gather = Instruction(Opcode.SEND, 8, None, [], msg=MessageDesc(
+        MsgKind.GATHER, surface=0, addr_reg=_AREG, payload_reg=_PREG,
+        payload_bytes=32, elem_dtype=D))
+    prog = _loop_edge_program([gather], [_use(_PREG, _DATA[2])])
+    body_start = next(i for i, inst in enumerate(prog)
+                      if inst.opcode is Opcode.SIMD_DO) + 1
+    prog.insert(body_start, _use(_PREG, _DATA[3]))
+    return prog
+
+
+def _atomic_in_loop():
+    # thread-private words of surface 2, so the per-thread issue order
+    # of the loop's atomics cannot change their returned old values
+    atomic = Instruction(Opcode.SEND, 8, _dst(_OREG, D), [],
+                         msg=MessageDesc(
+                             MsgKind.ATOMIC, surface=2, addr_reg=_SREG,
+                             payload_reg=_PREG, payload_bytes=32,
+                             atomic_op="add", elem_dtype=D))
+    return _loop_edge_program([atomic], [_use(_OREG, _DATA[2])])
+
+
+def _traces(program, seed, jit):
+    """Per-thread traces of one launch over _TIDS on either tier."""
+    table = _make_surfaces(seed)
+    if jit:
+        ex = JitTracingExecutor(table)
+        ex.reset(len(_TIDS))
+        ex.begin_launch(GEN11_ICL)
+        ex.seed_scalar(_TID_BASE, np.asarray(_TIDS, dtype=np.int32))
+        ex.run(program)
+        return ex.drain_traces()
+    ex = TracingExecutor(table)
+    traces = []
+    for tid in _TIDS:
+        ex.reset()
+        traces.append(ThreadTrace(GEN11_ICL))
+        ex.begin_thread(traces[-1])
+        ex.grf.write_bytes(_TID_BASE, np.asarray([tid], dtype=np.int32))
+        ex.run(program)
+    return traces
+
+
+def _positions(traces):
+    return [[(e.kind, e.issue_at, e.consumed_at) for e in tr.events]
+            for tr in traces]
+
+
+@pytest.mark.parametrize("max_maps", [None, 0])
+@pytest.mark.parametrize("build", [_gather_last_in_body, _atomic_in_loop])
+def test_load_use_across_loop_edges(build, max_maps, monkeypatch):
+    if max_maps is not None:  # the analysis' coarse fallback
+        monkeypatch.setattr(jit_mod, "_MAX_PENDING_MAPS", max_maps)
+    program = build()
+    seq = _traces(program, 7, jit=False)
+    # trip counts differ across threads, and the last payload is used
+    # after the loop
+    assert len({len(tr.events) for tr in seq}) > 1
+    assert all(tr.events[-1].consumed_at is not None for tr in seq)
+    assert _positions(_traces(program, 7, jit=True)) == _positions(seq)
+    with np.errstate(all="ignore"):
+        for chunk in (len(_TIDS), 2):
+            _assert_bit_identical(_run_sequential(program, 7),
+                                  _run_jit(program, 7, chunk=chunk))

@@ -29,11 +29,12 @@ from repro.isa.grf import RegOperand
 from repro.isa.instructions import (
     Immediate, Instruction, MessageDesc, Opcode,
 )
+from repro.isa import jit as jit_mod
 from repro.isa.jit import (
     JitKernel, JitTracingExecutor, get_jit, jit_eligible,
 )
 from repro.isa.regions import Region
-from repro.isa.wide import WideExecutor
+from repro.sim.batch import TracingExecutor
 from repro.sim.device import Device
 from repro.sim.machine import GEN11_ICL
 
@@ -277,12 +278,13 @@ class TestDeviceDispatch:
         assert _timing_equal(run1.timing, run_s.timing)
         assert _timing_equal(run2.timing, run_s.timing)
 
-    def test_plain_pooled_wide_executor_stays_wide(self):
-        # a plain WideExecutor base is only a hint: the JIT tier builds
-        # its own executor rather than raising or repurposing it.
-        pooled = WideExecutor()
+    def test_pooled_sequential_executor_is_not_repurposed(self):
+        # an executor of the other tier is only a hint: the JIT tier
+        # builds its own executor rather than raising or repurposing it.
+        pooled = TracingExecutor()
         _, run_j, _ = _run_saxpy("jit", executor=pooled)
-        assert pooled.num_threads == 0
+        assert run_j.path == "jit"
+        assert pooled.trace is None and pooled.plans is None
         _, run_s, _ = _run_saxpy("sequential")
         assert _timing_equal(run_j.timing, run_s.timing)
 
@@ -347,3 +349,86 @@ class TestDeviceDispatch:
         assert sorted(e["args"]["threads"] for e in jit_spans) == [12, 20]
         outer = [e for e in sink.events if e["name"] == "dispatch"]
         assert outer and outer[0]["args"]["path"] == "jit"
+
+
+# -- static block timing ------------------------------------------------------
+
+
+def _serve_kernel(key, params, dev=None):
+    from repro.serve.workloads import get_workload
+
+    launch = get_workload(key).make(params)
+    dev = dev if dev is not None else Device()
+    kern = dev.compile(launch.body, launch.name, launch.sig,
+                       launch.scalar_params)
+    return dev, kern, launch
+
+
+_CF_KERNELS = [("bitonic_cf", {"n": 64}), ("kmeans_cf", {"n": 64, "k": 8})]
+
+
+class TestBlockTiming:
+    @pytest.mark.parametrize("key,params", _CF_KERNELS)
+    def test_one_charge_per_static_block(self, key, params):
+        import re
+
+        _, kern, _ = _serve_kernel(key, params)
+        jitk, _ = get_jit(kern)
+        src = jitk.source
+        charged = [int(k) for k in re.findall(r"iv\S* \+= bn\[(\d+)\]", src)]
+        # every block is charged at exactly one place in the source
+        assert sorted(charged) == list(range(len(jitk.blocks)))
+        assert len(jitk.blocks) < len(kern.program) // 4
+        # no accounting call per instruction: only per-row consumes
+        calls = set(re.findall(r"\b(\w+)\(_I\d+", src))
+        assert not calls and "_account" not in src
+        alu = sum(1 for inst in kern.program
+                  if inst.opcode not in jit_mod._NON_ALU)
+        assert src.count("cs(") < alu // 4
+
+    def test_shipped_machines_sum_exactly(self):
+        from repro.sim.machine import (
+            GEN9_SKL, GEN11_ICL, GEN12_TGL, SIMD32_APL,
+        )
+
+        for key, params in _CF_KERNELS + [("saxpy", {"n": 256}),
+                                          ("sgemm", {"m": 16, "n": 16,
+                                                     "k": 8})]:
+            _, kern, _ = _serve_kernel(key, params)
+            jitk, _ = get_jit(kern)
+            for machine in (GEN9_SKL, GEN11_ICL, GEN12_TGL, SIMD32_APL):
+                bn, bc = jitk.block_costs(machine)
+                assert len(bn) == len(bc) == len(jitk.blocks)
+
+    @pytest.mark.parametrize("key,params", [("saxpy", {"n": 256}),
+                                            ("bitonic_cf", {"n": 64})])
+    def test_inexact_costs_fall_back_to_sequential(self, key, params):
+        """n / 6 lanes is not dyadic: block sums could round differently
+        from the sequential tracer's running sum, so the JIT declines
+        the machine and the launch runs sequential, never drifting."""
+        from repro import obs as obs_mod
+        from repro.obs.tracing import ChromeTraceSink
+
+        odd = dataclasses.replace(GEN11_ICL, name="odd lanes",
+                                  fp32_lanes_per_cycle=6.0)
+        runs, gates = {}, {}
+        for tier in ("auto", "sequential"):
+            dev, kern, launch = _serve_kernel(key, params, Device(odd))
+            surfaces, scalars = launch.bind(dev)
+            sink = ChromeTraceSink()
+            with obs_mod.observed(sink=sink, span_metrics=False):
+                runs[tier] = dev.run_compiled(
+                    kern, launch.grid, surfaces, scalars=scalars,
+                    tier=tier, validate="off")
+            launch.finish(surfaces)
+            gates[tier] = [e["args"] for e in sink.events
+                           if e["name"] == "sanitize_gate"]
+        auto = runs["auto"]
+        assert _timing_equal(auto.timing, runs["sequential"].timing)
+        if auto.path != "jit":
+            assert auto.path == "sequential"
+            assert gates["auto"][0]["reason"].startswith("jit: ")
+        # on this machine the costs are inexact, so the JIT declines
+        jitk, _ = get_jit(kern)
+        with pytest.raises(jit_mod.JitError, match="does not sum exactly"):
+            jitk.block_costs(odd)
