@@ -39,6 +39,8 @@ or under pytest-benchmark for the full 4-shard >= 3x configuration::
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
 import time
 
@@ -121,15 +123,14 @@ def _run_sharded(work, shards):
                         shard_inflight=SHARD_INFLIGHT) as cluster:
         reqs = [cluster.submit(w, p, block=True) for w, p in work]
         assert cluster.drain(timeout=600.0), "sharded: drain timed out"
-        report = cluster.report(refresh_snapshots=True)
+        report = cluster.report()
     wall = time.perf_counter() - t0
     assert report["requests"]["done"] == len(work), \
         f"sharded: {report['requests']} of {len(work)}"
     per_shard = [
         {"index": s["index"],
          "requests_done": s["requests_done"],
-         "horizon_us": (s.get("inner") or {}).get("sim", {})
-         .get("horizon_us", 0.0)}
+         "horizon_us": s["horizon_us"]}
         for s in report["per_shard"]
     ]
     return {
@@ -140,6 +141,22 @@ def _run_sharded(work, shards):
         "per_shard": per_shard,
         "control": report["control"],
     }, [_signature(r) for r in reqs]
+
+
+def _host():
+    """Where the numbers were measured: a wall clock read on one CPU
+    says nothing about process parallelism."""
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            timeout=10).stdout.strip() or None
+    except (OSError, subprocess.TimeoutExpired):
+        commit = None
+    return {"cpus": os.cpu_count() or 1,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "commit": commit}
 
 
 def _measure(shards, requests):
@@ -158,7 +175,7 @@ def _measure(shards, requests):
         "sharded": sharded,
         "sim_speedup": speedup,
         "divergent_requests": divergent,
-        "host": {"cpus": os.cpu_count() or 1},
+        "host": _host(),
     }
 
 

@@ -26,7 +26,7 @@ from repro.serve.scheduler import (
     make_policy, policy_names,
 )
 from repro.serve.shard import (
-    CompleteMsg, ShardConfig, ShardedCluster, SnapshotMsg, SubmitMsg,
+    CompleteMsg, ShardConfig, ShardedCluster, SubmitMsg,
 )
 from repro.serve.workloads import (
     KernelLaunch, ServeWorkload, get_workload, workload_keys,
@@ -35,7 +35,7 @@ from repro.serve.workloads import (
 __all__ = [
     "ServeCluster", "DeviceWorker",
     "ShardedCluster", "ShardConfig",
-    "SubmitMsg", "CompleteMsg", "SnapshotMsg",
+    "SubmitMsg", "CompleteMsg",
     "Request", "RequestStatus", "percentiles",
     "SubmissionQueue", "Backpressure", "ShutDown",
     "PriorityLaneQueue", "LANES", "normalize_lane",

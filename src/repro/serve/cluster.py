@@ -24,6 +24,13 @@ Everything is observable: ``serve_*`` counters/gauges/histograms land in
 the cluster registry (the installed :mod:`repro.obs` registry when
 enabled), and batch execution opens ``serve:batch`` / ``serve:request``
 spans in the trace sinks.
+
+:class:`FrontDoor` is the part this cluster shares with
+:class:`~repro.serve.shard.ShardedCluster`: the queue, SLO tracker and
+flight recorder; ``submit``, ``drain`` and ``export_traces``; one
+retire step per finished request; and the report fields that both
+derive from completed requests alone, the simulated ``horizon_us``
+included.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import queue as _stdqueue
 import threading
 import time
+from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -270,7 +278,243 @@ class DeviceWorker(threading.Thread):
         self.variants_served[vkey] = self.variants_served.get(vkey, 0) + 1
 
 
-class ServeCluster:
+def sim_end_us(req: Request) -> float:
+    """Where a served request left its device's simulated clock."""
+    return (req.start_sim_us or 0.0) + req.service_sim_us
+
+
+def cache_stats(hits: int, misses: int) -> Dict[str, Any]:
+    lookups = hits + misses
+    return {"hits": hits, "misses": misses,
+            "hit_rate": hits / lookups if lookups else 0.0}
+
+
+class FrontDoor:
+    """Admission, completion and report: what every cluster shares.
+
+    A subclass owns the topology behind the queue: it starts its
+    threads in ``_start()``, stops them in ``shutdown()``, passes each
+    finished request to :meth:`_retire`, and adds its own sections to
+    the report in ``_report_topology(report, reqs, done)``.
+    """
+
+    def __init__(self, machine, tuned, queue_capacity: int,
+                 high_watermark: Optional[int], lanes: bool, obs, slo,
+                 recorder, recorder_capacity: int,
+                 dump_dir: Optional[str]) -> None:
+        self.obs = obs if obs is not None else get_observability()
+        self.registry: MetricsRegistry = (
+            self.obs.registry if self.obs.enabled else MetricsRegistry())
+        queue_cls = PriorityLaneQueue if lanes else SubmissionQueue
+        self.queue = queue_cls(capacity=queue_capacity,
+                               high_watermark=high_watermark,
+                               registry=self.registry)
+        #: optional SLO tracker: pass a {workload: target_wall_ms |
+        #: SLObjective} mapping or a prebuilt SLOTracker.
+        if isinstance(slo, SLOTracker):
+            self.slo: Optional[SLOTracker] = slo
+        elif slo:
+            self.slo = SLOTracker(slo, registry=self.registry)
+        else:
+            self.slo = None
+        #: always-on flight recorder (True builds one; pass an instance
+        #: to share a ring across clusters; False/None disables).
+        if isinstance(recorder, FlightRecorder):
+            self.recorder: Optional[FlightRecorder] = recorder
+        elif recorder:
+            self.recorder = FlightRecorder(capacity=recorder_capacity,
+                                           dump_dir=dump_dir,
+                                           registry=self.registry)
+        else:
+            self.recorder = None
+        #: a single MachineConfig builds a homogeneous pool; a sequence
+        #: is striped round-robin across devices (or shards) for
+        #: mixed-generation clusters.
+        machines = list(machine) \
+            if isinstance(machine, (list, tuple)) else [machine]
+        if not machines:
+            raise ValueError("machine sequence must be non-empty")
+        self.machines: List[MachineConfig] = machines
+        #: tuned-variant registry (repro.tune.registry.TunedRegistry) or
+        #: a path to its JSON dump; consulted per device machine when
+        #: serving "tuned.*" workloads.
+        if isinstance(tuned, str):
+            from repro.tune.registry import TunedRegistry
+            tuned = TunedRegistry.load(tuned)
+        self.tuned = tuned
+        self._outstanding = 0
+        self._done_cv = threading.Condition()
+        self._started = False
+        self._stopped = False
+        self._t_start = time.perf_counter()
+        self.completed: List[Request] = []
+        self._completed_lock = threading.Lock()
+        #: optional completion callback (finished Request -> None), run
+        #: on the retiring thread before the request is counted drained
+        #: — the shard worker ships completions through it.
+        self.on_complete = None
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def start(self) -> "FrontDoor":
+        if self._started:
+            return self
+        self._started = True
+        self._t_start = time.perf_counter()
+        self._start()
+        return self
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()
+
+    # -- submission --------------------------------------------------------
+
+    def submit(self, workload: str, params: Optional[Dict[str, Any]] = None,
+               arrival_sim_us: Optional[float] = None,
+               lane: str = "interactive",
+               deadline_ms: Optional[float] = None,
+               block: bool = False,
+               timeout: Optional[float] = None) -> Request:
+        """Admit one request; raises :class:`Backpressure` when full.
+
+        ``lane`` and ``deadline_ms`` only affect drain order on a lane
+        queue; a deadline left ``None`` inherits the workload's SLO wall
+        target when one is configured.
+        """
+        req = self._new_request(workload, params, arrival_sim_us, lane,
+                                deadline_ms)
+        return self._admit(req, block, timeout)
+
+    def _new_request(self, workload: str, params: Optional[Dict[str, Any]],
+                     arrival_sim_us: Optional[float], lane: str,
+                     deadline_ms: Optional[float]) -> Request:
+        if not self._started:
+            self.start()
+        req = Request(workload=workload, params=dict(params or {}),
+                      arrival_sim_us=arrival_sim_us)
+        req.lane = normalize_lane(lane)
+        if deadline_ms is None and self.slo is not None:
+            objective = self.slo.objective_for(workload)
+            if objective is not None:
+                deadline_ms = objective.target_wall_ms
+        if deadline_ms is not None:
+            req.deadline_wall_s = time.perf_counter() + deadline_ms / 1e3
+        return self._mint_trace(req)
+
+    def _admit(self, req: Request, block: bool,
+               timeout: Optional[float]) -> Request:
+        self.queue.submit(req, block=block, timeout=timeout)
+        with self._done_cv:
+            self._outstanding += 1
+        return req
+
+    def _mint_trace(self, req: Request) -> Request:
+        """Stamp a trace ID + empty span tree (recorder enabled only)."""
+        if self.recorder is not None:
+            req.trace_id = mint_trace_id()
+            req.trace = RequestTrace(req.trace_id, workload=req.workload,
+                                     request_id=req.id)
+        return req
+
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Wait until every admitted request finished; True on success."""
+        with self._done_cv:
+            return self._done_cv.wait_for(
+                lambda: self._outstanding == 0, timeout)
+
+    # -- completion --------------------------------------------------------
+
+    def _retire(self, req: Request) -> None:
+        """Retire a finished request: SLO verdict, span tree into the
+        flight recorder (auto-dumping what a postmortem will want:
+        failure, SLO breach, sanitizer findings), the completed list,
+        ``on_complete``, and the drain count."""
+        if self.slo is not None:
+            req.slo_breached = self.slo.observe_request(req)
+        tr = req.trace
+        if tr is not None and self.recorder is not None:
+            where = {} if req.shard_index is None \
+                else {"shard": req.shard_index}
+            tr.finish(status=req.status.value, tier=req.tier,
+                      latency_wall_ms=req.latency_wall_s * 1e3,
+                      latency_sim_us=req.latency_sim_us,
+                      error=req.error, slo_breached=req.slo_breached,
+                      **where)
+            self.recorder.record(tr)
+            if req.status is RequestStatus.FAILED:
+                self.recorder.dump(tr, DumpReason.ERROR,
+                                   detail=req.error or "")
+            elif req.slo_breached:
+                self.recorder.dump(
+                    tr, DumpReason.SLO_BREACH,
+                    detail=f"latency {req.latency_wall_s * 1e3:.3f} ms "
+                           f"(sim {req.latency_sim_us:.1f} us)")
+            if req.sanitize_findings:
+                self.recorder.dump(tr, DumpReason.SANITIZER,
+                                   detail="; ".join(req.sanitize_findings))
+        with self._completed_lock:
+            self.completed.append(req)
+        if self.on_complete is not None:
+            try:
+                self.on_complete(req)
+            except Exception:  # noqa: BLE001 - shipping must not wedge drain
+                pass
+        with self._done_cv:
+            self._outstanding -= 1
+            self._done_cv.notify_all()
+
+    # -- reporting ---------------------------------------------------------
+
+    def export_traces(self, path_or_file) -> None:
+        """Write every retained request tree as one Chrome-trace file."""
+        if self.recorder is None:
+            raise ValueError("flight recorder is disabled on this cluster")
+        self.recorder.export_chrome(path_or_file)
+
+    def report(self) -> Dict[str, Any]:
+        """Aggregate serving statistics over everything completed so far."""
+        with self._completed_lock:
+            reqs = list(self.completed)
+        done = [r for r in reqs if r.status is RequestStatus.DONE]
+        wall_s = time.perf_counter() - self._t_start
+        report: Dict[str, Any] = {}
+        if self.slo is not None:
+            report["slo"] = self.slo.snapshot()
+        if self.recorder is not None:
+            report["recorder"] = self.recorder.stats()
+        report |= {
+            "machines": sorted({m.name for m in self.machines}),
+            "tuned": {
+                "enabled": self.tuned is not None,
+                "entries": len(self.tuned) if self.tuned is not None else 0,
+            },
+            "requests": {s.value: sum(1 for r in reqs if r.status is s)
+                         for s in RequestStatus} | {"total": len(reqs)},
+            "wall_elapsed_s": wall_s,
+            "throughput_rps": len(done) / wall_s if wall_s > 0 else 0.0,
+            "latency_wall_ms": percentiles(
+                [r.latency_wall_s * 1e3 for r in done]),
+            "latency_sim_us": percentiles(
+                [r.latency_sim_us for r in done]),
+            "sim": {
+                "kernel_us": sum(r.kernel_sim_us for r in done),
+                "launch_overhead_us": sum(r.overhead_sim_us for r in done),
+                "dram_bytes": sum(r.dram_bytes for r in done),
+                # Each device is a serial resource, so the makespan is
+                # where the last served request left its device's clock.
+                "horizon_us": max(map(sim_end_us, done), default=0.0),
+            },
+            "kernel_cache": cache_stats(sum(r.cache_hits for r in reqs),
+                                        sum(r.cache_misses for r in reqs)),
+        }
+        self._report_topology(report, reqs, done)
+        return report
+
+
+class ServeCluster(FrontDoor):
     """A pool of simulated devices behind a scheduling front end."""
 
     def __init__(self, num_devices: int = 2,
@@ -297,77 +541,30 @@ class ServeCluster:
             raise ValueError(
                 f"validate must be one of {sanitize_mod.VALIDATE_MODES}, "
                 f"got {validate!r}")
+        super().__init__(machine, tuned, queue_capacity, high_watermark,
+                         lanes, obs, slo, recorder, recorder_capacity,
+                         dump_dir)
         #: dispatch-gating mode for compiled launches: "first" race-checks
         #: each kernel's first launch per device on the JIT tier
         #: (certifying or refusing it), "always" sanitizes every launch
         #: sequentially, "off" trusts the kernel and always allows the
         #: JIT tier.
         self.validate = validate
-        self.obs = obs if obs is not None else get_observability()
-        self.registry: MetricsRegistry = (
-            self.obs.registry if self.obs.enabled else MetricsRegistry())
         self.policy: Policy = make_policy(policy)
         self.batcher = DynamicBatcher(max_batch=max_batch, enabled=batching)
-        queue_cls = PriorityLaneQueue if lanes else SubmissionQueue
-        self.queue = queue_cls(capacity=queue_capacity,
-                               high_watermark=high_watermark,
-                               registry=self.registry)
-        #: optional SLO tracker: pass a {workload: target_wall_ms |
-        #: SLObjective} mapping or a prebuilt SLOTracker.
-        if isinstance(slo, SLOTracker):
-            self.slo: Optional[SLOTracker] = slo
-        elif slo:
-            self.slo = SLOTracker(slo, registry=self.registry)
-        else:
-            self.slo = None
-        #: always-on flight recorder (True builds one; pass an instance
-        #: to share a ring across clusters; False/None disables).
-        if isinstance(recorder, FlightRecorder):
-            self.recorder: Optional[FlightRecorder] = recorder
-        elif recorder:
-            self.recorder = FlightRecorder(capacity=recorder_capacity,
-                                           dump_dir=dump_dir,
-                                           registry=self.registry)
-        else:
-            self.recorder = None
         self.dispatch_window = dispatch_window
         self.batch_linger_s = batch_linger_s
-        #: a single MachineConfig builds a homogeneous pool; a sequence
-        #: is striped round-robin across workers (device i gets
-        #: machines[i % len]) for mixed-generation clusters.
-        machines = list(machine) \
-            if isinstance(machine, (list, tuple)) else [machine]
-        if not machines:
-            raise ValueError("machine sequence must be non-empty")
-        self.machines: List[MachineConfig] = machines
-        #: tuned-variant registry (repro.tune.registry.TunedRegistry) or
-        #: a path to its JSON dump; consulted per device machine when
-        #: serving "tuned.*" workloads, pre-seeded into each device's
-        #: kernel cache at start().
-        if isinstance(tuned, str):
-            from repro.tune.registry import TunedRegistry
-            tuned = TunedRegistry.load(tuned)
-        self.tuned = tuned
+        # Device i simulates machines[i % len]; the tuned registry is
+        # pre-seeded into each device's kernel cache at start().
         self.workers = [
-            DeviceWorker(i, Device(machines[i % len(machines)],
+            DeviceWorker(i, Device(self.machines[i % len(self.machines)],
                                    obs=self.obs), self)
             for i in range(num_devices)]
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-dispatcher", daemon=True)
-        self._outstanding = 0
-        self._done_cv = threading.Condition()
-        self._started = False
-        self._stopped = False
-        self._t_start = time.perf_counter()
         #: per-workload EMA of simulated service, for load estimates.
         self._service_est_us: Dict[str, float] = {}
         self._est_lock = threading.Lock()
-        self.completed: List[Request] = []
-        self._completed_lock = threading.Lock()
-        #: optional completion callback (finished Request -> None), run
-        #: on the finishing worker thread before the request is counted
-        #: drained — the shard worker ships completions through it.
-        self.on_complete = None
 
         self._m_requests = {
             status: self.registry.counter("serve_requests",
@@ -387,11 +584,7 @@ class ServeCluster:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> "ServeCluster":
-        if self._started:
-            return self
-        self._started = True
-        self._t_start = time.perf_counter()
+    def _start(self) -> None:
         if self.tuned is not None:
             # Warm every device's kernel cache with its own machine's
             # tuned winners before the first request arrives.
@@ -401,13 +594,6 @@ class ServeCluster:
         for w in self.workers:
             w.start()
         self._dispatcher.start()
-        return self
-
-    def __enter__(self) -> "ServeCluster":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
 
     def shutdown(self, wait: bool = True) -> None:
         if self._stopped:
@@ -428,51 +614,6 @@ class ServeCluster:
     @property
     def devices(self) -> List[Device]:
         return [w.device for w in self.workers]
-
-    # -- submission --------------------------------------------------------
-
-    def submit(self, workload: str, params: Optional[Dict[str, Any]] = None,
-               arrival_sim_us: Optional[float] = None,
-               lane: str = "interactive",
-               deadline_ms: Optional[float] = None,
-               block: bool = False,
-               timeout: Optional[float] = None) -> Request:
-        """Admit one request; raises :class:`Backpressure` when full.
-
-        ``lane`` and ``deadline_ms`` only affect drain order on a
-        cluster built with ``lanes=True``; a deadline left ``None``
-        inherits the workload's SLO wall target when one is configured.
-        """
-        if not self._started:
-            self.start()
-        req = Request(workload=workload, params=dict(params or {}),
-                      arrival_sim_us=arrival_sim_us)
-        req.lane = normalize_lane(lane)
-        if deadline_ms is None and self.slo is not None:
-            objective = self.slo.objective_for(workload)
-            if objective is not None:
-                deadline_ms = objective.target_wall_ms
-        if deadline_ms is not None:
-            req.deadline_wall_s = time.perf_counter() + deadline_ms / 1e3
-        self._mint_trace(req)
-        self.queue.submit(req, block=block, timeout=timeout)
-        with self._done_cv:
-            self._outstanding += 1
-        return req
-
-    def _mint_trace(self, req: Request) -> Request:
-        """Stamp a trace ID + empty span tree (recorder enabled only)."""
-        if self.recorder is not None:
-            req.trace_id = mint_trace_id()
-            req.trace = RequestTrace(req.trace_id, workload=req.workload,
-                                     request_id=req.id)
-        return req
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait until every admitted request finished; True on success."""
-        with self._done_cv:
-            return self._done_cv.wait_for(
-                lambda: self._outstanding == 0, timeout)
 
     # -- race-verdict sharing ----------------------------------------------
 
@@ -585,9 +726,6 @@ class ServeCluster:
     def _request_finished(self, req: Request,
                           worker: Optional[DeviceWorker]) -> None:
         self._m_requests[req.status].inc()
-        if self.slo is not None:
-            req.slo_breached = self.slo.observe_request(req)
-        self._retire_trace(req)
         if req.status is RequestStatus.DONE:
             self._m_kernel.inc(req.kernel_sim_us)
             self._m_overhead.inc(req.overhead_sim_us)
@@ -609,39 +747,7 @@ class ServeCluster:
                 sample = req.kernel_sim_us
                 self._service_est_us[req.workload] = sample if prev is None \
                     else prev + 0.3 * (sample - prev)
-        with self._completed_lock:
-            self.completed.append(req)
-        if self.on_complete is not None:
-            try:
-                self.on_complete(req)
-            except Exception:  # noqa: BLE001 - shipping must not wedge drain
-                pass
-        with self._done_cv:
-            self._outstanding -= 1
-            self._done_cv.notify_all()
-
-    def _retire_trace(self, req: Request) -> None:
-        """Seal the request's span tree into the flight recorder, auto-
-        dumping the traces a postmortem will want (failure, SLO breach,
-        sanitizer findings)."""
-        tr = req.trace
-        if tr is None or self.recorder is None:
-            return
-        tr.finish(status=req.status.value, tier=req.tier,
-                  latency_wall_ms=req.latency_wall_s * 1e3,
-                  latency_sim_us=req.latency_sim_us,
-                  error=req.error, slo_breached=req.slo_breached)
-        self.recorder.record(tr)
-        if req.status is RequestStatus.FAILED:
-            self.recorder.dump(tr, DumpReason.ERROR, detail=req.error or "")
-        elif req.slo_breached:
-            self.recorder.dump(
-                tr, DumpReason.SLO_BREACH,
-                detail=f"latency {req.latency_wall_s * 1e3:.3f} ms "
-                       f"(sim {req.latency_sim_us:.1f} us)")
-        if req.sanitize_findings:
-            self.recorder.dump(tr, DumpReason.SANITIZER,
-                               detail="; ".join(req.sanitize_findings))
+        self._retire(req)
 
     def _batch_finished(self, batch: Batch, worker: DeviceWorker,
                         busy_us: float) -> None:
@@ -652,79 +758,32 @@ class ServeCluster:
 
     # -- reporting ---------------------------------------------------------
 
-    def export_traces(self, path_or_file) -> None:
-        """Write every retained request tree as one Chrome-trace file."""
-        if self.recorder is None:
-            raise ValueError("flight recorder is disabled on this cluster")
-        self.recorder.export_chrome(path_or_file)
-
-    def report(self) -> Dict[str, Any]:
-        """Aggregate serving statistics over everything completed so far."""
-        with self._completed_lock:
-            reqs = list(self.completed)
-        done = [r for r in reqs if r.status is RequestStatus.DONE]
-        wall_s = time.perf_counter() - self._t_start
-        by_status = {s.value: sum(1 for r in reqs if r.status is s)
-                     for s in RequestStatus}
+    def _report_topology(self, report: Dict[str, Any], reqs: List[Request],
+                         done: List[Request]) -> None:
+        horizon = report["sim"]["horizon_us"]
         total_busy = sum(w.busy_sim_us for w in self.workers)
-        horizon = max((w.sim_clock_us for w in self.workers), default=0.0)
-        cache_hits = sum(r.cache_hits for r in reqs)
-        cache_misses = sum(r.cache_misses for r in reqs)
-        lookups = cache_hits + cache_misses
         batches = sum(w.batches_done for w in self.workers)
-        tiers: Dict[str, int] = {}
-        gate: Dict[str, int] = {}
+        tiers, gate, variants = Counter(), Counter(), Counter()
         for w in self.workers:
-            for tier, n in w.device.profile.tier_launches.items():
-                tiers[tier] = tiers.get(tier, 0) + n
-            for outcome, n in w.device.profile.gate_outcomes.items():
-                gate[outcome] = gate.get(outcome, 0) + n
-        variants: Dict[str, int] = {}
-        for w in self.workers:
-            for vkey, n in w.variants_served.items():
-                variants[vkey] = variants.get(vkey, 0) + n
-        extra: Dict[str, Any] = {}
-        if self.slo is not None:
-            extra["slo"] = self.slo.snapshot()
-        if self.recorder is not None:
-            extra["recorder"] = self.recorder.stats()
-        return extra | {
+            tiers.update(w.device.profile.tier_launches)
+            gate.update(w.device.profile.gate_outcomes)
+            variants.update(w.variants_served)
+        report["tuned"]["variants_served"] = dict(variants)
+        report["sim"] |= {
+            "busy_us": total_busy,
+            "batches": batches,
+            "avg_batch": (len(done) / batches) if batches else 0.0,
+        }
+        report |= {
             "policy": self.policy.name,
             "devices": self.num_devices,
-            "machines": sorted({m.name for m in self.machines}),
-            "tuned": {
-                "enabled": self.tuned is not None,
-                "entries": len(self.tuned) if self.tuned is not None else 0,
-                "variants_served": variants,
-            },
             "batching": self.batcher.enabled,
-            "requests": by_status | {"total": len(reqs)},
-            "wall_elapsed_s": wall_s,
-            "throughput_rps": len(done) / wall_s if wall_s > 0 else 0.0,
-            "latency_wall_ms": percentiles(
-                [r.latency_wall_s * 1e3 for r in done]),
             "wait_wall_ms": percentiles(
                 [r.wait_wall_s * 1e3 for r in done]),
-            "latency_sim_us": percentiles(
-                [r.latency_sim_us for r in done]),
             "service_sim_us": percentiles(
                 [r.service_sim_us for r in done]),
-            "sim": {
-                "kernel_us": sum(r.kernel_sim_us for r in done),
-                "launch_overhead_us": sum(r.overhead_sim_us for r in done),
-                "busy_us": total_busy,
-                "horizon_us": horizon,
-                "batches": batches,
-                "avg_batch": (len(done) / batches) if batches else 0.0,
-                "dram_bytes": sum(r.dram_bytes for r in done),
-            },
-            "kernel_cache": {
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "hit_rate": cache_hits / lookups if lookups else 0.0,
-            },
-            "tiers": tiers,
-            "sanitize_gate": gate,
+            "tiers": dict(tiers),
+            "sanitize_gate": dict(gate),
             "per_device": [
                 {
                     "index": w.index,

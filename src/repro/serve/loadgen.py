@@ -258,8 +258,7 @@ def run_loadgen(devices: int = 2, requests: int = 200, seed: int = 0,
             run_closed_loop(cluster, trace, concurrency, counters,
                             deadline_ms=deadline_ms)
         cluster.drain(timeout=600.0)
-        report = cluster.report(refresh_snapshots=True) if sharded \
-            else cluster.report()
+        report = cluster.report()
     failed = [r for r in cluster.completed
               if r.status is RequestStatus.FAILED]
     report["loadgen"] = {
@@ -391,14 +390,12 @@ def render(report: Dict[str, Any]) -> str:
             f"{ctl['shard_deaths']} shard deaths, "
             f"{ctl['duplicates_dropped']} duplicates dropped")
     for s in report.get("per_shard", ()):
-        inner = s.get("inner") or {}
-        cache = inner.get("kernel_cache") or {}
         lines.append(
             f"  shard{s['index']} [{s['state']}]: "
             f"{s['requests_done']} done / {s['routed']} routed, "
-            f"inflight {s['inflight']}"
-            + (f", cache {cache.get('hit_rate', 0.0):.0%}"
-               if cache else ""))
+            f"inflight {s['inflight']}, "
+            f"cache {s['kernel_cache']['hit_rate']:.0%}, "
+            f"horizon {s['horizon_us']:.1f} us")
     for d in report.get("per_device", ()):
         lines.append(
             f"  dev{d['index']}: {d['requests']} requests, "

@@ -39,12 +39,20 @@ single process flattens out long before the machine does.  The
   death is never double-completed, and ``Request.requeues`` bounds
   retries.
 
+The admission, retire and common report steps are
+:class:`~repro.serve.cluster.FrontDoor`'s, shared with
+:class:`ServeCluster`; this module adds only the topology.
+
 Observability crosses the boundary: workers mint trace IDs under a
 per-shard scope (:func:`~repro.obs.request.set_trace_scope`), ship
 their span trees in each completion, and the parent grafts them under
 a ``shard`` span in its own trace (:meth:`~repro.obs.request.
-RequestTrace.graft`) — so the flight recorder, SLO tracker, and
-``report()`` keep working as if the cluster were one process.
+RequestTrace.graft`) — so the flight recorder and SLO tracker keep
+working as if the cluster were one process.  Each completion also
+carries the request's simulated start on its shard device, so
+``report()`` — the cluster horizon and every ``per_shard`` entry
+included — is derived from completions alone, with no round trip to
+the shards.
 """
 
 from __future__ import annotations
@@ -52,34 +60,29 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import multiprocessing as mp
-import os
 import queue as _stdqueue
 import threading
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs import get_observability
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import DumpReason, FlightRecorder
-from repro.obs.request import RequestTrace, mint_trace_id, set_trace_scope
-from repro.obs.slo import SLOTracker
+from repro.obs.request import set_trace_scope
 from repro.obs.tracing import get_tracer
 from repro.sim.machine import GEN11_ICL, MachineConfig
 
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
-from repro.serve.cluster import ServeCluster
-from repro.serve.lanes import PriorityLaneQueue, normalize_lane
+from repro.serve.cluster import FrontDoor, ServeCluster, cache_stats, \
+    sim_end_us
 from repro.serve.pool import PayloadRef, SurfacePool
 from repro.serve.request import Request, RequestStatus, percentiles
 
 #: Control-plane sentinels (strings survive pickling; object identity
 #: would not).
 _STOP = "__stop__"
-_SNAPSHOT = "__snapshot__"
 _BYE = "__bye__"
 
 #: Start method: fork is cheap and keeps MachineConfig / registry state
@@ -98,8 +101,6 @@ class ShardConfig:
     max_batch: int = 8
     queue_capacity: int = 512
     validate: str = "first"
-    #: inner clusters order their own queues by lane + deadline too.
-    lanes: bool = True
     #: serialize each request's span tree into its completion message
     #: (cheap to turn off for raw-throughput runs).
     ship_traces: bool = True
@@ -140,6 +141,8 @@ class CompleteMsg:
     dram_bytes: int = 0
     launches: int = 0
     tier: Optional[str] = None
+    #: where the request started on its shard device's simulated clock.
+    start_sim_us: Optional[float] = None
     #: tuned-variant label the serving device resolved (tuned requests).
     variant: Optional[str] = None
     cache_hits: int = 0
@@ -162,20 +165,19 @@ class CompleteMsg:
     race_verdicts: List[Tuple[str, Any]] = field(default_factory=list)
 
 
+#: CompleteMsg fields copied from the worker's Request onto the
+#: parent's, under the same names.
+_SHIPPED = ("result", "kernel_sim_us", "overhead_sim_us", "dram_bytes",
+            "launches", "tier", "start_sim_us", "variant", "cache_hits",
+            "cache_misses", "device_index", "batch_id", "batch_size",
+            "sanitized_launches", "sanitize_findings")
+
+
 @dataclass
 class VerdictMsg:
     """Parent -> shard: adopt race verdicts sanitized elsewhere."""
 
     verdicts: List[Tuple[str, Any]] = field(default_factory=list)
-
-
-@dataclass
-class SnapshotMsg:
-    """Shard -> parent: periodic inner-cluster report + identity."""
-
-    shard: int
-    pid: int
-    report: Dict[str, Any]
 
 
 def _shard_main(shard_index: int, cfg: ShardConfig, inbox, outbox,
@@ -190,7 +192,7 @@ def _shard_main(shard_index: int, cfg: ShardConfig, inbox, outbox,
         tuned=cfg.tuned,
         policy=cfg.policy, batching=cfg.batching, max_batch=cfg.max_batch,
         queue_capacity=cfg.queue_capacity, validate=cfg.validate,
-        lanes=cfg.lanes, slo=None, recorder=cfg.ship_traces)
+        lanes=True, slo=None, recorder=cfg.ship_traces)
 
     def ship(req: Request) -> None:
         trace_dict = None
@@ -204,18 +206,11 @@ def _shard_main(shard_index: int, cfg: ShardConfig, inbox, outbox,
         outbox.put(CompleteMsg(
             shard=shard_index,
             origin_id=req.params.get("_origin_id", req.id),
-            status=req.status.value, error=req.error, result=req.result,
-            kernel_sim_us=req.kernel_sim_us,
-            overhead_sim_us=req.overhead_sim_us,
-            dram_bytes=req.dram_bytes, launches=req.launches,
-            tier=req.tier, variant=req.variant, cache_hits=req.cache_hits,
-            cache_misses=req.cache_misses, device_index=req.device_index,
-            batch_id=req.batch_id, batch_size=req.batch_size,
+            status=req.status.value, error=req.error,
             wait_wall_s=req.wait_wall_s,
-            sanitized_launches=req.sanitized_launches,
-            sanitize_findings=list(req.sanitize_findings),
             trace=trace_dict, payload_out=payload_out,
-            race_verdicts=cluster.drain_race_verdicts()))
+            race_verdicts=cluster.drain_race_verdicts(),
+            **{name: getattr(req, name) for name in _SHIPPED}))
 
     cluster.on_complete = ship
     cluster.start()
@@ -224,10 +219,6 @@ def _shard_main(shard_index: int, cfg: ShardConfig, inbox, outbox,
             item = inbox.get()
             if item == _STOP:
                 break
-            if item == _SNAPSHOT:
-                outbox.put(SnapshotMsg(shard_index, os.getpid(),
-                                       cluster.report()))
-                continue
             if isinstance(item, VerdictMsg):
                 cluster.adopt_race_verdicts(item.verdicts)
                 continue
@@ -253,8 +244,6 @@ def _shard_main(shard_index: int, cfg: ShardConfig, inbox, outbox,
     finally:
         cluster.shutdown()
         try:
-            outbox.put(SnapshotMsg(shard_index, os.getpid(),
-                                   cluster.report()))
             outbox.put(_BYE)
         except Exception:  # noqa: BLE001 - parent may already be gone
             pass
@@ -278,11 +267,16 @@ class _Shard:
         #: terminally gone (dead or cleanly stopped).
         self.stopped = False
         self.stop_sent = False
-        self.requests_done = 0
         self.routed = 0
-        self.last_snapshot: Optional[SnapshotMsg] = None
         #: name of the MachineConfig this shard's devices simulate.
         self.machine_name: Optional[str] = None
+        #: tallied from this shard's completions (pump thread, under the
+        #: cluster's shards lock).
+        self.requests_done = 0
+        self.horizon_us = 0.0
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.tiers: Dict[str, int] = {}
 
     @property
     def alive(self) -> bool:
@@ -295,8 +289,32 @@ class _Shard:
             return "draining"
         return "active"
 
+    def tally(self, req: Request) -> None:
+        self.requests_done += 1
+        self.cache_hits += req.cache_hits
+        self.cache_misses += req.cache_misses
+        if req.status is RequestStatus.DONE:
+            self.horizon_us = max(self.horizon_us, sim_end_us(req))
+            if req.tier:
+                self.tiers[req.tier] = self.tiers.get(req.tier, 0) + 1
 
-class ShardedCluster:
+    def describe(self, inflight: int) -> Dict[str, Any]:
+        return {
+            "index": self.index,
+            "pid": self.proc.pid,
+            "machine": self.machine_name,
+            "state": self.state(),
+            "alive": self.alive,
+            "routed": self.routed,
+            "requests_done": self.requests_done,
+            "inflight": inflight,
+            "horizon_us": self.horizon_us,
+            "kernel_cache": cache_stats(self.cache_hits, self.cache_misses),
+            "tiers": dict(self.tiers),
+        }
+
+
+class ShardedCluster(FrontDoor):
     """N shard processes behind one lane-aware, autoscaled front door."""
 
     def __init__(self, shards: int = 2,
@@ -326,6 +344,12 @@ class ShardedCluster:
             raise ValueError("shards must be >= 1")
         if routing not in ("affinity", "round-robin"):
             raise ValueError("routing must be 'affinity' or 'round-robin'")
+        # Shard i simulates machines[i % len]: a heterogeneous fleet
+        # behind one front door.
+        super().__init__(machine, tuned, queue_capacity, high_watermark,
+                         lanes=True, obs=None, slo=slo, recorder=recorder,
+                         recorder_capacity=recorder_capacity,
+                         dump_dir=dump_dir)
         self.routing = routing
         self.max_requeues = max_requeues
         self.route_window = route_window
@@ -339,43 +363,12 @@ class ShardedCluster:
         self.shard_inflight = shard_inflight if shard_inflight is not None \
             else max(16, 2 * devices_per_shard * max_batch)
         self.initial_shards = shards
-        #: a sequence of MachineConfigs stripes generations across
-        #: shards (shard i gets machines[i % len]) — a heterogeneous
-        #: fleet behind one front door.
-        self.machines: List[MachineConfig] = list(machine) \
-            if isinstance(machine, (list, tuple)) else [machine]
-        if not self.machines:
-            raise ValueError("machine sequence must be non-empty")
-        if isinstance(tuned, str):
-            from repro.tune.registry import TunedRegistry
-            tuned = TunedRegistry.load(tuned)
-        self.tuned = tuned
         self.cfg = ShardConfig(
             devices_per_shard=devices_per_shard, policy=policy,
             batching=batching, max_batch=max_batch,
             queue_capacity=shard_queue_capacity, validate=validate,
             ship_traces=ship_traces, machine=self.machines[0],
-            tuned=tuned)
-        self.obs = get_observability()
-        self.registry: MetricsRegistry = (
-            self.obs.registry if self.obs.enabled else MetricsRegistry())
-        self.queue = PriorityLaneQueue(capacity=queue_capacity,
-                                       high_watermark=high_watermark,
-                                       registry=self.registry)
-        if isinstance(slo, SLOTracker):
-            self.slo: Optional[SLOTracker] = slo
-        elif slo:
-            self.slo = SLOTracker(slo, registry=self.registry)
-        else:
-            self.slo = None
-        if isinstance(recorder, FlightRecorder):
-            self.recorder: Optional[FlightRecorder] = recorder
-        elif recorder:
-            self.recorder = FlightRecorder(capacity=recorder_capacity,
-                                           dump_dir=dump_dir,
-                                           registry=self.registry)
-        else:
-            self.recorder = None
+            tuned=self.tuned)
         self.pool = SurfacePool(slots=pool_slots, slot_bytes=pool_slot_bytes)
         self.autoscaler = Autoscaler(autoscale) if autoscale else None
 
@@ -387,10 +380,6 @@ class ShardedCluster:
         self._inflight: Dict[int, Tuple[Request, SubmitMsg, int]] = {}
         self._completed_ids: set = set()
         self._state_lock = threading.Lock()
-        self.completed: List[Request] = []
-        self._completed_lock = threading.Lock()
-        self._outstanding = 0
-        self._done_cv = threading.Condition()
         #: kernel name -> RaceVerdict: every verdict any shard has
         #: produced (first one sticks — the sanitize is deterministic).
         #: Rebroadcast to live shards on arrival; new shards get the
@@ -408,28 +397,14 @@ class ShardedCluster:
         self._monitor = threading.Thread(target=self._monitor_loop,
                                          name="shard-monitor", daemon=True)
         self._stop_event = threading.Event()
-        self._started = False
-        self._stopped = False
-        self._t_start = time.perf_counter()
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> "ShardedCluster":
-        if self._started:
-            return self
-        self._started = True
-        self._t_start = time.perf_counter()
+    def _start(self) -> None:
         for _ in range(self.initial_shards):
             self._spawn_shard()
         self._router.start()
         self._monitor.start()
-        return self
-
-    def __enter__(self) -> "ShardedCluster":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
 
     def _spawn_shard(self) -> _Shard:
         index = next(self._shard_ids)
@@ -505,12 +480,6 @@ class ShardedCluster:
                         pass
         self.pool.close()
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait until every admitted request finished; True on success."""
-        with self._done_cv:
-            return self._done_cv.wait_for(
-                lambda: self._outstanding == 0, timeout)
-
     # -- submission --------------------------------------------------------
 
     def submit(self, workload: str, params: Optional[Dict[str, Any]] = None,
@@ -526,17 +495,8 @@ class ShardedCluster:
         the shared-memory pool (falling back to pickling when no slot
         fits); outputs come back on ``Request.result_payload``.
         """
-        if not self._started:
-            self.start()
-        req = Request(workload=workload, params=dict(params or {}),
-                      arrival_sim_us=arrival_sim_us)
-        req.lane = normalize_lane(lane)
-        if deadline_ms is None and self.slo is not None:
-            objective = self.slo.objective_for(workload)
-            if objective is not None:
-                deadline_ms = objective.target_wall_ms
-        if deadline_ms is not None:
-            req.deadline_wall_s = time.perf_counter() + deadline_ms / 1e3
+        req = self._new_request(workload, params, arrival_sim_us, lane,
+                                deadline_ms)
         payload_ref = payload_arrays = None
         if payload:
             arrays = {k: np.asarray(v) for k, v in payload.items()}
@@ -545,19 +505,16 @@ class ShardedCluster:
                 payload_arrays = arrays
         req._payload_ref = payload_ref  # noqa: SLF001 - parent-side stash
         req._payload_arrays = payload_arrays  # noqa: SLF001
-        if self.recorder is not None:
-            req.trace_id = mint_trace_id()
-            req.trace = RequestTrace(req.trace_id, workload=req.workload,
-                                     request_id=req.id)
         try:
-            self.queue.submit(req, block=block, timeout=timeout)
+            return self._admit(req, block, timeout)
         except Exception:
-            if payload_ref is not None:
-                self.pool.release(payload_ref)
+            self._release_payload(req)
             raise
-        with self._done_cv:
-            self._outstanding += 1
-        return req
+
+    def _release_payload(self, req: Request) -> None:
+        ref = getattr(req, "_payload_ref", None)
+        if ref is not None:
+            self.pool.release(ref)
 
     # -- routing -----------------------------------------------------------
 
@@ -633,7 +590,7 @@ class ShardedCluster:
                                      routing=self.routing)
                 with self._state_lock:
                     self._inflight[req.id] = (req, msg, shard.index)
-                shard.routed += 1
+                    shard.routed += 1
                 batches.setdefault(shard.index, []).append(msg)
             with self._shards_lock:
                 live = dict(self._shards)
@@ -648,7 +605,8 @@ class ShardedCluster:
 
     def _finish_unroutable(self, req: Request) -> None:
         req.finish(RequestStatus.FAILED, "no shard available")
-        self._account_completion(req, release_payload=True)
+        self._release_payload(req)
+        self._retire(req)
 
     # -- completion (pump threads) -----------------------------------------
 
@@ -667,9 +625,6 @@ class ShardedCluster:
                 shard.stopped = True
                 shard.proc.join(timeout=5.0)
                 return
-            if isinstance(msg, SnapshotMsg):
-                shard.last_snapshot = msg
-                continue
             self._complete(msg)
 
     def _adopt_verdicts(self, pairs, from_shard: int) -> None:
@@ -683,9 +638,9 @@ class ShardedCluster:
                     continue
                 self._verdicts[kname] = verdict
                 fresh.append((kname, verdict))
+            self.verdicts_broadcast += len(fresh)
         if not fresh:
             return
-        self.verdicts_broadcast += len(fresh)
         with self._shards_lock:
             shards = [s for s in self._shards.values()
                       if s.alive and not s.stopped and not s.stop_sent]
@@ -711,20 +666,8 @@ class ShardedCluster:
             self._completed_ids.add(msg.origin_id)
         req, sub, _ = entry
         req.shard_index = msg.shard
-        req.device_index = msg.device_index
-        req.batch_id = msg.batch_id
-        req.batch_size = msg.batch_size
-        req.kernel_sim_us = msg.kernel_sim_us
-        req.overhead_sim_us = msg.overhead_sim_us
-        req.dram_bytes = msg.dram_bytes
-        req.launches = msg.launches
-        req.tier = msg.tier
-        req.variant = msg.variant
-        req.cache_hits = msg.cache_hits
-        req.cache_misses = msg.cache_misses
-        req.result = msg.result
-        req.sanitized_launches = msg.sanitized_launches
-        req.sanitize_findings = list(msg.sanitize_findings)
+        for name in _SHIPPED:
+            setattr(req, name, getattr(msg, name))
         now = time.perf_counter()
         req.t_done_wall = now
         if req.t_submit_wall is not None:
@@ -736,49 +679,14 @@ class ShardedCluster:
             self.pool.release(sub.payload_ref)
         elif msg.payload_out is not None:
             req.result_payload = msg.payload_out
-        req.status = RequestStatus(msg.status)
-        req.error = msg.error
         if msg.trace is not None and req.trace is not None:
             req.trace.graft(msg.trace, name="shard", shard=msg.shard)
+        req.finish(RequestStatus(msg.status), msg.error)
         with self._shards_lock:
             owner = self._shards.get(msg.shard)
-        if owner is not None:
-            owner.requests_done += 1
-        req.finish(req.status, msg.error)
-        self._account_completion(req)
-
-    def _account_completion(self, req: Request,
-                            release_payload: bool = False) -> None:
-        """SLO, flight recorder, completed list, drain bookkeeping."""
-        if release_payload:
-            ref = getattr(req, "_payload_ref", None)
-            if ref is not None:
-                self.pool.release(ref)
-        if self.slo is not None:
-            req.slo_breached = self.slo.observe_request(req)
-        tr = req.trace
-        if tr is not None and self.recorder is not None:
-            tr.finish(status=req.status.value, tier=req.tier,
-                      latency_wall_ms=req.latency_wall_s * 1e3,
-                      latency_sim_us=req.latency_sim_us,
-                      error=req.error, slo_breached=req.slo_breached,
-                      shard=req.shard_index)
-            self.recorder.record(tr)
-            if req.status is RequestStatus.FAILED:
-                self.recorder.dump(tr, DumpReason.ERROR,
-                                   detail=req.error or "")
-            elif req.slo_breached:
-                self.recorder.dump(
-                    tr, DumpReason.SLO_BREACH,
-                    detail=f"latency {req.latency_wall_s * 1e3:.3f} ms")
-            if req.sanitize_findings:
-                self.recorder.dump(tr, DumpReason.SANITIZER,
-                                   detail="; ".join(req.sanitize_findings))
-        with self._completed_lock:
-            self.completed.append(req)
-        with self._done_cv:
-            self._outstanding -= 1
-            self._done_cv.notify_all()
+            if owner is not None:
+                owner.tally(req)
+        self._retire(req)
 
     # -- monitor: liveness, drain completion, autoscale --------------------
 
@@ -865,20 +773,21 @@ class ShardedCluster:
                 req.finish(RequestStatus.FAILED,
                            f"shard {shard.index} died; requeue budget "
                            f"({self.max_requeues}) exhausted")
-                self._account_completion(req, release_payload=True)
+                self._release_payload(req)
+                self._retire(req)
                 continue
             target = self._route(req, active)
             with self._state_lock:
                 if oid in self._completed_ids:
                     continue
                 self._inflight[oid] = (req, sub, target.index)
+                self.requeued += 1
+                target.routed += 1
             req.shard_index = target.index
             if req.trace is not None:
                 t = get_tracer().now_us()
                 req.trace.record("requeue", t, t, dead_shard=shard.index,
                                  shard=target.index, attempt=req.requeues)
-            self.requeued += 1
-            target.routed += 1
             try:
                 target.inbox.put([sub])
             except Exception:  # noqa: BLE001 - next death sweep retries
@@ -886,47 +795,10 @@ class ShardedCluster:
 
     # -- reporting ---------------------------------------------------------
 
-    def request_snapshots(self, wait_s: float = 1.0) -> None:
-        """Ask every live shard for a fresh inner report; pumps store
-        the replies on each shard handle (best effort within ``wait_s``)."""
-        with self._shards_lock:
-            shards = [s for s in self._shards.values()
-                      if s.alive and not s.stop_sent]
-        before = {s.index: s.last_snapshot for s in shards}
-        for shard in shards:
-            try:
-                shard.inbox.put(_SNAPSHOT)
-            except Exception:  # noqa: BLE001
-                pass
-        deadline = time.monotonic() + wait_s
-        while time.monotonic() < deadline:
-            if all(s.last_snapshot is not before[s.index] for s in shards):
-                return
-            time.sleep(0.01)
-
-    def export_traces(self, path_or_file) -> None:
-        if self.recorder is None:
-            raise ValueError("flight recorder is disabled on this cluster")
-        self.recorder.export_chrome(path_or_file)
-
-    def report(self, refresh_snapshots: bool = False) -> Dict[str, Any]:
-        """Cluster-wide aggregation plus per-shard / lane / autoscale /
-        control-plane sections."""
-        if refresh_snapshots:
-            self.request_snapshots()
-        with self._completed_lock:
-            reqs = list(self.completed)
-        done = [r for r in reqs if r.status is RequestStatus.DONE]
-        wall_s = time.perf_counter() - self._t_start
-        by_status = {s.value: sum(1 for r in reqs if r.status is s)
-                     for s in RequestStatus}
-        cache_hits = sum(r.cache_hits for r in reqs)
-        cache_misses = sum(r.cache_misses for r in reqs)
-        lookups = cache_hits + cache_misses
-        tiers: Dict[str, int] = {}
-        for r in done:
-            if r.tier:
-                tiers[r.tier] = tiers.get(r.tier, 0) + 1
+    def _report_topology(self, report: Dict[str, Any], reqs: List[Request],
+                         done: List[Request]) -> None:
+        """Per-shard, lane, pool, control and autoscale sections, all
+        tallied from the completions the pumps already received."""
         lanes: Dict[str, Any] = {}
         for lane in ("interactive", "batch"):
             sub = [r for r in reqs if r.lane == lane]
@@ -940,36 +812,11 @@ class ShardedCluster:
                 "latency_wall_ms": percentiles(
                     [r.latency_wall_s * 1e3 for r in sub_done]),
             }
+        with self._state_lock:
+            inflight = Counter(idx for _, _, idx in self._inflight.values())
         with self._shards_lock:
             shards = sorted(self._shards.values(), key=lambda s: s.index)
-        per_shard = []
-        for s in shards:
-            entry: Dict[str, Any] = {
-                "index": s.index,
-                "machine": s.machine_name,
-                "state": s.state(),
-                "alive": s.alive,
-                "routed": s.routed,
-                "requests_done": s.requests_done,
-                "inflight": self._inflight_count(s.index),
-            }
-            if s.last_snapshot is not None:
-                inner = s.last_snapshot.report
-                entry["pid"] = s.last_snapshot.pid
-                entry["inner"] = {
-                    "requests": inner.get("requests"),
-                    "throughput_rps": inner.get("throughput_rps"),
-                    "kernel_cache": inner.get("kernel_cache"),
-                    "tiers": inner.get("tiers"),
-                    "sim": inner.get("sim"),
-                    "per_device": inner.get("per_device"),
-                }
-            per_shard.append(entry)
-        # Shards run independent simulated timelines; the cluster-wide
-        # makespan is the slowest shard's horizon (needs snapshots).
-        horizon = max(
-            (s.last_snapshot.report.get("sim", {}).get("horizon_us", 0.0)
-             for s in shards if s.last_snapshot is not None), default=0.0)
+            per_shard = [s.describe(inflight[s.index]) for s in shards]
         # Which tuned variant served each request, split by the machine
         # of the shard that ran it — the heterogeneity evidence.
         machine_of = {s.index: s.machine_name for s in shards}
@@ -981,44 +828,16 @@ class ShardedCluster:
             per = variants_by_machine.setdefault(mname, {})
             key = f"{r.workload}:{r.variant}"
             per[key] = per.get(key, 0) + 1
-        extra: Dict[str, Any] = {}
-        if self.slo is not None:
-            extra["slo"] = self.slo.snapshot()
-        if self.recorder is not None:
-            extra["recorder"] = self.recorder.stats()
+        report["tuned"]["variants_by_machine"] = variants_by_machine
         if self.autoscaler is not None:
-            extra["autoscale"] = self.autoscaler.snapshot()
-        return extra | {
+            report["autoscale"] = self.autoscaler.snapshot()
+        report |= {
             "shards": len(shards),
             "active_shards": len(self._active_shards()),
             "devices_per_shard": self.cfg.devices_per_shard,
-            "machines": sorted({m.name for m in self.machines}),
-            "tuned": {
-                "enabled": self.tuned is not None,
-                "entries": len(self.tuned) if self.tuned is not None else 0,
-                "variants_by_machine": variants_by_machine,
-            },
             "policy": self.cfg.policy,
             "routing": self.routing,
-            "requests": by_status | {"total": len(reqs)},
-            "wall_elapsed_s": wall_s,
-            "throughput_rps": len(done) / wall_s if wall_s > 0 else 0.0,
-            "latency_wall_ms": percentiles(
-                [r.latency_wall_s * 1e3 for r in done]),
-            "latency_sim_us": percentiles(
-                [r.latency_sim_us for r in done]),
-            "sim": {
-                "kernel_us": sum(r.kernel_sim_us for r in done),
-                "launch_overhead_us": sum(r.overhead_sim_us for r in done),
-                "dram_bytes": sum(r.dram_bytes for r in done),
-                "horizon_us": horizon,
-            },
-            "kernel_cache": {
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "hit_rate": cache_hits / lookups if lookups else 0.0,
-            },
-            "tiers": tiers,
+            "tiers": dict(Counter(r.tier for r in done if r.tier)),
             "lanes": lanes | {"queue_depths": self.queue.lane_depths()},
             "per_shard": per_shard,
             "pool": self.pool.stats(),

@@ -201,7 +201,7 @@ class TestShardedEndToEnd:
                             routing="affinity") as cluster:
             reqs = _submit_menu(cluster, 24)
             assert cluster.drain(timeout=120.0)
-            report = cluster.report(refresh_snapshots=True)
+            report = cluster.report()
         assert all(r.status is RequestStatus.DONE for r in reqs)
         assert report["requests"]["done"] == 24
         assert report["shards"] == 2
@@ -211,8 +211,13 @@ class TestShardedEndToEnd:
         assert report["sim"]["horizon_us"] > 0
         assert report["control"]["shard_deaths"] == 0
         for entry in report["per_shard"]:
-            assert entry["inner"]["requests"]["done"] == \
-                entry["requests_done"]
+            assert entry["requests_done"] > 0
+            assert entry["horizon_us"] > 0
+            assert entry["kernel_cache"]["hits"] + \
+                entry["kernel_cache"]["misses"] > 0
+            assert sum(entry["tiers"].values()) == entry["requests_done"]
+        assert report["sim"]["horizon_us"] == \
+            max(s["horizon_us"] for s in report["per_shard"])
 
     def test_affinity_pins_each_kernel_to_one_shard(self):
         with ShardedCluster(shards=2, devices_per_shard=1,
