@@ -59,7 +59,7 @@ SMOKE_SHARDS = 2
 SMOKE_REQUESTS = 240
 SMOKE_MIN_SIM_SPEEDUP = 1.6
 
-#: Deep router budget: this bench is capacity-bound, so the front door
+#: Deep in-flight budget: this bench is capacity-bound, so the front door
 #: floods the shards and lets workers form full batches.  (The default
 #: shallow budget exists to keep the backlog in the priority-lane queue
 #: for latency protection — the opposite trade.)

@@ -56,7 +56,7 @@ from repro.sim.machine import GEN11_ICL, MachineConfig
 
 from repro.serve.batcher import Batch, DynamicBatcher, WorkItem
 from repro.serve.lanes import PriorityLaneQueue, normalize_lane
-from repro.serve.queue import SubmissionQueue
+from repro.serve.queue import Backpressure, ShutDown, SubmissionQueue
 from repro.serve.request import Request, RequestStatus, percentiles
 from repro.serve.scheduler import Policy, make_policy
 from repro.serve.workloads import get_workload
@@ -406,9 +406,17 @@ class FrontDoor:
 
     def _admit(self, req: Request, block: bool,
                timeout: Optional[float]) -> Request:
-        self.queue.submit(req, block=block, timeout=timeout)
+        # Count the request before the queue can hand it on: a retire
+        # that ran first would cancel another request's count.
         with self._done_cv:
             self._outstanding += 1
+        try:
+            self.queue.submit(req, block=block, timeout=timeout)
+        except (Backpressure, ShutDown):
+            with self._done_cv:
+                self._outstanding -= 1
+                self._done_cv.notify_all()
+            raise
         return req
 
     def _mint_trace(self, req: Request) -> Request:

@@ -5,9 +5,10 @@ still shares one GIL — compiled-kernel serving is Python-bound, so a
 single process flattens out long before the machine does.  The
 :class:`ShardedCluster` breaks that ceiling::
 
-    submit() -> PriorityLaneQueue -> router thread -> shard 0..N-1
-                 (lanes + EDF +        (affinity        (one process,
-                  backpressure)         routing)         own ServeCluster)
+    submit() -> PriorityLaneQueue -> _route_ready() -> shard 0..N-1
+                 (lanes + EDF +        (affinity routing   (one process,
+                  backpressure)         on admission and    own ServeCluster)
+                                        on completion)
 
 - Each **shard** is a real OS process running its own inner
   :class:`~repro.serve.cluster.ServeCluster` — its own Device set,
@@ -34,10 +35,10 @@ single process flattens out long before the machine does.  The
   new shard, scale-down *drains* one (stop routing, wait for its
   in-flight work, then stop it) — no request is dropped by scaling.
 - **Death recovery**: the monitor detects a dead shard process and
-  requeues its in-flight requests to survivors.  A completed-ID set
-  makes completion idempotent, so a request whose completion raced the
-  death is never double-completed, and ``Request.requeues`` bounds
-  retries.
+  requeues its in-flight requests to survivors.  A completion or a
+  requeue counts only while its request is still in flight (request
+  ids are never reused), so a request whose completion raced the death
+  is never double-completed, and ``Request.requeues`` bounds retries.
 
 The admission, retire and common report steps are
 :class:`~repro.serve.cluster.FrontDoor`'s, shared with
@@ -84,6 +85,9 @@ from repro.serve.request import Request, RequestStatus, percentiles
 #: would not).
 _STOP = "__stop__"
 _BYE = "__bye__"
+
+#: How often a request may be requeued off a dead shard before it fails.
+MAX_REQUEUES = 2
 
 #: Start method: fork is cheap and keeps MachineConfig / registry state
 #: without re-import; spawn is the portable fallback.
@@ -260,13 +264,10 @@ class _Shard:
         self.inbox = inbox
         self.outbox = outbox
         self.pump: Optional[threading.Thread] = None
-        #: no longer routed to (scale-down or death).
-        self.draining = False
-        #: got the worker's _BYE (clean exit).
-        self.bye = False
-        #: terminally gone (dead or cleanly stopped).
-        self.stopped = False
-        self.stop_sent = False
+        #: "active" (routed to); "draining" (scale-down: no new work,
+        #: stopped once idle); "stopping" (_STOP sent); "stopped" (the
+        #: worker said _BYE); "dead" (gone without one).
+        self.state = "active"
         self.routed = 0
         #: name of the MachineConfig this shard's devices simulate.
         self.machine_name: Optional[str] = None
@@ -282,13 +283,6 @@ class _Shard:
     def alive(self) -> bool:
         return self.proc.is_alive()
 
-    def state(self) -> str:
-        if self.stopped:
-            return "dead" if not self.bye else "stopped"
-        if self.draining:
-            return "draining"
-        return "active"
-
     def tally(self, req: Request) -> None:
         self.requests_done += 1
         self.cache_hits += req.cache_hits
@@ -303,7 +297,7 @@ class _Shard:
             "index": self.index,
             "pid": self.proc.pid,
             "machine": self.machine_name,
-            "state": self.state(),
+            "state": self.state,
             "alive": self.alive,
             "routed": self.routed,
             "requests_done": self.requests_done,
@@ -337,8 +331,6 @@ class ShardedCluster(FrontDoor):
                  autoscale: Optional[AutoscalePolicy] = None,
                  pool_slots: int = 64,
                  pool_slot_bytes: int = 1 << 16,
-                 max_requeues: int = 2,
-                 route_window: int = 64,
                  shard_inflight: Optional[int] = None) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -351,10 +343,8 @@ class ShardedCluster(FrontDoor):
                          recorder_capacity=recorder_capacity,
                          dump_dir=dump_dir)
         self.routing = routing
-        self.max_requeues = max_requeues
-        self.route_window = route_window
-        #: per-shard forwarded-but-incomplete cap.  Once a shard has
-        #: this much in flight the router stops draining the front
+        #: per-shard forwarded-but-incomplete cap.  Once the active
+        #: shards hold this much each, routing stops draining the front
         #: door, so under overload the backlog waits in the parent's
         #: PriorityLaneQueue — where interactive preempts batch and EDF
         #: acts — instead of in a FIFO process pipe where nothing can
@@ -376,9 +366,13 @@ class ShardedCluster(FrontDoor):
         self._shards_lock = threading.RLock()
         self._shard_ids = itertools.count()
         self._rr = itertools.count()
-        #: origin_id -> (request, its SubmitMsg, shard it was routed to).
+        #: origin_id -> (request, its SubmitMsg, shard it was routed
+        #: to).  Ids are never reused and an entry is made before its
+        #: message is sent, so a completion or requeue counts only
+        #: while its id is still here.
         self._inflight: Dict[int, Tuple[Request, SubmitMsg, int]] = {}
-        self._completed_ids: set = set()
+        #: guards _inflight and the whole routing step, so concurrent
+        #: callers never overrun the in-flight budget.
         self._state_lock = threading.Lock()
         #: kernel name -> RaceVerdict: every verdict any shard has
         #: produced (first one sticks — the sanitize is deterministic).
@@ -392,8 +386,6 @@ class ShardedCluster(FrontDoor):
         self.shard_deaths = 0
         self.verdicts_broadcast = 0
 
-        self._router = threading.Thread(target=self._route_loop,
-                                        name="shard-router", daemon=True)
         self._monitor = threading.Thread(target=self._monitor_loop,
                                          name="shard-monitor", daemon=True)
         self._stop_event = threading.Event()
@@ -403,7 +395,6 @@ class ShardedCluster(FrontDoor):
     def _start(self) -> None:
         for _ in range(self.initial_shards):
             self._spawn_shard()
-        self._router.start()
         self._monitor.start()
 
     def _spawn_shard(self) -> _Shard:
@@ -433,12 +424,13 @@ class ShardedCluster(FrontDoor):
         with self._shards_lock:
             self._shards[index] = shard
         shard.pump.start()
+        self._route_ready()
         return shard
 
     def _active_shards(self) -> List[_Shard]:
         with self._shards_lock:
             return [s for s in self._shards.values()
-                    if not s.draining and not s.stopped and s.alive]
+                    if s.state == "active" and s.alive]
 
     @property
     def num_shards(self) -> int:
@@ -451,14 +443,14 @@ class ShardedCluster(FrontDoor):
         self.queue.close()
         self._stop_event.set()
         if self._started and wait:
-            self._router.join(timeout=10.0)
+            self._route_ready()  # with no shard left, fail the backlog
             self.drain(timeout=drain_timeout)
             self._monitor.join(timeout=10.0)
             with self._shards_lock:
                 shards = list(self._shards.values())
             for shard in shards:
-                if shard.alive and not shard.stop_sent:
-                    shard.stop_sent = True
+                if shard.alive and shard.state in ("active", "draining"):
+                    shard.state = "stopping"
                     try:
                         shard.inbox.put(_STOP)
                     except Exception:  # noqa: BLE001 - already torn down
@@ -468,10 +460,11 @@ class ShardedCluster(FrontDoor):
                 if shard.alive:
                     shard.proc.terminate()
                     shard.proc.join(timeout=5.0)
-                shard.stopped = True
             for shard in shards:
                 if shard.pump is not None:
                     shard.pump.join(timeout=5.0)
+                if shard.state != "stopped":
+                    shard.state = "dead"
                 for q in (shard.inbox, shard.outbox):
                     try:
                         q.cancel_join_thread()
@@ -506,10 +499,12 @@ class ShardedCluster(FrontDoor):
         req._payload_ref = payload_ref  # noqa: SLF001 - parent-side stash
         req._payload_arrays = payload_arrays  # noqa: SLF001
         try:
-            return self._admit(req, block, timeout)
+            self._admit(req, block, timeout)
         except Exception:
             self._release_payload(req)
             raise
+        self._route_ready()
+        return req
 
     def _release_payload(self, req: Request) -> None:
         ref = getattr(req, "_payload_ref", None)
@@ -547,66 +542,61 @@ class ShardedCluster(FrontDoor):
             payload_ref=getattr(req, "_payload_ref", None),
             payload_arrays=getattr(req, "_payload_arrays", None))
 
-    def _route_loop(self) -> None:
-        while True:
-            with self._state_lock:
-                inflight = len(self._inflight)
-            budget = self.shard_inflight * max(1, self.num_shards) - inflight
-            if budget <= 0:
-                if self.queue.closed and not len(self.queue):
-                    return
-                with self._done_cv:
-                    self._done_cv.wait(0.01)
-                continue
-            items = self.queue.take(
-                max_items=min(self.route_window, budget), timeout=0.1)
-            if not items:
-                if self.queue.closed and not len(self.queue):
-                    return
-                continue
-            active = self._active_shards()
-            while not active and not self._stop_event.is_set():
-                # Between a death and its recovery there may be nobody
-                # to route to; the monitor restores the floor.
-                time.sleep(0.01)
-                active = self._active_shards()
-            tracer = get_tracer()
-            t_route = tracer.now_us()
-            batches: Dict[int, List[SubmitMsg]] = {}
-            for req in items:
-                if not active:
-                    self._finish_unroutable(req)
-                    continue
-                shard = self._route(req, active)
-                msg = self._to_msg(req)
-                req.shard_index = shard.index
-                if req.trace is not None and req.t_submit_wall is not None:
-                    req.trace.record("queue_wait",
-                                     tracer.to_us(req.t_submit_wall),
-                                     t_route, depth=req.queue_depth_at_admit,
-                                     lane=req.lane)
-                    req.trace.record("route", t_route, tracer.now_us(),
-                                     shard=shard.index,
-                                     routing=self.routing)
-                with self._state_lock:
-                    self._inflight[req.id] = (req, msg, shard.index)
-                    shard.routed += 1
-                batches.setdefault(shard.index, []).append(msg)
-            with self._shards_lock:
-                live = dict(self._shards)
-            for index, msgs in batches.items():
-                shard = live.get(index)
-                if shard is None:
-                    continue
-                try:
-                    shard.inbox.put(msgs)
-                except Exception:  # noqa: BLE001 - death recovery requeues
-                    pass
+    def _route_ready(self) -> None:
+        """Forward queued requests to the active shards, up to the
+        in-flight budget.
 
-    def _finish_unroutable(self, req: Request) -> None:
-        req.finish(RequestStatus.FAILED, "no shard available")
-        self._release_payload(req)
-        self._retire(req)
+        Runs wherever that budget or the queue can change: after an
+        admission, a completion, a requeue and a spawn.  What the
+        budget leaves waits in the parent's lane queue, where lane
+        priority and EDF still order it.  With no active shard the
+        monitor restores the floor and its spawn routes; after
+        shutdown nobody will, so the backlog fails instead.
+        """
+        with self._state_lock:
+            active = self._active_shards()
+            if active:
+                budget = self.shard_inflight * len(active) \
+                    - len(self._inflight)
+            elif self._stop_event.is_set():
+                budget = len(self.queue)
+            else:
+                return
+            items = self.queue.take(max_items=budget, timeout=0) \
+                if budget > 0 else []
+            if active:
+                self._forward(items, active)
+        if not active:
+            for req in items:
+                req.finish(RequestStatus.FAILED, "no shard available")
+                self._release_payload(req)
+                self._retire(req)
+
+    def _forward(self, items: List[Request], active: List[_Shard]) -> None:
+        """Route ``items`` and send one message list per shard (under
+        ``_state_lock``)."""
+        tracer = get_tracer()
+        t_route = tracer.now_us()
+        batches: Dict[_Shard, List[SubmitMsg]] = {}
+        for req in items:
+            shard = self._route(req, active)
+            msg = self._to_msg(req)
+            req.shard_index = shard.index
+            if req.trace is not None and req.t_submit_wall is not None:
+                req.trace.record("queue_wait",
+                                 tracer.to_us(req.t_submit_wall),
+                                 t_route, depth=req.queue_depth_at_admit,
+                                 lane=req.lane)
+                req.trace.record("route", t_route, tracer.now_us(),
+                                 shard=shard.index, routing=self.routing)
+            self._inflight[req.id] = (req, msg, shard.index)
+            shard.routed += 1
+            batches.setdefault(shard, []).append(msg)
+        for shard, msgs in batches.items():
+            try:
+                shard.inbox.put(msgs)
+            except Exception:  # noqa: BLE001 - death recovery requeues
+                pass
 
     # -- completion (pump threads) -----------------------------------------
 
@@ -615,14 +605,13 @@ class ShardedCluster(FrontDoor):
             try:
                 msg = shard.outbox.get(timeout=0.25)
             except _stdqueue.Empty:
-                if shard.bye or not shard.alive:
+                if not shard.alive:
                     return
                 continue
             except (EOFError, OSError):
                 return
             if msg == _BYE:
-                shard.bye = True
-                shard.stopped = True
+                shard.state = "stopped"
                 shard.proc.join(timeout=5.0)
                 return
             self._complete(msg)
@@ -643,7 +632,7 @@ class ShardedCluster(FrontDoor):
             return
         with self._shards_lock:
             shards = [s for s in self._shards.values()
-                      if s.alive and not s.stopped and not s.stop_sent]
+                      if s.alive and s.state in ("active", "draining")]
         for shard in shards:
             try:
                 shard.inbox.put(VerdictMsg(fresh))
@@ -656,14 +645,11 @@ class ShardedCluster(FrontDoor):
             # duplicated completion is still news.
             self._adopt_verdicts(msg.race_verdicts, msg.shard)
         with self._state_lock:
-            if msg.origin_id in self._completed_ids:
-                self.duplicates_dropped += 1
-                return
             entry = self._inflight.pop(msg.origin_id, None)
             if entry is None:
                 self.duplicates_dropped += 1
                 return
-            self._completed_ids.add(msg.origin_id)
+        self._route_ready()
         req, sub, _ = entry
         req.shard_index = msg.shard
         for name in _SHIPPED:
@@ -697,13 +683,12 @@ class ShardedCluster(FrontDoor):
             with self._shards_lock:
                 shards = list(self._shards.values())
             for shard in shards:
-                if not shard.stopped and not shard.bye and not shard.alive:
+                if shard.state not in ("stopped", "dead") \
+                        and not shard.alive:
                     self._on_shard_death(shard)
-            for shard in shards:
-                if shard.draining and not shard.stopped \
-                        and not shard.stop_sent \
+                elif shard.state == "draining" \
                         and self._inflight_count(shard.index) == 0:
-                    shard.stop_sent = True
+                    shard.state = "stopping"
                     try:
                         shard.inbox.put(_STOP)
                     except Exception:  # noqa: BLE001
@@ -741,48 +726,41 @@ class ShardedCluster(FrontDoor):
             victim = min(active,
                          key=lambda s: (self._inflight_count(s.index),
                                         -s.index))
-            victim.draining = True
+            victim.state = "draining"
             scaler.note(now, "down", len(active), len(active) - 1, reason)
 
     def _on_shard_death(self, shard: _Shard) -> None:
         """Requeue a dead shard's in-flight requests to survivors."""
-        shard.stopped = True
-        shard.draining = True
+        shard.state = "dead"
         self.shard_deaths += 1
         shard.proc.join(timeout=1.0)
         with self._state_lock:
-            victims = [(oid, req, sub)
-                       for oid, (req, sub, idx) in self._inflight.items()
+            victims = [oid for oid, (_, _, idx) in self._inflight.items()
                        if idx == shard.index]
         if not victims:
             return
         active = self._active_shards()
         if not active:
             active = [self._spawn_shard()]
-        for oid, req, sub in victims:
+        for oid in victims:
             with self._state_lock:
-                if oid in self._completed_ids:
+                entry = self._inflight.pop(oid, None)
+                if entry is None:
                     continue  # its completion raced the death: keep it
-            req.requeues += 1
-            if req.requeues > self.max_requeues:
-                with self._state_lock:
-                    if oid in self._completed_ids:
-                        continue
-                    self._inflight.pop(oid, None)
-                    self._completed_ids.add(oid)
+                req, sub, _ = entry
+                req.requeues += 1
+                if req.requeues <= MAX_REQUEUES:
+                    target = self._route(req, active)
+                    self._inflight[oid] = (req, sub, target.index)
+                    self.requeued += 1
+                    target.routed += 1
+            if req.requeues > MAX_REQUEUES:
                 req.finish(RequestStatus.FAILED,
                            f"shard {shard.index} died; requeue budget "
-                           f"({self.max_requeues}) exhausted")
+                           f"({MAX_REQUEUES}) exhausted")
                 self._release_payload(req)
                 self._retire(req)
                 continue
-            target = self._route(req, active)
-            with self._state_lock:
-                if oid in self._completed_ids:
-                    continue
-                self._inflight[oid] = (req, sub, target.index)
-                self.requeued += 1
-                target.routed += 1
             req.shard_index = target.index
             if req.trace is not None:
                 t = get_tracer().now_us()
@@ -792,6 +770,7 @@ class ShardedCluster(FrontDoor):
                 target.inbox.put([sub])
             except Exception:  # noqa: BLE001 - next death sweep retries
                 pass
+        self._route_ready()
 
     # -- reporting ---------------------------------------------------------
 
@@ -845,7 +824,7 @@ class ShardedCluster(FrontDoor):
                 "duplicates_dropped": self.duplicates_dropped,
                 "requeued": self.requeued,
                 "shard_deaths": self.shard_deaths,
-                "requeue_budget": self.max_requeues,
+                "requeue_budget": MAX_REQUEUES,
                 "verdicts_known": len(self._verdicts),
                 "verdicts_broadcast": self.verdicts_broadcast,
             },

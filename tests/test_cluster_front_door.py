@@ -1,5 +1,8 @@
 """What ServeCluster and ShardedCluster share: the report's shape and the
-simulated clock of a request served across the process boundary."""
+simulated clock of a request served across the process boundary, and
+the drain count both share."""
+
+import threading
 
 from repro.serve import (
     AutoscalePolicy, RequestStatus, ServeCluster, ShardedCluster,
@@ -144,3 +147,46 @@ class TestSimClockAcrossProcesses:
             s_report["sim"]["horizon_us"] > 0
         assert h_report["per_shard"][0]["horizon_us"] == \
             h_report["sim"]["horizon_us"]
+
+
+class TestDrainCount:
+    def test_drain_waits_for_a_request_retired_inside_submit(self):
+        """A request can be served and retired before ``queue.submit``
+        returns.  Its retire must not cancel the count of an earlier
+        request still being retired, or ``drain()`` returns early."""
+        release = threading.Event()
+
+        def hold_first(req):
+            if req.params["seed"] == 0:
+                release.wait(10.0)
+
+        # round-robin: the held request occupies device 0, the next
+        # one is served on device 1.
+        cluster = ServeCluster(num_devices=2, recorder=False)
+        cluster.on_complete = hold_first
+        outcome = {}
+
+        def drain():
+            outcome["ok"] = cluster.drain(timeout=10.0)
+            outcome["first_released"] = release.is_set()
+
+        drainer = threading.Thread(target=drain)
+        submit = cluster.queue.submit
+
+        def submit_and_wait(req, block=False, timeout=None):
+            submit(req, block=block, timeout=timeout)
+            assert req.wait(10.0)
+            drainer.join(timeout=0.5)  # time for its retire to land
+            return req
+
+        with cluster:
+            first = cluster.submit("saxpy", {"n": 64, "seed": 0})
+            assert first.wait(10.0)  # served; its retire is now held
+            drainer.start()
+            cluster.queue.submit = submit_and_wait
+            second = cluster.submit("saxpy", {"n": 64, "seed": 1})
+            release.set()
+            drainer.join(timeout=15.0)
+        assert not drainer.is_alive()
+        assert outcome == {"ok": True, "first_released": True}
+        assert first.status is second.status is RequestStatus.DONE

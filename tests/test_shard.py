@@ -8,6 +8,10 @@ lost or double-completed request, autoscaler decisions, and
 single-process vs sharded result/timing equivalence.
 """
 
+import os
+import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -19,6 +23,7 @@ from repro.serve import (
 )
 from repro.serve.loadgen import run_loadgen
 from repro.serve.queue import DEFAULT_RETRY_S, MAX_RETRY_S, MIN_RETRY_S
+from repro.serve.shard import CompleteMsg
 
 
 class TestSurfacePool:
@@ -315,16 +320,90 @@ class TestShardDeathRecovery:
             [r.error for r in reqs if r.status is not RequestStatus.DONE]
 
     def test_sole_shard_death_restores_floor_and_finishes(self):
+        # With shard_inflight=2 most of the 24 requests wait in the
+        # parent queue across the death; only the replacement's spawn
+        # can route them.
+        for shard_inflight, n in ((None, 12), (2, 24)):
+            with ShardedCluster(shards=1, devices_per_shard=1,
+                                recorder=False,
+                                shard_inflight=shard_inflight) as cluster:
+                reqs = _submit_menu(cluster, n)
+                cluster._shards[0].proc.kill()
+                assert cluster.drain(timeout=120.0)
+                report = cluster.report()
+            assert all(r.status is RequestStatus.DONE for r in reqs), \
+                [r.error for r in reqs if r.status is not RequestStatus.DONE]
+            assert report["control"]["shard_deaths"] == 1
+            assert report["shards"] >= 2  # a replacement was spawned
+
+    def test_repeated_and_late_completions_retire_once(self):
+        """A completion counts only while its request is in flight: a
+        repeat, and a late one from the shard that died holding the
+        request, are both dropped and counted."""
         with ShardedCluster(shards=1, devices_per_shard=1,
                             recorder=False) as cluster:
-            reqs = _submit_menu(cluster, 12)
-            cluster._shards[0].proc.kill()
-            assert cluster.drain(timeout=120.0)
+            dead = cluster._shards[0]
+            os.kill(dead.proc.pid, signal.SIGSTOP)  # holds what it gets
+            req = cluster.submit("saxpy", {"n": 64, "seed": 0}, block=True)
+            dead.proc.kill()
+            assert cluster.drain(timeout=60.0)
+            served_by = req.shard_index
+            for shard in (served_by, dead.index):
+                cluster._complete(CompleteMsg(
+                    shard=shard, origin_id=req.id,
+                    status=RequestStatus.FAILED.value))
             report = cluster.report()
-        assert all(r.status is RequestStatus.DONE for r in reqs), \
-            [r.error for r in reqs if r.status is not RequestStatus.DONE]
-        assert report["control"]["shard_deaths"] == 1
-        assert report["shards"] >= 2  # a replacement was spawned
+        assert req.status is RequestStatus.DONE, req.error
+        assert served_by != dead.index and req.shard_index == served_by
+        assert report["requests"]["total"] == report["requests"]["done"] == 1
+        assert report["control"]["requeued"] == 1
+        assert report["control"]["duplicates_dropped"] == 2
+
+
+class TestConcurrentRouting:
+    def test_concurrent_routers_never_overrun_the_budget(self):
+        """Clients route on submit and pumps on completion, all at once.
+        The budget check, the take and the in-flight insert share one
+        lock, so the in-flight table never holds more than
+        ``shard_inflight`` per active shard."""
+        seen = []
+        reqs = []
+        reqs_lock = threading.Lock()
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedCluster(shards=2, devices_per_shard=1,
+                                recorder=False,
+                                shard_inflight=2) as cluster:
+                forward = cluster._forward
+
+                def counted(items, active):
+                    forward(items, active)
+                    seen.append((len(cluster._inflight), len(active)))
+
+                cluster._forward = counted
+
+                def client():
+                    mine = _submit_menu(cluster, 12)
+                    with reqs_lock:
+                        reqs.extend(mine)
+
+                clients = [threading.Thread(target=client)
+                           for _ in range(6)]
+                for t in clients:
+                    t.start()
+                for t in clients:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in clients)
+                assert cluster.drain(timeout=120.0)
+                report = cluster.report()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert len(reqs) == 72
+        assert all(r.status is RequestStatus.DONE for r in reqs)
+        assert seen and all(n <= 2 * active for n, active in seen), \
+            max(seen)
+        assert sum(s["routed"] for s in report["per_shard"]) == 72
 
 
 class TestSingleVsShardedEquivalence:
