@@ -14,6 +14,16 @@ split into chunks that satisfy
 The chunk search is what turns the linear filter's 6x24 byte-to-float
 select into nine SIMD16 movs whose regions hop across matrix rows
 (Fig. 4): a chunk spanning two 24-byte rows legalizes as ``<16;8,1>``.
+
+Legalization is decided from region parameters.  Every operand carries
+its element pattern as ``(offset, <V;W,H>)``
+(:class:`~repro.compiler.passes.region_collapse.IndexPattern`), and the
+search asks of each candidate chunk, by arithmetic on those numbers,
+whether the destination chunk is a strided run and which single region
+each source chunk is.  The answers equal what
+:func:`~repro.compiler.passes.region_collapse.region_from_indices` finds
+on the materialized index arrays; no index array is built except for
+the rare exact comparison of two aliasing operands.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import numpy as np
 
 from repro.compiler.ir import Function, Instr, Value
 from repro.compiler.passes.baling import BaleInfo, ROOT_OPS
-from repro.compiler.passes.region_collapse import region_from_indices
+from repro.compiler.passes.region_collapse import IndexPattern
 from repro.isa.dtypes import D, DType, UW
 from repro.isa.instructions import CondMod, MathFn, Opcode
 
@@ -229,23 +239,26 @@ class _Emitter:
 
     # -- operand lowering -------------------------------------------------
 
-    def _src_indices(self, instr: Instr, op_index: int, n: int):
-        """(value, element-index array) for operand ``op_index`` of a root."""
+    def _src_pattern(self, instr: Instr, op_index: int, n: int):
+        """(value, element pattern) for operand ``op_index`` of a root."""
         regions = self.bales.src_regions.get(id(instr), {})
         op = instr.operands[op_index]
         if op_index in regions:
             rd = regions[op_index]
             base = rd.operands[0]
-            elem = base.vtype.dtype.size
             # The region formula covers replicate patterns directly:
             # element i = offset + (i // width) * vstride + (i % width) * h.
-            idx = rd.region.element_indices(rd.result.vtype.n, elem)
-            if idx.size != n:
-                # broadcast scalar-region reads
-                idx = np.resize(idx, n)
-            return base, idx
+            pat = IndexPattern.of_region(rd.region, base.vtype.dtype.size)
+            m = rd.result.vtype.n
+            if m < n:
+                # a shorter read repeats (scalar-region reads broadcast)
+                step = pat.step(0, m) if m > 1 else 0
+                if step is None:
+                    raise CompileError("cannot repeat a multi-row region")
+                pat = IndexPattern(pat.off, 0, m, step)
+            return base, pat
         if isinstance(op, Value):
-            return op, np.arange(n) if op.vtype.n == n else np.zeros(n, int)
+            return op, IndexPattern.linear(0, 1 if op.vtype.n == n else 0)
         return op, None
 
     # -- emission --------------------------------------------------------
@@ -328,7 +341,7 @@ class _Emitter:
         elif instr.op in ("simd.endif", "simd.while"):
             self._cf_depth -= 1
 
-    def _check_cf_dst(self, dst_idx) -> None:
+    def _check_cf_dst(self, dst: IndexPattern, n: int) -> None:
         """Divergent-region writes must map element i to lane i.
 
         Masked execution identifies destination elements with SIMD-CF
@@ -336,9 +349,8 @@ class _Emitter:
         region would pair element k with channel k's active bit, which
         is only meaningful for full-width lane-major writes.
         """
-        n = len(dst_idx)
         if self._cf_depth and n > 1 and \
-                not np.array_equal(dst_idx, np.arange(n)):
+                (dst.off != 0 or dst.step(0, n) != 1):
             raise CompileError(
                 "partial-region writes inside simd_if/simd_while are not "
                 "supported; assign whole CF-width vectors in divergent "
@@ -347,7 +359,8 @@ class _Emitter:
     # .. roots ...............................................................
 
     def _effective_dst(self, instr: Instr):
-        """(dst value, element indices, dtype) after dst conv/wrregion bales."""
+        """(dst value, element pattern, dtype, n) after dst conv/wrregion
+        bales."""
         result = instr.result
         dtype = result.vtype.dtype
         conv = self.bales.dst_conv.get(id(instr))
@@ -356,12 +369,10 @@ class _Emitter:
             dtype = result.vtype.dtype
         wr = self.bales.dst_wrregion.get(id(instr))
         if wr is not None:
-            base = wr.operands[0]
-            elem = base.vtype.dtype.size
-            idx = wr.region.element_indices(wr.operands[1].vtype.n, elem)
-            return wr.result, idx, wr.result.vtype.dtype
-        n = result.vtype.n
-        return result, np.arange(n), dtype
+            elem = wr.operands[0].vtype.dtype.size
+            return (wr.result, IndexPattern.of_region(wr.region, elem),
+                    wr.result.vtype.dtype, wr.operands[1].vtype.n)
+        return result, IndexPattern.linear(), dtype, result.vtype.n
 
     def _lower_source(self, instr: Instr, i: int, n: int):
         op = instr.operands[i]
@@ -377,14 +388,14 @@ class _Emitter:
                 return ("imm", VImm(const_splat.item(), op.vtype.dtype), None)
             if self.fn.constant_of(op) is not None:
                 self.materialize_constant(op)
-            base, idx = self._src_indices(instr, i, n)
-            return ("reg", base, idx)
+            base, pat = self._src_pattern(instr, i, n)
+            return ("reg", base, pat)
         # python scalar
         dt = D if isinstance(op, (int, np.integer)) else \
             instr.result.vtype.dtype
         return ("imm", VImm(op, dt), None)
 
-    def _overlaps_hazardously(self, dst_val, dst_idx, srcs) -> bool:
+    def _overlaps_hazardously(self, dst_val, dst, n, srcs) -> bool:
         """True when a split op could read registers an earlier chunk wrote.
 
         Gen reads all sources before writing within ONE instruction, but
@@ -393,12 +404,13 @@ class _Emitter:
         data an earlier chunk already overwrote.
         """
         dst_rep = self._rep(dst_val)
-        for kind, payload, idx in srcs:
-            if kind != "reg" or idx is None:
+        for kind, payload, pat in srcs:
+            if kind != "reg" or pat is None:
                 continue
             if self._rep(payload) != dst_rep:
                 continue
-            if not np.array_equal(idx, dst_idx):
+            if pat != dst and not np.array_equal(pat.indices(n),
+                                                 dst.indices(n)):
                 return True
         return False
 
@@ -407,125 +419,113 @@ class _Emitter:
             self._emit_sel(instr)
             return
         is_cmp = instr.op.startswith("cmp.")
-        dst_val, dst_idx, dst_dtype = self._effective_dst(instr)
-        n = len(dst_idx)
+        dst_val, dst, dst_dtype, n = self._effective_dst(instr)
         srcs = [self._lower_source(instr, i, n)
                 for i in range(len(instr.operands))]
         opcode = Opcode.CMP if is_cmp else _OPCODE_MAP[instr.op]
         cond = CondMod(instr.op.split(".")[1]) if is_cmp else None
-        if self._overlaps_hazardously(dst_val, dst_idx, srcs):
+        if self._overlaps_hazardously(dst_val, dst, n, srcs):
             # Compute into a fresh temporary, then copy into the aliased
             # destination region (the copy's source cannot alias its dst).
             tmp = self.prog.new_vreg(n * dst_dtype.size, name="ovl")
-            tmp_val_idx = np.arange(n)
+            packed = IndexPattern.linear()
             self._emit_legalized(opcode, cond, tmp, dst_dtype,
-                                 tmp_val_idx, srcs, n)
+                                 packed, srcs, n)
             dst_vreg = self.vreg_for(dst_val)
             self._emit_legalized(
-                Opcode.MOV, None, dst_vreg, dst_dtype, dst_idx,
-                [("vreg", (tmp, dst_dtype), tmp_val_idx)], n)
+                Opcode.MOV, None, dst_vreg, dst_dtype, dst,
+                [("vreg", (tmp, dst_dtype), packed)], n)
             return
         dst_vreg = self.vreg_for(dst_val)
-        self._emit_legalized(opcode, cond, dst_vreg, dst_dtype, dst_idx,
+        self._emit_legalized(opcode, cond, dst_vreg, dst_dtype, dst,
                              srcs, n)
 
     def _emit_sel(self, instr: Instr) -> None:
         """sel(mask, x, y): cmp to a flag, then predicated sel."""
-        dst_val, dst_idx, dst_dtype = self._effective_dst(instr)
-        n = len(dst_idx)
-        mask_src = self._lower_source(instr, 0, n)
-        x_src = self._lower_source(instr, 1, n)
-        y_src = self._lower_source(instr, 2, n)
+        dst_val, dst, dst_dtype, n = self._effective_dst(instr)
+        srcs = [self._lower_source(instr, i, n) for i in range(3)]
         dst_vreg = self.vreg_for(dst_val)
-        self._check_cf_dst(dst_idx)
+        self._check_cf_dst(dst, n)
         in_cf = self._cf_depth > 0 and n > 1
-        chunks = self._chunks(n, dst_dtype, dst_idx,
-                              [mask_src, x_src, y_src])
-        for lo, hi in chunks:
+        for lo, hi, regions in self._chunks(n, dst_dtype, dst, srcs):
             off = lo if in_cf else 0
-            cmp_srcs = [self._chunk_operand(mask_src, lo, hi),
-                        VImm(0, UW)]
+            mask, x, y = [self._chunk_operand(s, lo, r)
+                          for s, r in zip(srcs, regions)]
             self.prog.instrs.append(VInstr(
-                Opcode.CMP, exec_size=hi - lo, dst=None, srcs=cmp_srcs,
-                cond_mod=CondMod.NE, emask_off=off))
-            dst = self._dst_operand(dst_vreg, dst_dtype, dst_idx, lo, hi)
+                Opcode.CMP, exec_size=hi - lo, dst=None,
+                srcs=[mask, VImm(0, UW)], cond_mod=CondMod.NE,
+                emask_off=off))
             self.prog.instrs.append(VInstr(
-                Opcode.SEL, exec_size=hi - lo, dst=dst,
-                srcs=[self._chunk_operand(x_src, lo, hi),
-                      self._chunk_operand(y_src, lo, hi)],
-                pred_flag=0, emask_off=off))
+                Opcode.SEL, exec_size=hi - lo,
+                dst=self._dst_operand(dst_vreg, dst_dtype, dst, lo, hi),
+                srcs=[x, y], pred_flag=0, emask_off=off))
 
     # .. legalization ........................................................
 
-    def _chunks(self, n: int, dst_dtype: DType, dst_idx, srcs):
-        """Split [0, n) into legal executable chunks."""
+    def _chunks(self, n: int, dst_dtype: DType, dst: IndexPattern, srcs):
+        """Split [0, n) into legal executable chunks.
+
+        Yields ``(lo, hi, regions)``: ``regions[k]`` is source ``k``'s
+        ``<V;W,H>`` over the chunk (``None`` for an immediate).  The
+        first chunk width (widest first) that keeps the destination a
+        non-negative strided run and every source a single region wins.
+        """
         max_elem = dst_dtype.size
-        for kind, payload, idx in srcs:
+        for kind, payload, _pat in srcs:
             if kind == "reg":
                 max_elem = max(max_elem, payload.vtype.dtype.size)
             elif kind == "vreg":
                 max_elem = max(max_elem, payload[1].size)
-        out = []
+        pats = [pat if kind in ("reg", "vreg") else None
+                for kind, _payload, pat in srcs]
         lo = 0
         while lo < n:
             for e in (32, 16, 8, 4, 2, 1):
                 if lo + e > n or e * max_elem > 64:
                     continue
-                if not _arith_progression(dst_idx[lo:lo + e]):
-                    continue
-                ok = True
-                for kind, payload, idx in srcs:
-                    if kind in ("reg", "vreg") and idx is not None and \
-                            region_from_indices(idx[lo:lo + e]) is None:
-                        ok = False
-                        break
-                if ok:
-                    out.append((lo, lo + e))
+                if e > 1:
+                    step = dst.step(lo, e)
+                    if step is None or step < 0:
+                        continue
+                regions = [None if p is None else p.chunk_region(lo, e)
+                           for p in pats]
+                if all(r is not None for r, p in zip(regions, pats)
+                       if p is not None):
+                    yield lo, lo + e, regions
                     lo += e
                     break
             else:
                 raise CompileError("cannot legalize operation chunk")
-        return out
 
-    def _chunk_operand(self, src, lo: int, hi: int) -> VSource:
-        kind, payload, idx = src
+    def _chunk_operand(self, src, lo: int, region) -> VSource:
+        kind, payload, pat = src
         if kind == "imm":
             return payload
         if kind == "vreg":
             vreg, dtype = payload
-            sub = idx[lo:hi]
-            region = region_from_indices(sub - sub[0])
-            return VOperand(vreg, dtype,
-                            offset_bytes=int(sub[0]) * dtype.size,
-                            vstride=region.vstride, width=region.width,
-                            hstride=region.hstride)
-        value = payload
-        elem = value.vtype.dtype.size
-        vreg = self.vreg_for(value)
-        sub = idx[lo:hi]
-        region = region_from_indices(sub - sub[0])
-        return VOperand(vreg, value.vtype.dtype,
-                        offset_bytes=int(sub[0]) * elem,
+        else:
+            vreg, dtype = self.vreg_for(payload), payload.vtype.dtype
+        return VOperand(vreg, dtype, offset_bytes=pat.at(lo) * dtype.size,
                         vstride=region.vstride, width=region.width,
                         hstride=region.hstride)
 
-    def _dst_operand(self, vreg: VReg, dtype: DType, dst_idx, lo: int,
-                     hi: int) -> VOperand:
-        sub = dst_idx[lo:hi]
-        stride = int(sub[1] - sub[0]) if len(sub) > 1 else 1
-        return VOperand(vreg, dtype, offset_bytes=int(sub[0]) * dtype.size,
+    def _dst_operand(self, vreg: VReg, dtype: DType, dst: IndexPattern,
+                     lo: int, hi: int) -> VOperand:
+        stride = dst.step(lo, hi - lo) if hi - lo > 1 else 1
+        return VOperand(vreg, dtype, offset_bytes=dst.at(lo) * dtype.size,
                         dst_stride=max(stride, 1))
 
-    def _emit_legalized(self, opcode, cond, dst_vreg, dst_dtype, dst_idx,
+    def _emit_legalized(self, opcode, cond, dst_vreg, dst_dtype, dst,
                         srcs, n) -> None:
-        self._check_cf_dst(dst_idx)
+        self._check_cf_dst(dst, n)
         in_cf = self._cf_depth > 0 and n > 1
-        for lo, hi in self._chunks(n, dst_dtype, dst_idx, srcs):
-            dst = self._dst_operand(dst_vreg, dst_dtype, dst_idx, lo, hi)
-            ops = [self._chunk_operand(s, lo, hi) for s in srcs]
+        for lo, hi, regions in self._chunks(n, dst_dtype, dst, srcs):
+            ops = [self._chunk_operand(s, lo, r)
+                   for s, r in zip(srcs, regions)]
             self.prog.instrs.append(VInstr(
-                opcode, exec_size=hi - lo, dst=dst, srcs=ops,
-                cond_mod=cond, emask_off=lo if in_cf else 0))
+                opcode, exec_size=hi - lo,
+                dst=self._dst_operand(dst_vreg, dst_dtype, dst, lo, hi),
+                srcs=ops, cond_mod=cond, emask_off=lo if in_cf else 0))
 
     # .. unbaled region ops (plain copies) ..................................
 
@@ -533,13 +533,11 @@ class _Emitter:
         base = instr.operands[0]
         if self.fn.constant_of(base) is not None:
             self.materialize_constant(base)
-        elem = base.vtype.dtype.size
-        n = instr.result.vtype.n
-        idx = instr.region.element_indices(n, elem)
+        src = IndexPattern.of_region(instr.region, base.vtype.dtype.size)
         dst_vreg = self.vreg_for(instr.result)
         self._emit_legalized(Opcode.MOV, None, dst_vreg,
-                             instr.result.vtype.dtype, np.arange(n),
-                             [("reg", base, idx)], n)
+                             instr.result.vtype.dtype, IndexPattern.linear(),
+                             [("reg", base, src)], instr.result.vtype.n)
 
     def _emit_wrregion_copy(self, instr: Instr) -> None:
         old, new = instr.operands
@@ -547,16 +545,17 @@ class _Emitter:
         if isinstance(new, Value) and self.fn.constant_of(new) is not None:
             self.materialize_constant(new)
         n = new.vtype.n
-        dst_idx = instr.region.element_indices(n, elem)
-        src = ("reg", new, np.arange(n))
-        if self._overlaps_hazardously(instr.result, dst_idx, [src]):
+        dst = IndexPattern.of_region(instr.region, elem)
+        packed = IndexPattern.linear()
+        src = ("reg", new, packed)
+        if self._overlaps_hazardously(instr.result, dst, n, [src]):
             tmp = self.prog.new_vreg(n * new.vtype.dtype.size, name="ovl")
             self._emit_legalized(Opcode.MOV, None, tmp, new.vtype.dtype,
-                                 np.arange(n), [src], n)
-            src = ("vreg", (tmp, new.vtype.dtype), np.arange(n))
+                                 packed, [src], n)
+            src = ("vreg", (tmp, new.vtype.dtype), packed)
         dst_vreg = self.vreg_for(instr.result)  # same class as old
         self._emit_legalized(Opcode.MOV, None, dst_vreg,
-                             instr.result.vtype.dtype, dst_idx, [src], n)
+                             instr.result.vtype.dtype, dst, [src], n)
 
     # .. memory ...............................................................
 
@@ -621,13 +620,6 @@ class _Emitter:
             self.materialize_constant(value)
         return VOperand.packed(self.vreg_for(value), value.vtype.dtype,
                                n=value.vtype.n)
-
-
-def _arith_progression(idx: np.ndarray) -> bool:
-    if len(idx) <= 1:
-        return True
-    d = np.diff(idx)
-    return bool(np.all(d == d[0]) and d[0] >= 0)
 
 
 def emit_visa(fn: Function, bales: BaleInfo) -> VProgram:

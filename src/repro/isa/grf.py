@@ -38,6 +38,24 @@ class RegOperand:
     def byte_offset(self) -> int:
         return self.reg * GRF_SIZE_BYTES + self.subreg * self.dtype.size
 
+    def regs_read(self, n: int) -> tuple:
+        """The GRF registers an ``n``-element source read touches,
+        ascending (from the region parameters; no bounds check)."""
+        size = self.dtype.size
+        base = self.byte_offset
+        region = self.region
+        if region.is_scalar(n) or region.is_contiguous(n):  # one byte run
+            last = base + (region.span(n) + 1) * size - 1
+            return tuple(range(base // GRF_SIZE_BYTES,
+                               last // GRF_SIZE_BYTES + 1))
+        w, v, h = region.width, region.vstride, region.hstride
+        regs = set()
+        for i in range(n):
+            b = base + ((i // w) * v + (i % w) * h) * size
+            regs.add(b // GRF_SIZE_BYTES)
+            regs.add((b + size - 1) // GRF_SIZE_BYTES)
+        return tuple(sorted(regs))
+
     def src_str(self) -> str:
         return f"r{self.reg}.{self.subreg}{self.region}:{self.dtype.name}"
 

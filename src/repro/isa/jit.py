@@ -69,7 +69,7 @@ from repro.isa.cfg import CFError, analyze_cf
 from repro.isa.dtypes import UD, DType, convert, promote, signed, unsigned
 from repro.isa.executor import (
     CF_STEP_LIMIT, ExecutionError, FunctionalExecutor, _contiguous_region,
-    _emask_off,
+    _emask_off, _math_compute,
 )
 from repro.isa.grf import GRF_SIZE_BYTES, RegOperand
 from repro.isa.instructions import (
@@ -172,36 +172,47 @@ def _bind(env: dict, prefix: str, value) -> str:
     return name
 
 
-def _is_packed(idx: np.ndarray) -> bool:
-    """True when a (n, size) byte-index plan is one contiguous run."""
-    flat = idx.reshape(-1)
-    return bool((flat == flat[0] + np.arange(flat.size)).all())
-
-
 def _src_expr(env: dict, pb: FunctionalExecutor, s, n: int):
-    """(expression, operand np dtype, byte-index plan or None).
+    """(expression, operand np dtype, byte span or None).
 
-    Contiguous regions compile to zero-copy views of the stacked GRF;
-    scalar regions to ``(T, 1)`` views that broadcast; anything else to
-    ``np.take`` with a baked flat index.  Immediates (including packed
+    Decided from the region parameters: scalar regions compile to
+    ``(T, 1)`` views of the stacked GRF that broadcast, contiguous
+    regions to zero-copy views, anything else to ``np.take`` with a
+    baked flat byte index (the only operand that builds a byte plan).
+    The span is ``(first byte, end byte, run)``, ``run`` telling whether
+    the bytes read are exactly that range.  Immediates (including packed
     vector immediates) bake to shared read-only ``(n,)`` arrays.
     """
     if isinstance(s, RegOperand):
-        idx = pb._src_plan(s, n)  # validates bounds against the GRF
         sz = s.dtype.size
-        offs = idx[:, 0]
-        o0 = int(offs[0])
-        dtn = _bind(env, "_dt", np.dtype(s.dtype.np_dtype))
-        if bool((offs == o0).all()):
-            expr = f"g[:, {o0}:{o0 + sz}].view({dtn})"
-        elif bool((offs == o0 + np.arange(n) * sz).all()):
-            expr = f"g[:, {o0}:{o0 + n * sz}].view({dtn})"
-        else:
-            ixn = _bind(env, "_ix", np.ascontiguousarray(idx.reshape(-1)))
-            expr = f"np.take(g, {ixn}, axis=1).view({dtn})"
-        return expr, np.dtype(s.dtype.np_dtype), idx
+        o0 = s.byte_offset
+        region = s.region
+        end = o0 + (region.span(n) + 1) * sz
+        if o0 < 0 or end > pb.grf.bytes.size:
+            pb._src_plan(s, n)  # raises the interpreter's bounds error
+        dt = np.dtype(s.dtype.np_dtype)
+        dtn = _bind(env, "_dt", dt)
+        if region.is_scalar(n):
+            return f"g[:, {o0}:{o0 + sz}].view({dtn})", dt, (o0, o0 + sz,
+                                                            True)
+        if region.is_contiguous(n):
+            return f"g[:, {o0}:{end}].view({dtn})", dt, (o0, end, True)
+        ixn = _bind(env, "_ix", np.ascontiguousarray(
+            pb._src_plan(s, n).reshape(-1)))
+        return f"np.take(g, {ixn}, axis=1).view({dtn})", dt, (o0, end, False)
     arr = np.asarray(pb._fetch(s, n))  # read-only broadcast payload
     return _bind(env, "_c", arr), arr.dtype, None
+
+
+def _dst_span(pb: FunctionalExecutor, dst: RegOperand, n: int) -> tuple:
+    """``(first byte, end byte, packed)`` of an ``n``-element write;
+    raises the interpreter's bounds error for a write outside the GRF."""
+    sz = dst.dtype.size
+    o0 = dst.byte_offset
+    end = o0 + ((n - 1) * dst.dst_stride + 1) * sz
+    if o0 < 0 or end > pb.grf.bytes.size:
+        pb._dst_plan(dst, n)
+    return o0, end, n == 1 or dst.dst_stride == 1
 
 
 def _mask_expr(inst: Instruction) -> Optional[str]:
@@ -288,65 +299,89 @@ def _and(a: Optional[str], b: Optional[str]) -> Optional[str]:
     return f"({a} & {b})"
 
 
-def _emit_write(out: list, env: dict, inst: Instruction, i: int,
-                mask: Optional[str], didx: np.ndarray) -> None:
-    """Store ``r{i}`` to the instruction's destination region."""
-    dst = inst.dst
-    n = inst.exec_size
-    sz = dst.dtype.size
-    offs = didx[:, 0]
-    o0 = int(offs[0])
-    if bool((offs == o0 + np.arange(n) * sz).all()):
+def _emit_write(out: list, env: dict, pb: FunctionalExecutor,
+                dst: RegOperand, n: int, val: str,
+                mask: Optional[str]) -> None:
+    """One statement storing the expression ``val`` to ``dst``."""
+    o0, end, packed = _dst_span(pb, dst, n)
+    if packed:
         dtn = _bind(env, "_dt", np.dtype(dst.dtype.np_dtype))
-        dv = f"g[:, {o0}:{o0 + n * sz}].view({dtn})"
+        dv = f"g[:, {o0}:{end}].view({dtn})"
         if mask is None:
-            out.append(f"{dv}[...] = r{i}")
+            out.append(f"{dv}[...] = {val}")
         else:
-            out.append(f"np.copyto({dv}, r{i}, where={mask})")
+            out.append(f"np.copyto({dv}, {val}, where={mask})")
     else:  # strided destination: the stacked-GRF RMW fancy-index path
         opn = _bind(env, "_wo", dst)
-        ixn = _bind(env, "_wx", didx)
-        out.append(f"ex._write_dst({opn}, r{i}, {mask or 'None'}, {ixn})")
+        ixn = _bind(env, "_wx", pb._dst_plan(dst, n))
+        out.append(f"ex._write_dst({opn}, {val}, {mask or 'None'}, {ixn})")
+
+
+def _result_dtype(inst: Instruction, exec_dt: DType) -> Optional[np.dtype]:
+    """The numpy dtype of :func:`_alu_expr`'s value, whose operands all
+    have ``exec_dt`` (``None`` when numpy rejects the operation, which
+    the generated code then raises at run time exactly as the
+    interpreter does)."""
+    op = inst.opcode
+    if op is Opcode.MATH:  # integer sources promote per function
+        ones = np.ones(1, dtype=exec_dt.np_dtype)
+        try:
+            with np.errstate(all="ignore"):
+                return _math_compute(inst.math_fn,
+                                     [ones] * len(inst.srcs)).dtype
+        except (TypeError, ValueError):  # numpy refuses the dtype
+            return None
+    if op is Opcode.SHR and exec_dt.is_signed:
+        return np.dtype(unsigned(exec_dt).np_dtype)
+    if op is Opcode.ASR and not exec_dt.is_signed:
+        return np.dtype(signed(exec_dt).np_dtype)
+    return np.dtype(exec_dt.np_dtype)
 
 
 def _emit_alu(out: list, env: dict, pb: FunctionalExecutor,
-              inst: Instruction, i: int, cfm: Optional[str]) -> None:
-    """One ALU instruction; ``cfm`` is its SIMD-CF write mask, if any."""
+              inst: Instruction, cfm: Optional[str]) -> None:
+    """One ALU instruction; ``cfm`` is its SIMD-CF write mask, if any.
+
+    One statement computes the value and stores it.  A conversion to
+    the destination type is emitted only where numpy's result dtype,
+    known at codegen from the operand dtypes, differs from it (the
+    interpreter converts exactly then), or under ``.sat``.
+    """
     op = inst.opcode
     dst = inst.dst
     if dst is None:
         raise JitError(f"ALU instruction without destination: {inst.asm()}")
     n = inst.exec_size
-    didx = pb._dst_plan(dst, n)
+    do, dend, packed = _dst_span(pb, dst, n)
     npd = np.dtype(dst.dtype.np_dtype)
     pred = _mask_expr(inst)
     mask = _and(pred, cfm)
     fetched = [_src_expr(env, pb, s, n) for s in inst.srcs]
 
     if op is Opcode.MOV:
-        expr, sdt, sidx = fetched[0]
-        stays_view = sidx is not None and sdt == npd and not inst.sat
-        if stays_view and mask is None and _is_packed(sidx) \
-                and _is_packed(didx):
-            # whole-region move: one byte-range copy, no views at all
-            so, do = int(sidx[0, 0]), int(didx[0, 0])
-            nb = didx.size
-            if so != do:
-                out.append(f"g[:, {do}:{do + nb}] = g[:, {so}:{so + nb}]")
-            return
-        if stays_view and np.intersect1d(sidx.reshape(-1),
-                                         didx.reshape(-1)).size:
-            # the result would be a live view of bytes the write below
-            # overwrites; materialize it first (the sequential
-            # interpreter fetches copies, so this is what keeps overlap
-            # semantics identical)
-            expr = f"({expr}).copy()"
-        out.append(f"r{i} = {expr}")
+        val, rdt, span = fetched[0]
+        if span is not None and rdt == npd and not inst.sat:
+            # the value stays a view of the stacked GRF
+            so, send, run = span
+            nb = n * dst.dtype.size
+            if mask is None and run and send - so == nb and packed:
+                # whole-region move: one byte-range copy, no views at all
+                if so != do:
+                    out.append(f"g[:, {do}:{do + nb}] = g[:, {so}:{so + nb}]")
+                return
+            if so < dend and do < send and (run and packed or np.intersect1d(
+                    pb._src_plan(inst.srcs[0], n).reshape(-1),
+                    pb._dst_plan(dst, n).reshape(-1)).size):
+                # the value would be a live view of bytes the write
+                # overwrites; materialize it first (the sequential
+                # interpreter fetches copies, so this is what keeps
+                # overlap semantics identical)
+                val = f"({val}).copy()"
     elif op is Opcode.SEL:
         if pred is None:
             raise JitError("sel requires a predicate")
-        out.append(f"r{i} = np.where({pred}, {fetched[0][0]}, "
-                   f"{fetched[1][0]})")
+        val = f"np.where({pred}, {fetched[0][0]}, {fetched[1][0]})"
+        rdt = np.result_type(fetched[0][1], fetched[1][1])
         mask = cfm  # sel writes all lanes; the predicate picked the source
     else:
         exec_dt = inst.srcs[0].dtype
@@ -356,20 +391,18 @@ def _emit_alu(out: list, env: dict, pb: FunctionalExecutor,
                 op in (Opcode.AND, Opcode.OR, Opcode.XOR):
             raise JitError("bitwise ops on float operands")
         ops = []
-        for (expr, sdt, _sidx), s in zip(fetched, inst.srcs):
+        for (expr, sdt, _span), s in zip(fetched, inst.srcs):
             if sdt != np.dtype(exec_dt.np_dtype):
                 expr = f"_cv({expr}, {_bind(env, '_ET', exec_dt)})"
             ops.append(expr)
-        out.append(f"r{i} = {_alu_expr(env, inst, exec_dt, ops)}")
+        val = _alu_expr(env, inst, exec_dt, ops)
+        rdt = _result_dtype(inst, exec_dt)
 
-    dtc = _bind(env, "_ET", dst.dtype)
     if inst.sat:
-        out.append(f"r{i} = _cv(r{i}, {dtc}, True)")
-    else:
-        dtn = _bind(env, "_dt", npd)
-        out.append(f"if r{i}.dtype != {dtn}:")
-        out.append(f"    r{i} = _cv(r{i}, {dtc})")
-    _emit_write(out, env, inst, i, mask, didx)
+        val = f"_cv({val}, {_bind(env, '_ET', dst.dtype)}, True)"
+    elif rdt != npd:
+        val = f"_cv({val}, {_bind(env, '_ET', dst.dtype)})"
+    _emit_write(out, env, pb, dst, n, val, mask)
 
 
 _CMP_FNS = {
@@ -380,7 +413,7 @@ _CMP_FNS = {
 
 
 def _emit_cmp(out: list, env: dict, pb: FunctionalExecutor,
-              inst: Instruction, i: int, cfm: Optional[str]) -> None:
+              inst: Instruction, cfm: Optional[str]) -> None:
     """One CMP: flag lanes (and the optional bool-vector dst) are
     written under the SIMD-CF mask only — a CMP's predicate is unused."""
     n = inst.exec_size
@@ -395,17 +428,17 @@ def _emit_cmp(out: list, env: dict, pb: FunctionalExecutor,
             expr = f"_cv({expr}, {_bind(env, '_ET', exec_dt)})"
         ops.append(expr)
     fi = inst.flag.index if inst.flag else 0
-    out.append(f"r{i} = np.broadcast_to({fn}({ops[0]}, {ops[1]}), "
-               f"(_T, {n}))")
-    if cfm is None:
-        out.append(f"f{fi}[:, :{n}] = r{i}")
-    else:
-        out.append(f"np.copyto(f{fi}[:, :{n}], r{i}, where={cfm})")
+    val = f"{fn}({ops[0]}, {ops[1]})"
     if inst.dst is not None:
-        didx = pb._dst_plan(inst.dst, n)
+        out.append(f"r = np.broadcast_to({val}, (_T, {n}))")
+        val = "r"
+    if cfm is None:
+        out.append(f"f{fi}[:, :{n}] = {val}")
+    else:
+        out.append(f"np.copyto(f{fi}[:, :{n}], {val}, where={cfm})")
+    if inst.dst is not None:
         dtn = _bind(env, "_dt", np.dtype(inst.dst.dtype.np_dtype))
-        out.append(f"r{i} = r{i}.astype({dtn})")
-        _emit_write(out, env, inst, i, cfm, didx)
+        _emit_write(out, env, pb, inst.dst, n, f"r.astype({dtn})", cfm)
 
 
 # -- structured control flow --------------------------------------------------
@@ -546,17 +579,7 @@ def _payload_regs(inst: Instruction) -> tuple:
     return tuple(range(first, first + -(-nbytes // GRF_SIZE_BYTES)))
 
 
-def _source_regs(pb: FunctionalExecutor, inst: Instruction) -> frozenset:
-    """The GRF registers an instruction's register sources read."""
-    regs: set = set()
-    for s in inst.srcs:
-        if isinstance(s, RegOperand):
-            idx = pb._src_plan(s, inst.exec_size)
-            regs.update((idx // GRF_SIZE_BYTES).reshape(-1).tolist())
-    return frozenset(regs)
-
-
-def _reads(pending: frozenset, regs: frozenset) -> dict:
+def _reads(pending: frozenset, regs: tuple) -> dict:
     """Pending SEND site -> the lowest of ``regs`` that awaits it."""
     out: dict = {}
     for r, s in sorted(pending):
@@ -565,7 +588,7 @@ def _reads(pending: frozenset, regs: frozenset) -> dict:
     return out
 
 
-def _consume_points(program, pb: FunctionalExecutor, cf) -> dict:
+def _consume_points(program, plans: PlanTable, cf) -> dict:
     """ALU index -> (registers to look up per row, SEND sites to stamp).
 
     The sequential tracer maps each register to the SEND whose payload
@@ -583,22 +606,17 @@ def _consume_points(program, pb: FunctionalExecutor, cf) -> dict:
     the megakernel stamps that record directly; any other pending site
     is found per row through one source register that names it.  Past
     :data:`_MAX_PENDING_MAPS` maps the analysis looks up every source
-    register some SEND loads.
+    register some SEND loads.  An instruction's source registers are
+    its :class:`PlanTable` slot, which the sequential tracer reads too.
     """
     loads = {i: _payload_regs(inst) for i, inst in enumerate(program)
              if inst.opcode is Opcode.SEND}
     if not any(loads.values()):
         return {}
     do_while = {d - 1: w for w, d in cf.body_of.items()}
-    memo: dict = {}
+    sources = plans.source_regs
     points: dict = {}
     outside = set()  # SEND sites outside every loop
-
-    def sources(i: int) -> frozenset:
-        regs = memo.get(i)
-        if regs is None:
-            regs = memo[i] = _source_regs(pb, program[i])
-        return regs
 
     def walk(lo: int, hi: int, maps: set, loop: int) -> set:
         i = lo
@@ -643,7 +661,7 @@ def _consume_points(program, pb: FunctionalExecutor, cf) -> dict:
         walk(0, len(program), {frozenset()}, 0)
     except OverflowError:
         loaded = {r for regs in loads.values() for r in regs}
-        points = {i: (sources(i) & loaded, ()) for i, inst in
+        points = {i: (loaded.intersection(sources(i)), ()) for i, inst in
                   enumerate(program) if inst.opcode not in _NON_ALU}
     return {i: (tuple(sorted(look)), tuple(sorted(stamp)))
             for i, (look, stamp) in points.items() if look or stamp}
@@ -718,18 +736,22 @@ def _send_fn(inst: Instruction, looked_up: set):
     return _send
 
 
-def _codegen(program, pb: FunctionalExecutor, env: dict, cf):
-    """Generate megakernel source; returns (source, send count, blocks).
+def _codegen(program, plans: PlanTable, env: dict, cf):
+    """Generate megakernel source; returns (source, send count, blocks,
+    marks).
 
     ``blocks`` holds each static block's cost-bearing instruction
-    indices.  The generated ``_mega(ex, bn, bc)`` charges block k's
-    instruction count ``bn[k]`` and issue cycles ``bc[k]`` (and its
-    barriers) once to the rows that run it, retires pending payloads
+    indices; ``marks`` pairs each instruction with the source line its
+    code starts at (see :meth:`JitKernel.listing`).  The generated
+    ``_mega(ex, bn, bc)`` charges block k's instruction count ``bn[k]``
+    and issue cycles ``bc[k]`` (and its barriers) once to the rows that
+    run it, retires pending payloads
     only at the points :func:`_consume_points` finds, and returns the
     number of instructions it issued (re-executed loop bodies
     included).  The ``_send{k}`` closures are bound into ``env``.
     """
-    consumes = _consume_points(program, pb, cf)
+    pb = FunctionalExecutor()  # bounds checks and strided byte plans
+    consumes = _consume_points(program, plans, cf)
     looked_up = {r for look, _ in consumes.values() for r in look}
     loops = bool(cf.body_of)
     lines = ["def _mega(ex, bn, bc):",
@@ -777,9 +799,11 @@ def _codegen(program, pb: FunctionalExecutor, env: dict, cf):
 
     n_sends = 0
     level = 0
+    marks = []
     for i, inst in enumerate(program):
         op = inst.opcode
-        out = [f"# [{i:>3}] {inst.asm()}"]
+        out: list = []
+        marks.append((len(lines), i))
         indent = "    " * (level + 1)
         rows = f"rw{level}"
         if op in CF_OPCODES:
@@ -810,9 +834,9 @@ def _codegen(program, pb: FunctionalExecutor, env: dict, cf):
             cfm = _cf_write_mask(inst, level, cf.depth_at[i]) \
                 if cf.has_cf else None
             if op is Opcode.CMP:
-                _emit_cmp(out, env, pb, inst, i, cfm)
+                _emit_cmp(out, env, pb, inst, cfm)
             else:
-                _emit_alu(out, env, pb, inst, i, cfm)
+                _emit_alu(out, env, pb, inst, cfm)
         lines.extend(indent + ln for ln in out)
         if op is Opcode.SIMD_WHILE:  # after the loop: the outer rows
             lines.append("    " * (level + 1) + _sync_rows(level))
@@ -821,7 +845,7 @@ def _codegen(program, pb: FunctionalExecutor, env: dict, cf):
     lines.extend("    " + ln for ln in tail)
     issued = f"{len(program)} + st" if loops else f"{len(program)}"
     lines.append(f"    return {issued}")
-    return "\n".join(lines) + "\n", n_sends, blocks
+    return "\n".join(lines) + "\n", n_sends, blocks, marks
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +856,8 @@ def _codegen(program, pb: FunctionalExecutor, env: dict, cf):
 class JitKernel:
     """A compiled megakernel for one program binding.
 
-    Holds the generated source (``.source``, for inspection/tests), the
+    Holds the generated source (``.source``; :meth:`listing` annotates
+    it with each instruction's assembly), the
     compiled function ``fn``, the shared :class:`PlanTable`, the static
     ``blocks`` the megakernel charges, and a per-machine cache of their
     costs (:meth:`block_costs`).  Like a plan table, a
@@ -850,18 +875,31 @@ class JitKernel:
             cf = self.plans.cf_plan()
         except CFError as exc:
             raise JitError(f"malformed control flow: {exc}") from None
-        # Plan-building executor: bounds checks and region resolution.
-        pb = FunctionalExecutor()
         env = {"np": np, "_cv": convert, "_XE": ExecutionError,
                "_LIM": CF_STEP_LIMIT - len(program), "_ids": {}}
-        self.source, self.n_sends, self.blocks = _codegen(
-            program, pb, env, cf)
+        self.source, self.n_sends, self.blocks, self._marks = _codegen(
+            program, self.plans, env, cf)
         exec(compile(self.source, "<jit-megakernel>", "exec"), env)
         self.fn = env["_mega"]
         self._costs: dict = {}
 
     def matches(self, program) -> bool:
         return program is self.program
+
+    def listing(self) -> str:
+        """The megakernel source with a ``# [i] asm`` comment above the
+        code of each instruction (built on demand; the compiled text
+        carries none)."""
+        starts: dict = {}
+        for line, i in self._marks:
+            starts.setdefault(line, []).append(i)
+        out = []
+        for k, line in enumerate(self.source.splitlines()):
+            indent = line[:len(line) - len(line.lstrip())]
+            out += [f"{indent}# [{i:>3}] {self.program[i].asm()}"
+                    for i in starts.get(k, ())]
+            out.append(line)
+        return "\n".join(out) + "\n"
 
     def block_costs(self, machine) -> tuple:
         """Per-block costs on ``machine`` (cached); raises

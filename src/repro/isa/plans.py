@@ -37,7 +37,24 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-__all__ = ["PlanTable"]
+from repro.isa.grf import RegOperand
+
+__all__ = ["PlanTable", "source_regs"]
+
+
+def source_regs(inst) -> tuple:
+    """The GRF registers an instruction's register sources read.
+
+    Operand by operand, each operand's registers ascending, a register
+    kept at its first occurrence: the order the sequential tracer
+    consumes pending loads in.  Derived from the region parameters
+    (:meth:`~repro.isa.grf.RegOperand.regs_read`).
+    """
+    regs: dict = {}
+    for s in inst.srcs:
+        if isinstance(s, RegOperand):
+            regs.update(dict.fromkeys(s.regs_read(inst.exec_size)))
+    return tuple(regs)
 
 
 class PlanTable:
@@ -68,7 +85,8 @@ class PlanTable:
         #: index -> ALU/CMP plan tuple (an instruction is one or the
         #: other, so the slots can share a list).
         self.plans: list = [None] * n
-        #: index -> merged source GRF-register tuple (load-use tracking).
+        #: index -> :func:`source_regs` tuple (load-use tracking; filled
+        #: by :meth:`source_regs`, read by both dispatch tiers).
         self.src_regs: list = [None] * n
         #: machine -> per-index (n_inst, cycles) ALU cost slots.  Keyed
         #: by the (frozen, hashable) MachineConfig value so one kernel's
@@ -97,6 +115,13 @@ class PlanTable:
         unmemoized plan.
         """
         return self._index.get(id(inst))
+
+    def source_regs(self, index: int) -> tuple:
+        """:func:`source_regs` of instruction ``index`` (memoized)."""
+        regs = self.src_regs[index]
+        if regs is None:
+            regs = self.src_regs[index] = source_regs(self.insts[index])
+        return regs
 
     def cost_slots(self, machine) -> list:
         """Per-index ALU cost slots for ``machine`` (created on demand)."""

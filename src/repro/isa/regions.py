@@ -52,8 +52,25 @@ class Region:
 
     def is_contiguous(self, n: int) -> bool:
         """True if an ``n``-element access through this region is packed."""
-        offs = region_element_offsets(self, n)
-        return bool(np.array_equal(offs, np.arange(n)))
+        w, v, h = self.width, self.vstride, self.hstride
+        if n <= 1:
+            return True
+        if w == 1:
+            return v == 1
+        return h == 1 and (n <= w or v == w)
+
+    def is_scalar(self, n: int) -> bool:
+        """True if every element of an ``n``-element access is element 0
+        (a broadcast)."""
+        w, v, h = self.width, self.vstride, self.hstride
+        return n <= 1 or ((w == 1 or h == 0) and (n <= w or v == 0))
+
+    def span(self, n: int) -> int:
+        """Largest element offset of an ``n``-element access."""
+        w, v, h = self.width, self.vstride, self.hstride
+        rows, last = divmod(n - 1, w)
+        top = rows * v + last * h
+        return max(top, (rows - 1) * v + (w - 1) * h) if rows else top
 
 
 @dataclass(frozen=True)

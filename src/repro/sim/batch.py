@@ -29,6 +29,7 @@ from repro.isa.instructions import CF_OPCODES, Instruction, MsgKind, Opcode
 from repro.isa.msg_geometry import (
     media_block_messages, oword_block_messages, scatter_messages,
 )
+from repro.isa.plans import source_regs
 from repro.sim.trace import MemKind, ThreadTrace
 
 
@@ -79,10 +80,7 @@ class TracingExecutor(FunctionalExecutor):
         self.trace: Optional[ThreadTrace] = None
         #: GRF register index -> MemEvent still awaiting its first use.
         self._pending_loads: dict = {}
-        #: (operand, exec_size) -> tuple of GRF registers the source reads.
-        #: Value-keyed (RegOperand is frozen), so never stale.
-        self._operand_regs: dict = {}
-        # Per-instruction memos (merged source registers, ALU issue
+        # Per-instruction memos (source registers, ALU issue
         # costs) live in the inherited program-scoped ``self.plans``
         # PlanTable — keyed by (program, index), never ``id(inst)``, so
         # a recycled Instruction in a new program cannot alias a stale
@@ -97,15 +95,6 @@ class TracingExecutor(FunctionalExecutor):
 
     # -- load-use dependency tracking -------------------------------------
 
-    def _src_regs(self, operand: RegOperand, n: int) -> tuple:
-        key = (operand, n)
-        regs = self._operand_regs.get(key)
-        if regs is None:
-            idx = self._src_plan(operand, n)
-            regs = tuple(np.unique(idx // GRF_SIZE_BYTES).tolist())
-            self._operand_regs[key] = regs
-        return regs
-
     def _consume_regs(self, regs) -> None:
         pending = self._pending_loads
         if not pending:
@@ -118,27 +107,15 @@ class TracingExecutor(FunctionalExecutor):
                 for r in [r for r, e in pending.items() if e is ev]:
                     del pending[r]
 
-    def _merged_src_regs(self, inst: Instruction) -> tuple:
-        merged: list = []
-        for s in inst.srcs:
-            if isinstance(s, RegOperand):
-                merged.extend(self._src_regs(s, inst.exec_size))
-        return tuple(dict.fromkeys(merged))
-
     def _note_src_consumption(self, inst: Instruction) -> None:
         if not self._pending_loads:
             return
-        regs = None
         table = self.plans
-        if table is not None:
-            slot = table.slot(inst)
-            if slot is not None:
-                regs = table.src_regs[slot]
-                if regs is None:
-                    regs = table.src_regs[slot] = self._merged_src_regs(inst)
-        if regs is None:  # ad-hoc instruction outside the bound program
-            regs = self._merged_src_regs(inst)
-        self._consume_regs(regs)
+        slot = None if table is None else table.slot(inst)
+        if slot is None:  # ad-hoc instruction outside the bound program
+            self._consume_regs(source_regs(inst))
+        else:
+            self._consume_regs(table.source_regs(slot))
 
     def _register_load(self, first_reg: int, nbytes: int, ev) -> None:
         for reg in range(first_reg, first_reg + -(-nbytes // GRF_SIZE_BYTES)):

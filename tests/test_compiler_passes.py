@@ -1,12 +1,15 @@
 """Compiler middle end: constant folding, region collapsing, DCE, baling."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler.frontend import trace_kernel
 from repro.compiler.passes import (
     analyze_bales, constant_fold, dead_code_eliminate, region_collapse,
 )
-from repro.compiler.passes.region_collapse import region_from_indices
+from repro.compiler.passes.region_collapse import (
+    IndexPattern, region_from_indices,
+)
 
 
 def build(body, surfaces=(("buf", False),), scalars=()):
@@ -70,6 +73,39 @@ class TestRegionCollapse:
 
     def test_region_from_indices_impossible(self):
         assert region_from_indices(np.asarray([0, 1, 3, 7])) is None
+
+    def test_fig4_chunk_region_from_parameters(self):
+        # rows of 24 elements 32 apart: chunk [16, 32) spans two rows
+        pat = IndexPattern(0, 32, 24, 1)
+        r = pat.chunk_region(16, 16)
+        assert (r.vstride, r.width, r.hstride) == (16, 8, 1)
+        assert pat.at(16) == 16 and pat.step(16, 16) is None
+        assert pat.step(0, 16) == 1
+
+    @given(st.integers(0, 40), st.integers(-6, 70),
+           st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 40]),
+           st.integers(-3, 9), st.booleans(), st.integers(0, 40),
+           st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 32]))
+    @settings(max_examples=400, deadline=None)
+    def test_pattern_arithmetic_matches_index_arrays(
+            self, off, vstride, width, hstride, continued, lo, e):
+        """Legalization's arithmetic answers equal region_from_indices
+        and np.diff on the materialized chunk."""
+        if continued:
+            vstride = width * hstride  # rows continue each other
+        pat = IndexPattern(off, vstride, width, hstride)
+        sub = pat.indices(lo + e)[lo:]
+        assert pat.at(lo) == sub[0]
+        want = region_from_indices(sub - sub[0])
+        got = pat.chunk_region(lo, e)
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert (got.vstride, got.width, got.hstride) == \
+                (want.vstride, want.width, want.hstride)
+        if e > 1:
+            d = np.diff(sub)
+            assert pat.step(lo, e) == \
+                (int(d[0]) if (d == d[0]).all() else None)
 
     def test_nested_rdregion_composes(self):
         def body(cmx, buf):

@@ -11,6 +11,7 @@ chunk wrote).
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import cm
@@ -127,7 +128,7 @@ def test_eager_matches_numpy_oracle(steps, seed):
 # Instruction level because the frontend never emits atomics directly.
 
 from repro.compiler.finalizer import VectorImmediate  # noqa: E402
-from repro.isa.dtypes import D, F, UB, UD, UW  # noqa: E402
+from repro.isa.dtypes import D, F, UB, UD, UW, W  # noqa: E402
 from repro.isa.executor import FunctionalExecutor  # noqa: E402
 from repro.isa.grf import RegOperand  # noqa: E402
 from repro.isa.instructions import (  # noqa: E402
@@ -210,6 +211,48 @@ def _prologue():
 
 _MAX_STEPS = 10
 
+#: ALU ops whose conversion to the destination type the JIT decides at
+#: codegen: (opcode, math fn, exec size, dst dtype, source dtypes), an
+#: ``"imm"`` source being a non-zero immediate of the first source's
+#: type.  None saturates.
+_CONV_CASES = [
+    # numpy's result dtype is the destination's: no conversion
+    (Opcode.ADD, None, 16, UB, (UB, UB)),
+    (Opcode.MUL, None, 16, W, (W, W)),
+    (Opcode.SHL, None, 16, UB, (UB, "imm")),
+    (Opcode.AVG, None, 16, UB, (UB, UB)),
+    (Opcode.MAX, None, 8, UD, (D, UD)),
+    (Opcode.SHR, None, 16, UW, (W, "imm")),    # W shifts logically as UW
+    (Opcode.ASR, None, 16, W, (UW, UW)),       # UW shifts arithmetically
+    (Opcode.MATH, MathFn.IDIV, 8, D, (D, "imm")),
+    # numpy's result dtype differs from the destination's: a conversion
+    (Opcode.ADD, None, 16, W, (UB, UB)),
+    (Opcode.ADD, None, 16, UB, (W, W)),
+    (Opcode.MUL, None, 16, UB, (W, UB)),
+    (Opcode.SHL, None, 8, D, (W, W)),
+    (Opcode.AVG, None, 16, W, (UB, UB)),
+    (Opcode.MIN, None, 8, D, (D, UD)),
+    (Opcode.SHR, None, 16, W, (W, "imm")),
+    (Opcode.ASR, None, 16, UW, (UW, "imm")),
+    (Opcode.MATH, MathFn.INV, 8, F, (D,)),
+    (Opcode.MATH, MathFn.INV, 8, D, (W,)),     # 1/0 = inf truncates to 0
+    (Opcode.MATH, MathFn.IDIV, 16, W, (UB, "imm")),
+    (Opcode.MOV, None, 8, F, (D,)),
+]
+
+
+def _conv_step(a, b, c, pred):
+    op, fn, n, dst_dt, src_dts = _CONV_CASES[a % len(_CONV_CASES)]
+    srcs = []
+    for k, dt in enumerate(src_dts):
+        if dt == "imm":
+            srcs.append(Immediate(c % 7 + 1, src_dts[0]))
+        else:
+            srcs.append(RegOperand(_DATA[(b + k) % 4], 0, dt,
+                                   Region.contiguous(8)))
+    dst = _dst(_DATA[(a // len(_CONV_CASES)) % 4], dst_dt)
+    return [Instruction(op, n, dst, srcs, math_fn=fn, pred=pred)]
+
 
 def _build_step(kind, a, b, c, idx=0):
     """One deterministic instruction (or a few) from drawn integers."""
@@ -229,6 +272,8 @@ def _build_step(kind, a, b, c, idx=0):
                             [RegOperand(_DATA[b % 4], 0, UW,
                                         Region.contiguous(8)),
                              Immediate(c % 97, UW)], sat=bool(b % 2))]
+    if kind == "conv":
+        return _conv_step(a, b, c, pred)
     if kind == "b_alu":
         return [Instruction(Opcode.ADD, 16, _dst(_DATA[a % 4], UB),
                             [RegOperand(_DATA[b % 4], 0, UB,
@@ -313,7 +358,7 @@ _WIDE_STEP = st.builds(
     lambda kind, a, b, c: (kind, a, b, c),
     st.sampled_from(["alu", "w_alu", "b_alu", "shift", "mad", "math",
                      "cmp", "sel", "pred_mov", "gather", "scatter",
-                     "atomic", "use", "scalar"]),
+                     "atomic", "use", "scalar", "conv"]),
     st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
 
 
@@ -417,6 +462,22 @@ def test_wide_matches_sequential_bit_exact(steps, seed):
     with np.errstate(all="ignore"):
         _assert_bit_identical(_run_sequential(program, seed),
                               _run_jit(program, seed))
+
+
+@pytest.mark.parametrize("pred", [False, True])
+@pytest.mark.parametrize("case", range(len(_CONV_CASES)))
+def test_static_conversions_match_sequential(case, pred):
+    """Every conversion case, unpredicated and under a lane-varying
+    predicate (a masked write rejects a float or signed value the
+    destination type cannot take without an explicit conversion)."""
+    program = list(_prologue())
+    program += _build_step("cmp", 0, 1, 1)  # f0 = r2 != r3, per lane
+    for b in range(4):
+        program += _build_step("conv", case + b * len(_CONV_CASES), b,
+                               1 if pred else 0)
+    with np.errstate(all="ignore"):
+        _assert_bit_identical(_run_sequential(program, 5),
+                              _run_jit(program, 5))
 
 
 def _collision_atomic_program(op_idx, invert, with_dst):
@@ -634,7 +695,6 @@ def test_jit_predicated_atomics_thread_order(op_idx, invert, with_dst,
 # plant one of each (cross-thread race, out-of-bounds clip, read of an
 # uninitialized register) and require a 100% catch rate.
 
-import pytest  # noqa: E402
 
 from repro.memory.surfaces import Image2DSurface  # noqa: E402
 from repro.sanitize import (  # noqa: E402

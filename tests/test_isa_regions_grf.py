@@ -12,6 +12,23 @@ from repro.isa.regions import (
 
 
 class TestRegion:
+    @given(st.integers(0, 20), st.sampled_from([1, 2, 3, 4, 8, 16]),
+           st.integers(0, 4), st.sampled_from([1, 2, 3, 4, 8, 16, 32]),
+           st.integers(0, 9), st.integers(0, 9),
+           st.sampled_from([D, F, UB, UW]))
+    def test_parameter_queries_match_offsets(self, v, w, h, n, reg, sub,
+                                             dt):
+        """is_contiguous / is_scalar / span / regs_read, decided from
+        the region parameters, agree with the materialized offsets."""
+        r = Region(v, w, h)
+        offs = region_element_offsets(r, n)
+        assert r.is_contiguous(n) == (offs.tolist() == list(range(n)))
+        assert r.is_scalar(n) == bool((offs == 0).all())
+        assert r.span(n) == offs.max()
+        op = RegOperand(reg, sub, dt, r)
+        idx = (op.byte_offset + offs * dt.size)[:, None] + np.arange(dt.size)
+        assert op.regs_read(n) == tuple(np.unique(idx // 32).tolist())
+
     def test_contiguous(self):
         r = Region.contiguous(8)
         assert region_element_offsets(r, 16).tolist() == list(range(16))

@@ -432,3 +432,49 @@ class TestBlockTiming:
         jitk, _ = get_jit(kern)
         with pytest.raises(jit_mod.JitError, match="does not sum exactly"):
             jitk.block_costs(odd)
+
+
+# -- generated source size ----------------------------------------------------
+
+
+def _listing_chunks(jitk):
+    """Instruction index -> its code lines in :meth:`JitKernel.listing`
+    (block charges and payload consumes are timing, not the
+    instruction's own code, and are left out)."""
+    import re
+
+    chunks, cur = {}, None
+    for line in jitk.listing().splitlines():
+        mark = re.match(r"\s*# \[\s*(\d+)\]", line)
+        if mark:
+            cur = chunks.setdefault(int(mark.group(1)), [])
+        elif cur is not None and not re.match(
+                r"\s*(iv\S* \+= |cs\(|e\d+\.consumed_at)", line):
+            cur.append(line)
+    return chunks
+
+
+class TestCodegenSize:
+    @pytest.mark.parametrize("key,params", [
+        ("saxpy", {"n": 256}), ("blur", {"blocks_x": 2, "blocks_y": 2}),
+        ("sgemm", {"m": 16, "n": 16, "k": 8})])
+    def test_alu_source_is_small_and_converts_statically(self, key, params):
+        _, kern, _ = _serve_kernel(key, params)
+        jitk, _ = get_jit(kern)
+        chunks = _listing_chunks(jitk)
+        alu = [i for i, inst in enumerate(kern.program)
+               if inst.opcode not in jit_mod._NON_ALU]
+        assert alu
+        for i in alu:
+            inst = kern.program[i]
+            code = "\n".join(chunks[i])
+            assert len(chunks[i]) <= 3, code
+            dtypes = {s.dtype for s in inst.srcs}
+            if inst.dst is not None:
+                dtypes.add(inst.dst.dtype)
+            if len(dtypes) == 1 and not inst.sat:
+                assert ".dtype !=" not in code and "_cv(" not in code, code
+        # the listing only adds comments to the compiled text
+        stripped = [ln for ln in jitk.listing().splitlines()
+                    if not ln.lstrip().startswith("# [")]
+        assert stripped == jitk.source.splitlines()
