@@ -18,7 +18,10 @@ simulated-timing field of the resulting ``KernelTiming`` must match
 exactly: the JIT is a pure wall-clock optimization, never a model
 change, and each launch asserts that ``KernelRun.path`` is the tier its
 column names.  A saxpy scaling sweep records how the speedup grows with
-grid size.  Results land in ``BENCH_jit.json``.
+grid size.  Warm-launch rows time the JIT tier alone (``validate="off"``,
+megakernel already built) on each ``serve_straight`` menu entry, the
+launches a serving process repeats.  Results land in ``BENCH_jit.json``
+with the host they were measured on.
 
 Run directly (``python benchmarks/bench_jit.py [--smoke]``) or via
 pytest (smoke sizes).
@@ -33,12 +36,16 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_shard_throughput import host_block
+from repro.serve.loadgen import _MIXES
+from repro.serve.workloads import get_workload
 from repro.sim.device import Device
 from repro.workloads import gemm
 
 SMOKE_MIN_SPEEDUP = 10.0  # jit vs scalar, small grids (CI gate)
 FULL_MIN_SPEEDUP = 30.0   # jit vs scalar, Figure-5 grid sizes
 TRIALS = 3
+WARM_LAUNCHES = {"smoke": 3, "full": 30}  # timed launches per menu entry
 
 _VEC = 16
 _BLUR_W, _BLUR_H = 32, 4
@@ -174,6 +181,38 @@ def _compare(case, *args, modes=("jit", "scalar")):
     }
 
 
+def warm_launch_rows(launches):
+    """Median wall clock of a warm JIT-tier launch (``validate="off"``)
+    of each ``serve_straight`` menu entry: loadgen's ``shard`` mix, one
+    row per parameter set.  Surfaces are bound fresh and checked after
+    every launch, outside the timed span."""
+    rows = []
+    for key, variants, _weight in _MIXES["shard"]:
+        for params in variants:
+            launch = get_workload(key).make(params)
+            dev = Device()
+            kern = dev.compile(launch.body, launch.name, launch.sig,
+                               launch.scalar_params)
+            times = []
+            for i in range(launches + 1):  # launch 0 builds the megakernel
+                surfaces, scalars = launch.bind(dev)
+                t0 = time.perf_counter()
+                run = dev.run_compiled(kern, launch.grid, surfaces,
+                                       scalars=scalars, tier="jit",
+                                       validate="off")
+                dt = time.perf_counter() - t0
+                assert run.path == "jit", run.path
+                launch.finish(surfaces)
+                if i:
+                    times.append(dt)
+            rows.append({"workload": key, "params": params,
+                         "threads": int(np.prod(launch.grid)),
+                         "warm_launch_ms": round(
+                             float(np.median(times)) * 1e3, 3),
+                         "sim_time_us": round(run.timing.time_us, 3)})
+    return rows
+
+
 def run_benchmark(smoke=False, out_path="BENCH_jit.json"):
     if smoke:
         workloads = [("sgemm", _sgemm_case, (64, 16)),
@@ -205,12 +244,20 @@ def run_benchmark(smoke=False, out_path="BENCH_jit.json"):
               f"jit={r['jit_ms']:7.1f}ms scalar={r['scalar_ms']:8.1f}ms "
               f"vs_scalar={r['speedup_vs_scalar']:6.1f}x")
 
+    mode = "smoke" if smoke else "full"
+    warm = warm_launch_rows(WARM_LAUNCHES[mode])
+    for r in warm:
+        print(f"  [warm launch ] {r['workload']:6s} {r['params']} "
+              f"threads={r['threads']:5d} jit={r['warm_launch_ms']:7.3f}ms")
+
     doc = {
         "benchmark": "jit_megakernel",
-        "mode": "smoke" if smoke else "full",
+        "mode": mode,
+        "host": host_block(),
         "min_speedup_vs_scalar": min_speedup,
         "workloads": results,
         "scaling": scaling,
+        "warm_launches": warm,
     }
     Path(out_path).write_text(json.dumps(doc, indent=2) + "\n")
     print(f"  wrote {out_path}")

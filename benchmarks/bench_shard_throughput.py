@@ -143,7 +143,7 @@ def _run_sharded(work, shards):
     }, [_signature(r) for r in reqs]
 
 
-def _host():
+def host_block():
     """Where the numbers were measured: a wall clock read on one CPU
     says nothing about process parallelism."""
     try:
@@ -175,7 +175,7 @@ def _measure(shards, requests):
         "sharded": sharded,
         "sim_speedup": speedup,
         "divergent_requests": divergent,
-        "host": _host(),
+        "host": host_block(),
     }
 
 

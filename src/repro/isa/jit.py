@@ -7,16 +7,24 @@ executes the whole program for a chunk of T threads at once, on the
 stacked ``(T, 4096)`` register file of :class:`JitTracingExecutor`,
 with zero interpreter dispatch:
 
-- every region operand is pre-resolved to a baked slice (contiguous /
-  scalar regions become zero-copy ``grf2d[:, a:b].view(dtype)`` views
-  of the stacked register file; strided regions become ``np.take`` with
-  a baked index array);
+- the megakernel binds one typed view of the stacked register file per
+  dtype at entry (``g1 = g.view(np.float32)``), and every
+  element-aligned region operand is pre-resolved against it: scalar and
+  contiguous regions become zero-copy element slices
+  (``g1[:, 416:432]``), strided ones ``np.take`` with a baked element
+  index array; an unaligned operand is a byte slice viewed as its dtype;
+- consecutive ALU instructions that agree in opcode, exec size, operand
+  dtypes and operand kinds (the SIMD16 chunks legalization split a wide
+  operation into) fuse into one statement over ``(T, k, n)`` operands,
+  unless a member reads or overwrites bytes an earlier member writes
+  (see :func:`_fusion_info`, :func:`_joins`);
 - immediates are baked broadcast arrays; execution dtypes, conversion
   and saturation decisions are resolved at compile time;
 - predication compiles to masked ``np.copyto`` writes against baked
   flag views;
 - SEND instructions call pre-bound closures over the vectorized message
-  handlers.
+  handlers, which read each SEND's address columns once for execution,
+  the race recorder and the timing record.
 
 **Structured SIMD control flow** compiles to plain Python control flow
 over vectorized mask state.  IF/ELSE/ENDIF/BREAK become inlined updates
@@ -61,7 +69,7 @@ JIT artifacts live exactly as long as their program does in the
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -172,12 +180,38 @@ def _bind(env: dict, prefix: str, value) -> str:
     return name
 
 
+def _view(env: dict, dt: np.dtype) -> str:
+    """The megakernel's name for its typed view of the stacked GRF.
+
+    The megakernel binds one ``g.view(dtype)`` per dtype at entry
+    (``g1 = g.view(np.float32)``), so an aligned operand is a plain
+    element slice; uint8 operands slice ``g`` itself.
+    """
+    if dt == np.uint8:
+        return "g"
+    views = env["_views"]
+    name = views.get(dt)
+    if name is None:
+        name = views[dt] = f"g{len(views) + 1}"
+    return name
+
+
+def _slice(env: dict, dt: np.dtype, lo: int, hi: int) -> str:
+    """A zero-copy ``(T, m)`` view of GRF bytes ``[lo, hi)`` as ``dt``:
+    an element slice of the typed view, or a byte slice viewed as
+    ``dt`` where ``lo`` is not a multiple of the element size."""
+    sz = dt.itemsize
+    if lo % sz:
+        return f"g[:, {lo}:{hi}].view({_bind(env, '_dt', dt)})"
+    return f"{_view(env, dt)}[:, {lo // sz}:{hi // sz}]"
+
+
 def _src_expr(env: dict, pb: FunctionalExecutor, s, n: int):
     """(expression, operand np dtype, byte span or None).
 
     Decided from the region parameters: scalar regions compile to
-    ``(T, 1)`` views of the stacked GRF that broadcast, contiguous
-    regions to zero-copy views, anything else to ``np.take`` with a
+    ``(T, 1)`` slices of the typed GRF views that broadcast, contiguous
+    regions to zero-copy slices, anything else to ``np.take`` with a
     baked flat byte index (the only operand that builds a byte plan).
     The span is ``(first byte, end byte, run)``, ``run`` telling whether
     the bytes read are exactly that range.  Immediates (including packed
@@ -191,14 +225,15 @@ def _src_expr(env: dict, pb: FunctionalExecutor, s, n: int):
         if o0 < 0 or end > pb.grf.bytes.size:
             pb._src_plan(s, n)  # raises the interpreter's bounds error
         dt = np.dtype(s.dtype.np_dtype)
+        if region.is_scalar(n) or region.is_contiguous(n):
+            return _slice(env, dt, o0, end), dt, (o0, end, True)
+        plan = pb._src_plan(s, n)
+        if o0 % sz == 0:  # element indices into the typed view
+            ixn = _bind(env, "_ix", plan[:, 0] // sz)
+            return (f"np.take({_view(env, dt)}, {ixn}, axis=1)", dt,
+                    (o0, end, False))
+        ixn = _bind(env, "_ix", np.ascontiguousarray(plan.reshape(-1)))
         dtn = _bind(env, "_dt", dt)
-        if region.is_scalar(n):
-            return f"g[:, {o0}:{o0 + sz}].view({dtn})", dt, (o0, o0 + sz,
-                                                            True)
-        if region.is_contiguous(n):
-            return f"g[:, {o0}:{end}].view({dtn})", dt, (o0, end, True)
-        ixn = _bind(env, "_ix", np.ascontiguousarray(
-            pb._src_plan(s, n).reshape(-1)))
         return f"np.take(g, {ixn}, axis=1).view({dtn})", dt, (o0, end, False)
     arr = np.asarray(pb._fetch(s, n))  # read-only broadcast payload
     return _bind(env, "_c", arr), arr.dtype, None
@@ -305,12 +340,14 @@ def _emit_write(out: list, env: dict, pb: FunctionalExecutor,
     """One statement storing the expression ``val`` to ``dst``."""
     o0, end, packed = _dst_span(pb, dst, n)
     if packed:
-        dtn = _bind(env, "_dt", np.dtype(dst.dtype.np_dtype))
-        dv = f"g[:, {o0}:{end}].view({dtn})"
-        if mask is None:
+        dt = np.dtype(dst.dtype.np_dtype)
+        dv = _slice(env, dt, o0, end)
+        if mask is not None:
+            out.append(f"np.copyto({dv}, {val}, where={mask})")
+        elif o0 % dt.itemsize:
             out.append(f"{dv}[...] = {val}")
         else:
-            out.append(f"np.copyto({dv}, {val}, where={mask})")
+            out.append(f"{dv} = {val}")
     else:  # strided destination: the stacked-GRF RMW fancy-index path
         opn = _bind(env, "_wo", dst)
         ixn = _bind(env, "_wx", pb._dst_plan(dst, n))
@@ -338,14 +375,48 @@ def _result_dtype(inst: Instruction, exec_dt: DType) -> Optional[np.dtype]:
     return np.dtype(exec_dt.np_dtype)
 
 
+def _alu_value(env: dict, inst: Instruction, fetched: list) -> str:
+    """The expression of one ALU instruction's value in its destination
+    type, from its ``(expression, np dtype, span)`` sources.
+
+    A conversion to the destination type is emitted only where numpy's
+    result dtype, known at codegen from the operand dtypes, differs from
+    it (the interpreter converts exactly then), or under ``.sat``.
+    """
+    op = inst.opcode
+    dst_t = inst.dst.dtype
+    if op is Opcode.MOV:
+        val, rdt = fetched[0][:2]
+    elif op is Opcode.SEL:
+        val = (f"np.where({_mask_expr(inst)}, {fetched[0][0]}, "
+               f"{fetched[1][0]})")
+        rdt = np.result_type(fetched[0][1], fetched[1][1])
+    else:
+        exec_dt = inst.srcs[0].dtype
+        for s in inst.srcs[1:]:
+            exec_dt = promote(exec_dt, s.dtype)
+        if not dst_t.is_float and exec_dt.is_float and \
+                op in (Opcode.AND, Opcode.OR, Opcode.XOR):
+            raise JitError("bitwise ops on float operands")
+        ops = []
+        for expr, sdt, _span in fetched:
+            if sdt != np.dtype(exec_dt.np_dtype):
+                expr = f"_cv({expr}, {_bind(env, '_ET', exec_dt)})"
+            ops.append(expr)
+        val = _alu_expr(env, inst, exec_dt, ops)
+        rdt = _result_dtype(inst, exec_dt)
+    if inst.sat:
+        return f"_cv({val}, {_bind(env, '_ET', dst_t)}, True)"
+    if rdt != np.dtype(dst_t.np_dtype):
+        return f"_cv({val}, {_bind(env, '_ET', dst_t)})"
+    return val
+
+
 def _emit_alu(out: list, env: dict, pb: FunctionalExecutor,
               inst: Instruction, cfm: Optional[str]) -> None:
     """One ALU instruction; ``cfm`` is its SIMD-CF write mask, if any.
 
-    One statement computes the value and stores it.  A conversion to
-    the destination type is emitted only where numpy's result dtype,
-    known at codegen from the operand dtypes, differs from it (the
-    interpreter converts exactly then), or under ``.sat``.
+    One statement computes the value and stores it.
     """
     op = inst.opcode
     dst = inst.dst
@@ -353,14 +424,14 @@ def _emit_alu(out: list, env: dict, pb: FunctionalExecutor,
         raise JitError(f"ALU instruction without destination: {inst.asm()}")
     n = inst.exec_size
     do, dend, packed = _dst_span(pb, dst, n)
-    npd = np.dtype(dst.dtype.np_dtype)
     pred = _mask_expr(inst)
     mask = _and(pred, cfm)
     fetched = [_src_expr(env, pb, s, n) for s in inst.srcs]
 
     if op is Opcode.MOV:
         val, rdt, span = fetched[0]
-        if span is not None and rdt == npd and not inst.sat:
+        if span is not None and rdt == np.dtype(dst.dtype.np_dtype) and \
+                not inst.sat:
             # the value stays a view of the stacked GRF
             so, send, run = span
             nb = n * dst.dtype.size
@@ -376,33 +447,165 @@ def _emit_alu(out: list, env: dict, pb: FunctionalExecutor,
                 # overwrites; materialize it first (the sequential
                 # interpreter fetches copies, so this is what keeps
                 # overlap semantics identical)
-                val = f"({val}).copy()"
+                fetched[0] = (f"({val}).copy()", rdt, span)
     elif op is Opcode.SEL:
         if pred is None:
             raise JitError("sel requires a predicate")
-        val = f"np.where({pred}, {fetched[0][0]}, {fetched[1][0]})"
-        rdt = np.result_type(fetched[0][1], fetched[1][1])
         mask = cfm  # sel writes all lanes; the predicate picked the source
-    else:
-        exec_dt = inst.srcs[0].dtype
-        for s in inst.srcs[1:]:
-            exec_dt = promote(exec_dt, s.dtype)
-        if not dst.dtype.is_float and exec_dt.is_float and \
-                op in (Opcode.AND, Opcode.OR, Opcode.XOR):
-            raise JitError("bitwise ops on float operands")
-        ops = []
-        for (expr, sdt, _span), s in zip(fetched, inst.srcs):
-            if sdt != np.dtype(exec_dt.np_dtype):
-                expr = f"_cv({expr}, {_bind(env, '_ET', exec_dt)})"
-            ops.append(expr)
-        val = _alu_expr(env, inst, exec_dt, ops)
-        rdt = _result_dtype(inst, exec_dt)
+    _emit_write(out, env, pb, dst, n, _alu_value(env, inst, fetched), mask)
 
-    if inst.sat:
-        val = f"_cv({val}, {_bind(env, '_ET', dst.dtype)}, True)"
-    elif rdt != npd:
-        val = f"_cv({val}, {_bind(env, '_ET', dst.dtype)})"
-    _emit_write(out, env, pb, dst, n, val, mask)
+
+# -- fused ALU runs -----------------------------------------------------------
+#
+# Legalization splits a wide region operation into SIMD16 instructions;
+# codegen re-fuses a run of consecutive ALU instructions that agree in
+# opcode, exec size, operand dtypes and operand kinds into one statement
+# over (T, k, n) operands.  All of a statement's reads happen before its
+# store, so a run may not read bytes an earlier member writes, and its
+# destinations may not overlap (MOV runs, whose value is a live view,
+# keep sources and destinations apart as well).
+
+#: ALU opcodes that never join a run: MATH (its transcendental numpy
+#: kernels are held to the sequential tier one instruction at a time
+#: only), CMP (writes flags) and SEL (always predicated).
+_UNFUSED = {Opcode.MATH, Opcode.CMP, Opcode.SEL}
+
+
+def _overlap(a: tuple, b: tuple) -> bool:
+    return a[0] < b[1] and b[0] < a[1]
+
+
+class _Fusable(NamedTuple):
+    """What fusion needs of one ALU instruction (:func:`_fusion_info`)."""
+
+    #: what every member of a run shares: opcode, exec size, dtypes and
+    #: operand kinds
+    key: tuple
+    #: per source: ``("i", payload)`` for an immediate, ``("r", dtype,
+    #: element, width)`` for a scalar or contiguous region, ``("x",
+    #: dtype, elements)`` for any other
+    srcs: list
+    #: ``(dtype, element, width)`` of the packed destination
+    dst: tuple
+    #: source byte ranges (a strided source's whole span, which can only
+    #: refuse a run too many) and the destination's
+    reads: list
+    write: tuple
+
+
+def _fusion_info(pb: FunctionalExecutor,
+                 inst: Instruction) -> Optional[_Fusable]:
+    """What fusion needs of an ALU instruction that may join a fused run,
+    else ``None``.
+
+    Candidates are unpredicated, unsaturated ALU instructions whose
+    destination is packed and element-aligned and whose sources are
+    immediates or element-aligned regions.
+    """
+    op = inst.opcode
+    dst = inst.dst
+    if op in _UNFUSED or inst.pred is not None or inst.sat or dst is None:
+        return None
+    n = inst.exec_size
+    do, dend, packed = _dst_span(pb, dst, n)
+    ddt = np.dtype(dst.dtype.np_dtype)
+    if not packed or do % ddt.itemsize:
+        return None
+    limit = pb.grf.bytes.size
+    srcs, kinds, reads = [], [], []
+    for s in inst.srcs:
+        if not isinstance(s, RegOperand):
+            arr = np.asarray(pb._fetch(s, n))
+            srcs.append(("i", arr))
+            kinds.append(("i", arr.dtype))
+            continue
+        dt = np.dtype(s.dtype.np_dtype)
+        sz, o0 = dt.itemsize, s.byte_offset
+        end = o0 + (s.region.span(n) + 1) * sz
+        if o0 < 0 or end > limit or o0 % sz:
+            return None
+        if s.region.is_scalar(n) or s.region.is_contiguous(n):
+            width = (end - o0) // sz
+            srcs.append(("r", dt, o0 // sz, width))
+            kinds.append(("r", dt, width))
+        else:
+            srcs.append(("x", dt, pb._src_plan(s, n)[:, 0] // sz))
+            kinds.append(("x", dt))
+        reads.append((o0, end))
+    if op is Opcode.MOV and reads and _overlap(reads[0], (do, dend)):
+        return None
+    return _Fusable((op, n, ddt, tuple(kinds)), srcs,
+                    (ddt, do // ddt.itemsize, 1 if n == 1 else n), reads,
+                    (do, dend))
+
+
+def _joins(run: list, info: _Fusable) -> bool:
+    """Whether an instruction with fusion ``info`` may extend ``run``."""
+    if info.key != run[0][2].key:
+        return False
+    mov = info.key[0] is Opcode.MOV
+    for _, _, member in run:
+        if _overlap(info.write, member.write) or any(
+                _overlap(r, member.write) for r in info.reads):
+            return False  # write-after-write / read-after-write
+        if mov and any(_overlap(info.write, r) for r in member.reads):
+            return False
+    return True
+
+
+def _run_operand(env: dict, pb: FunctionalExecutor, dt: np.dtype,
+                 elems: list, width: int, store: bool) -> str:
+    """One operand of a fused run as a ``(T, k, width)`` expression.
+
+    Element offsets in arithmetic progression become strided views of
+    the typed GRF view (a broadcast one for a repeated operand); any
+    other offsets a bound ``(k, width)`` index array.  ``store`` asks
+    for an assignment target.
+    """
+    view = _view(env, dt)
+    k, e0 = len(elems), elems[0]
+    step = elems[1] - e0
+    if all(e == e0 + j * step for j, e in enumerate(elems)):
+        if step == 0:  # the same operand in every member
+            return f"{view}[:, None, {e0}:{e0 + width}]"
+        if width == 1:
+            stop = elems[-1] + (1 if step > 0 else -1)
+            return f"{view}[:, {e0}:{stop if stop >= 0 else ''}:{step}, None]"
+        if step >= width and e0 + k * step <= pb.grf.bytes.size // dt.itemsize:
+            v = f"{view}[:, {e0}:{e0 + k * step}].reshape(_T, {k}, {step})"
+            if step > width:
+                return f"{v}[:, :, :{width}]"
+            return f"{v}[...]" if store else v
+    ixn = _bind(env, "_ix", np.asarray(elems)[:, None] + np.arange(width))
+    return f"{view}[:, {ixn}]" if store else f"np.take({view}, {ixn}, axis=1)"
+
+
+def _emit_run(env: dict, pb: FunctionalExecutor, run: list) -> str:
+    """The one statement of a fused run of ALU instructions."""
+    first = run[0][1]
+    infos = [info for _, _, info in run]
+    fetched = []
+    for p in range(len(first.srcs)):
+        descs = [info.srcs[p] for info in infos]
+        if descs[0][0] == "i":
+            c = descs[0][1]
+            if any(d[1].tobytes() != c.tobytes() for d in descs):
+                c = np.stack([d[1] for d in descs])  # (k, n)
+                c.flags.writeable = False
+            fetched.append((_bind(env, "_c", c), c.dtype, None))
+        elif descs[0][0] == "x":
+            dt = descs[0][1]
+            ixn = _bind(env, "_ix", np.stack([d[2] for d in descs]))
+            fetched.append((f"np.take({_view(env, dt)}, {ixn}, axis=1)", dt,
+                            None))
+        else:
+            _, dt, _, width = descs[0]
+            fetched.append((_run_operand(env, pb, dt, [d[2] for d in descs],
+                                         width, False), dt, None))
+    ddt, _, width = infos[0].dst
+    target = _run_operand(env, pb, ddt, [info.dst[1] for info in infos],
+                          width, True)
+    return f"{target} = {_alu_value(env, first, fetched)}"
 
 
 _CMP_FNS = {
@@ -724,15 +927,48 @@ def _block_costs(program, blocks, machine) -> tuple:
 # -- megakernel source ---------------------------------------------------------
 
 
+def _regs_of(lo: int, hi: int) -> range:
+    """The GRF registers holding bytes ``[lo, hi)``."""
+    return range(lo // GRF_SIZE_BYTES, (hi - 1) // GRF_SIZE_BYTES + 1)
+
+
+def _rewrites_addresses(inst: Instruction) -> bool:
+    """Whether a SEND writes a register it reads its addresses from.
+
+    The sequential tracer reads a SEND's addresses after the SEND has
+    run, so such a SEND's timing record must re-read them; every other
+    SEND records the addresses it executed with.
+    """
+    msg = inst.msg
+    spans = [(s.byte_offset, s.byte_offset + s.dtype.size)
+             for s in (msg.addr0, msg.addr1) if isinstance(s, RegOperand)]
+    if msg.kind in (MsgKind.GATHER, MsgKind.SCATTER, MsgKind.ATOMIC):
+        base = msg.addr_reg * GRF_SIZE_BYTES
+        spans.append((base, base + 4 * inst.exec_size))
+    written = set(_payload_regs(inst))
+    dst = inst.dst
+    if dst is not None:  # an atomic's returned old values
+        lo = dst.byte_offset
+        written.update(_regs_of(lo, lo + dst.dtype.size * (
+            (inst.exec_size - 1) * dst.dst_stride + 1)))
+    return any(r in written for lo, hi in spans for r in _regs_of(lo, hi))
+
+
 def _send_fn(inst: Instruction, looked_up: set):
     """The ``_send{k}`` closure: run one SEND for ``rows``, then return
-    its timing record.  Of its payload registers it tracks only those a
-    consume point ``looked_up``."""
+    its timing record.  Both use one read of its address columns (unless
+    the SEND overwrites them, see :func:`_rewrites_addresses`).  Of its
+    payload registers it tracks only those a consume point
+    ``looked_up``."""
     regs = tuple(r for r in _payload_regs(inst) if r in looked_up)
+    reread = _rewrites_addresses(inst)
 
-    def _send(ex, rows, _inst=inst, _regs=regs):
-        ex._execute_send(_inst)
-        return ex._record_send(_inst, rows, _regs)
+    def _send(ex, rows, _inst=inst, _regs=regs, _reread=reread):
+        addr = ex._send_addresses(_inst)
+        ex._execute_send(_inst, addr)
+        if _reread:
+            addr = ex._send_addresses(_inst)
+        return ex._record_send(_inst, rows, _regs, addr)
     return _send
 
 
@@ -742,18 +978,25 @@ def _codegen(program, plans: PlanTable, env: dict, cf):
 
     ``blocks`` holds each static block's cost-bearing instruction
     indices; ``marks`` pairs each instruction with the source line its
-    code starts at (see :meth:`JitKernel.listing`).  The generated
+    code starts at (see :meth:`JitKernel.listing`; every member of a
+    fused run marks the run's statement).  The generated
     ``_mega(ex, bn, bc)`` charges block k's instruction count ``bn[k]``
     and issue cycles ``bc[k]`` (and its barriers) once to the rows that
     run it, retires pending payloads
     only at the points :func:`_consume_points` finds, and returns the
     number of instructions it issued (re-executed loop bodies
     included).  The ``_send{k}`` closures are bound into ``env``.
+
+    Outside loops and SIMD-CF write masks, consecutive ALU instructions
+    fuse into runs (:func:`_fusion_info`, :func:`_joins`).  A run ends
+    at any other instruction, so it never crosses a SEND, a block
+    charge or a consume point; a consume point may start one.
     """
     pb = FunctionalExecutor()  # bounds checks and strided byte plans
     consumes = _consume_points(program, plans, cf)
     looked_up = {r for look, _ in consumes.values() for r in look}
     loops = bool(cf.body_of)
+    env["_views"] = {}
     lines = ["def _mega(ex, bn, bc):",
              "    g = ex.grf2d",
              "    _T = g.shape[0]",
@@ -781,6 +1024,7 @@ def _codegen(program, plans: PlanTable, env: dict, cf):
     blocks: list = []
     block: list = []
     barriers = 0
+    run: list = []  # the open fused run: (index, instruction, fusion info)
 
     def charge(out: list, level: int) -> None:
         """Close the open block: one charge to the rows at ``level``."""
@@ -797,11 +1041,36 @@ def _codegen(program, plans: PlanTable, env: dict, cf):
         block.clear()
         barriers = 0
 
+    def flush() -> None:
+        """Emit the open run (its first member is already marked)."""
+        if not run:
+            return
+        out: list = []
+        if len(run) == 1:
+            _emit_alu(out, env, pb, run[0][1], None)
+        else:
+            out.append(_emit_run(env, pb, run))
+        marks.extend((len(lines), i) for i, _, _ in run[1:])
+        lines.extend("    " + ln for ln in out)
+        run.clear()
+
     n_sends = 0
     level = 0
     marks = []
     for i, inst in enumerate(program):
         op = inst.opcode
+        fuse = cfm = None
+        if op not in _NON_ALU:
+            if cf.has_cf:
+                cfm = _cf_write_mask(inst, level, cf.depth_at[i])
+            if cfm is None and not level:
+                fuse = _fusion_info(pb, inst)
+        if fuse is not None and run and i not in consumes and \
+                _joins(run, fuse):
+            run.append((i, inst, fuse))
+            block.append(i)
+            continue
+        flush()
         out: list = []
         marks.append((len(lines), i))
         indent = "    " * (level + 1)
@@ -831,20 +1100,26 @@ def _codegen(program, plans: PlanTable, env: dict, cf):
                     out.append(f"cs({look}, {rows})")
                 out += [f"e{s}.consumed_at = isv.copy()" for s in stamp]
             block.append(i)
-            cfm = _cf_write_mask(inst, level, cf.depth_at[i]) \
-                if cf.has_cf else None
-            if op is Opcode.CMP:
+            if fuse is not None:
+                run.append((i, inst, fuse))  # emitted by flush()
+            elif op is Opcode.CMP:
                 _emit_cmp(out, env, pb, inst, cfm)
             else:
                 _emit_alu(out, env, pb, inst, cfm)
         lines.extend(indent + ln for ln in out)
         if op is Opcode.SIMD_WHILE:  # after the loop: the outer rows
             lines.append("    " * (level + 1) + _sync_rows(level))
+    flush()
     tail: list = []
     charge(tail, 0)
     lines.extend("    " + ln for ln in tail)
     issued = f"{len(program)} + st" if loops else f"{len(program)}"
     lines.append(f"    return {issued}")
+    # the typed GRF views, bound at entry (after ``g``)
+    views = [f"    {name} = g.view(np.{dt.name})"
+             for dt, name in env.pop("_views").items()]
+    lines[2:2] = views
+    marks = [(ln + len(views), i) for ln, i in marks]
     return "\n".join(lines) + "\n", n_sends, blocks, marks
 
 
@@ -1120,10 +1395,31 @@ class JitTracingExecutor(FunctionalExecutor):
                 f"GRF payload of {nbytes} bytes at offset {base} overruns "
                 f"the {self.grf2d.shape[1]}-byte register file")
 
-    def _execute_send(self, inst: Instruction) -> None:
+    def _send_addresses(self, inst: Instruction) -> tuple:
+        """A SEND's address columns for the rows running it: the
+        ``(R,)`` block origins ``(x, y)`` of a media block message, the
+        ``(offset,)`` of an oword block one, or the ``(R, n)`` per-lane
+        byte offsets and the ``(T, n)`` write-enable mask (or ``None``)
+        of a scattered one."""
+        msg = inst.msg
+        kind = msg.kind
+        sel = slice(None) if self._row_all else self._rows
+        if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
+            return (self._scalar_vec(msg.addr0)[sel],
+                    self._scalar_vec(msg.addr1)[sel])
+        if kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
+            return (self._scalar_vec(msg.addr0)[sel],)
+        return self._scattered_offsets(inst)[sel], self._exec_mask(inst)
+
+    def _execute_send(self, inst: Instruction,
+                      addr: Optional[tuple] = None) -> None:
+        """Run one SEND for the rows running it, at the address columns
+        ``addr`` (:meth:`_send_addresses`; read here when not given)."""
         msg = inst.msg
         if msg is None:
             raise ExecutionError("send without message descriptor")
+        if addr is None:
+            addr = self._send_addresses(inst)
         surf = self._surface(msg.surface)
         race = self.race
         # Inside a loop some threads have left: only the rows still
@@ -1133,8 +1429,7 @@ class JitTracingExecutor(FunctionalExecutor):
         kind = msg.kind
         base = msg.payload_reg * GRF_SIZE_BYTES
         if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
-            x = self._scalar_vec(msg.addr0)[sel]
-            y = self._scalar_vec(msg.addr1)[sel]
+            x, y = addr
             w, h = msg.block_width, msg.block_height
             if kind is MsgKind.MEDIA_BLOCK_READ:
                 block = surf.read_block_many(x, y, w, h)  # (R, h, w)
@@ -1147,7 +1442,7 @@ class JitTracingExecutor(FunctionalExecutor):
             if race is not None:
                 race.note_blocks(surf, _ACCESS_KIND[kind], rows, x, y, w, h)
         elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
-            offset = self._scalar_vec(msg.addr0)[sel]
+            offset, = addr
             # scratch rows are per thread; other surfaces are shared
             own = {"rows": rows} if isinstance(surf, WideScratch) else {}
             if kind is MsgKind.OWORD_BLOCK_READ:
@@ -1161,21 +1456,20 @@ class JitTracingExecutor(FunctionalExecutor):
                 race.note_rows(surf, _ACCESS_KIND[kind], rows, offset,
                                msg.payload_bytes)
         elif kind in (MsgKind.GATHER, MsgKind.SCATTER, MsgKind.ATOMIC):
-            self._execute_scattered(inst, surf, sel)
+            self._execute_scattered(inst, surf, sel, *addr)
         else:
             raise ExecutionError(f"unhandled message kind {kind}")
 
-    def _execute_scattered(self, inst: Instruction, surf, sel) -> None:
+    def _execute_scattered(self, inst: Instruction, surf, sel,
+                           offsets: np.ndarray, mask) -> None:
         msg = inst.msg
         n = inst.exec_size
         T = self.num_threads
         elem = msg.elem_dtype
-        offsets = self._scattered_offsets(inst)[sel]
         nrows = offsets.shape[0]
         base = msg.payload_reg * GRF_SIZE_BYTES
         # Inside a loop the mask also covers the row mask, so rows that
         # left it keep their destination registers.
-        mask = self._exec_mask(inst)
         # Flatten thread-major: lane order within a thread, threads in
         # ascending id — the exact order the sequential dispatch loop
         # performs these accesses, so overlap/atomic semantics match.
@@ -1224,8 +1518,9 @@ class JitTracingExecutor(FunctionalExecutor):
     # -- timing -------------------------------------------------------------
 
     def _record_send(self, inst: Instruction, rows: np.ndarray,
-                     regs: tuple) -> _SendEvent:
-        """Record one SEND issued by ``rows``.
+                     regs: tuple, addr: tuple) -> _SendEvent:
+        """Record one SEND issued by ``rows`` at the address columns
+        ``addr`` (:meth:`_send_addresses`).
 
         Mirrors :meth:`~repro.sim.batch.TracingExecutor._account_send`
         minus its front-end charge, which the megakernel already added
@@ -1239,19 +1534,17 @@ class JitTracingExecutor(FunctionalExecutor):
         l3_bytes = None  # scattered messages move whole lines
         words = wmask = None
         if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
-            x = self._scalar_vec(msg.addr0)[rows]
-            y = self._scalar_vec(msg.addr1)[rows]
+            x, y = addr
             w, h = msg.block_width, msg.block_height
             nbytes = l3_bytes = w * h
             lines, new = surf.mark_lines_block2d_many(x, y, w, h, surf.pitch)
         elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
-            offset = self._scalar_vec(msg.addr0)[rows]
+            offset, = addr
             nbytes = l3_bytes = msg.payload_bytes
             lines, new = surf.mark_lines_range_many(offset, nbytes)
         else:  # GATHER / SCATTER / ATOMIC
             n = inst.exec_size
-            byte_offs = self._scattered_offsets(inst)[rows]
-            mask = self._exec_mask(inst)
+            byte_offs, mask = addr
             if mask is not None:
                 mask = np.broadcast_to(mask[rows], (rows.size, n))
             lines, new = surf.mark_lines_offsets_many(
@@ -1359,18 +1652,15 @@ class JitTracingExecutor(FunctionalExecutor):
                 stall[ev.rows] += late
         # ThreadTrace.exec_cycles per thread, in its float order
         times = (self._issue_vec + stall
-                 + self._barrier_vec * m.barrier_cycles).tolist()
+                 + self._barrier_vec * m.barrier_cycles)
         acc.num_threads += count
-        total = acc._total_issue  # the scalar fold's addition sequence
-        for v in self._issue_vec.tolist():
-            total += v
-        acc._total_issue = total
-        total = acc._total_thread_time
-        for v in times:
-            total += v
-        acc._total_thread_time = total
-        if times:
-            acc._max_thread_time = max(acc._max_thread_time, max(times))
+        # the scalar fold's addition sequence: accumulate is strictly
+        # left to right, so the running totals are bit-identical
+        acc._total_issue = _running_sum(acc._total_issue, self._issue_vec)
+        acc._total_thread_time = _running_sum(acc._total_thread_time, times)
+        if count:
+            acc._max_thread_time = max(acc._max_thread_time,
+                                       float(times.max()))
         acc.total_instructions += int(self._inst_vec.sum())
         acc.barriers += int(self._barrier_vec.sum())
         acc.messages += sum(ev.rows.size for ev in events)
@@ -1380,6 +1670,11 @@ class JitTracingExecutor(FunctionalExecutor):
             _fold_event(acc, ev)
         self._events = []
         self._pending_vec = {}
+
+
+def _running_sum(total: float, values: np.ndarray) -> float:
+    """``total + values[0] + values[1] + ...``, added in that order."""
+    return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
 
 
 # ---------------------------------------------------------------------------

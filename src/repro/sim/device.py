@@ -142,17 +142,34 @@ class _Launch(NamedTuple):
     step: int  # max live threads per chunk
 
 
-def _scalar_columns(scalars, bases, ids) -> list:
-    """``(GRF base, int32 column)`` per scalar parameter supplied for
-    any of the threads ``ids`` (a thread missing the value gets 0)."""
-    rows = ([scalars(tid) for tid in ids] if callable(scalars)
-            else [scalars or {}] * len(ids))
+def _grid_coords(grid: Sequence[int]) -> tuple:
+    """One int64 coordinate column per grid dimension, x fastest: row
+    ``t`` is the ``t``-th thread id :meth:`Device._grid_ids` yields."""
+    if not grid:
+        return ()
+    flat = np.arange(int(np.prod(grid)))
+    return np.unravel_index(flat, tuple(reversed(grid)))[::-1]
+
+
+def _thread_ids(coords: tuple, start: int, count: int) -> list:
+    """The id tuples of threads ``start .. start + count - 1``."""
+    if not coords:
+        return [()] * count
+    return list(zip(*(c[start:start + count].tolist() for c in coords)))
+
+
+def _scalar_columns(scalars, bases, coords: tuple, count: int) -> list:
+    """``(GRF base, (count,) int32 column)`` per scalar parameter that
+    ``scalars`` supplies for a chunk of ``count`` threads; ``coords``
+    are the chunk's coordinate columns, which a callable ``scalars``
+    receives once, as one tuple."""
+    row = scalars(coords) if callable(scalars) else (scalars or {})
     cols = []
     for pname, base in bases:
-        vals = [row.get(pname) for row in rows]
-        if any(v is not None for v in vals):
-            cols.append((base, np.asarray(
-                [0 if v is None else v for v in vals], dtype=np.int32)))
+        v = row.get(pname)
+        if v is not None:
+            cols.append((base, np.ascontiguousarray(np.broadcast_to(
+                np.asarray(v, dtype=np.int32), (count,)))))
     return cols
 
 
@@ -450,8 +467,15 @@ class Device:
 
         ``surfaces`` bind positionally to the kernel's surface params.
         ``scalars`` supplies the symbolic integer parameters: either one
-        dict shared by every thread, or a callable mapping a thread id
-        tuple to that thread's dict (how per-thread coordinates are fed).
+        dict shared by every thread, or a callable that feeds per-thread
+        values such as coordinates.  The callable is called once per
+        chunk of threads with a tuple of int64 coordinate arrays, one
+        per grid dimension (``tid[0]`` holds the chunk's x coordinates,
+        x fastest, as :meth:`_grid_ids` orders threads), and returns a
+        dict whose values are each an int (shared by the chunk) or an
+        array of the chunk's length.  A coordinate projection such as
+        ``lambda tid: {"tx": tid[0], "ty": tid[1]}`` therefore works
+        unchanged; a callable that branches on one thread's id does not.
 
         ``tier`` picks the execution tier; both are bit-identical in
         results and simulated timing, they differ only in wall clock:
@@ -649,10 +673,10 @@ class Device:
                 bases.append((pname, base))
         program = kernel.program
         grf_bytes = kernel.allocation.max_grf_bytes
-        thread_ids = list(self._grid_ids(grid))
-        total = len(thread_ids)
+        coords = _grid_coords(grid)
+        total = coords[0].size if coords else 1
         if race is not None:
-            race.add_threads(thread_ids)
+            race.add_threads(_thread_ids(coords, 0, total))
         acc = TimingAccumulator(self.machine)
         bacc = (BreakdownAccumulator(self.machine)
                 if self.obs.breakdowns else None)
@@ -664,15 +688,18 @@ class Device:
             with trace_span("dispatch", kernel=kname, path=path,
                             grid=tuple(grid), threads=total):
                 for chunk_idx, start in enumerate(range(0, total, step)):
-                    ids = thread_ids[start:start + step]
-                    count = len(ids)
-                    cols = _scalar_columns(scalars, bases, ids)
+                    count = min(step, total - start)
+                    cols = _scalar_columns(
+                        scalars, bases,
+                        tuple(c[start:start + count] for c in coords), count)
                     with trace_span(f"dispatch:{path}", kernel=kname,
                                     grid=tuple(grid), chunk=chunk_idx,
                                     threads=count):
                         if not vector:
-                            traces = self._run_threads(ex, program, ids, cols,
-                                                       scratch, san)
+                            ids = None if san is None else \
+                                _thread_ids(coords, start, count)
+                            traces = self._run_threads(ex, program, count,
+                                                       ids, cols, scratch, san)
                         else:
                             if race is not None:
                                 race.row_base = start
@@ -699,13 +726,15 @@ class Device:
             ex.san = ex.race = None
         return acc.finalize(), bacc, path
 
-    def _run_threads(self, ex, program, ids, cols, scratch, san) -> list:
-        """Run one chunk of threads one at a time; return their traces."""
+    def _run_threads(self, ex, program, count, ids, cols, scratch,
+                     san) -> list:
+        """Run one chunk of ``count`` threads one at a time; return
+        their traces (``ids``: the thread id tuples, for ``san``)."""
         traces = []
-        for i, thread_id in enumerate(ids):
+        for i in range(count):
             ex.reset()
             if san is not None:
-                san.begin_thread(thread_id)
+                san.begin_thread(ids[i])
             if scratch is not None:
                 scratch.bytes.fill(0)
             trace = ThreadTrace(self.machine)

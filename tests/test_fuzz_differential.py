@@ -385,15 +385,16 @@ def _surface_bytes(table):
     return {k: s.bytes.copy() for k, s in table.items()}
 
 
-def _run_sequential(program, seed, certify=True):
+def _run_sequential(program, seed, certify=True, tids=_TIDS,
+                    make=_make_surfaces):
     """(GRFs, per-thread flags, surfaces, KernelTiming), one thread at a
-    time on the reference TracingExecutor."""
-    table = _make_surfaces(seed)
+    time on the reference TracingExecutor (surfaces from ``make``)."""
+    table = make(seed)
     detector = RaceDetector()
     detector.attach(table.values())
     ex = TracingExecutor(table)
     grfs, flags, traces = [], [], []
-    for tid in _TIDS:
+    for tid in tids:
         ex.reset()
         detector.begin_thread(tid)
         traces.append(ThreadTrace(GEN11_ICL))
@@ -414,24 +415,25 @@ def _run_sequential(program, seed, certify=True):
     return np.stack(grfs), flags, _surface_bytes(table), acc.finalize()
 
 
-def _run_jit(program, seed, chunk=len(_TIDS)):
+def _run_jit(program, seed, chunk=len(_TIDS), tids=_TIDS,
+             make=_make_surfaces):
     """Same result tuple as :func:`_run_sequential`, from one pooled
     JitTracingExecutor running the threads in chunks of ``chunk`` (the
     device's ``max_live_threads`` loop, timing folded per chunk)."""
-    table = _make_surfaces(seed)
+    table = make(seed)
     ex = JitTracingExecutor(table)
     acc = TimingAccumulator(GEN11_ICL)
     grfs, flags = [], []
-    for start in range(0, len(_TIDS), chunk):
-        tids = _TIDS[start:start + chunk]
-        ex.reset(len(tids))
+    for start in range(0, len(tids), chunk):
+        part = tids[start:start + chunk]
+        ex.reset(len(part))
         ex.begin_launch(GEN11_ICL)
-        ex.seed_scalar(_TID_BASE, np.asarray(tids, dtype=np.int32))
+        ex.seed_scalar(_TID_BASE, np.asarray(part, dtype=np.int32))
         ex.run(program)
         ex.fold_chunk(acc)
         grfs.extend(ex.grf2d.copy())
         flags.extend({k: v[t].copy() for k, v in ex.flags.items()}
-                     for t in range(len(tids)))
+                     for t in range(len(part)))
     return np.stack(grfs), flags, _surface_bytes(table), acc.finalize()
 
 
@@ -1037,3 +1039,254 @@ def test_load_use_across_loop_edges(build, max_maps, monkeypatch):
         for chunk in (len(_TIDS), 2):
             _assert_bit_identical(_run_sequential(program, 7),
                                   _run_jit(program, 7, chunk=chunk))
+
+
+# -- fused ALU runs -----------------------------------------------------------
+#
+# The JIT fuses a run of consecutive same-shape ALU instructions into one
+# statement over (T, k, n) operands.  The corpus below builds runs of
+# ADD/MUL/MAD/MOV/logic instructions with scalar, contiguous, strided
+# and immediate operands, at progression and scattered offsets, plants
+# read-after-write, write-after-read and write-after-write overlaps, and
+# interleaves predicated, saturating, MATH and CMP members; every
+# program must match sequential dispatch in chunks of 1, 2 and 32.
+
+_RUN_AREA = {D: 16, F: 32}       # first register of each dtype's area
+_RUN_REGS = 16                   # registers per area
+_RUN_ELEMS = _RUN_REGS * 8       # dwords per area
+_RUN_TIDS = list(range(32))
+_RUN_OPS = [Opcode.ADD, Opcode.MUL, Opcode.MAD, Opcode.MOV, Opcode.AND,
+            Opcode.OR, Opcode.XOR]
+_LOGIC_OPS = (Opcode.AND, Opcode.OR, Opcode.XOR)
+
+
+def _run_prologue():
+    """Lane- and thread-varying dwords in r16..r31, the same values as
+    floats in r32..r47, and lane-varying flag 0."""
+    out = list(_prologue())
+    for r in range(_RUN_REGS):
+        lanes = tuple((r * 29 + j * 13) % 97 - 48 for j in range(8))
+        out += [Instruction(Opcode.MOV, 8, _dst(16 + r, D),
+                            [VectorImmediate(lanes, D)]),
+                Instruction(Opcode.ADD, 8, _dst(16 + r, D),
+                            [_src(16 + r, D), _bcast(1, D)]),
+                Instruction(Opcode.MOV, 8, _dst(32 + r, F),
+                            [_src(16 + r, D)])]
+    out.append(Instruction(Opcode.CMP, 8, None, [_src(16, D), _src(17, D)],
+                           cond_mod=CondMod.GT, flag=FlagOperand(0)))
+    return out
+
+
+def _area_op(dt, elem, region=None):
+    """A source through ``region`` or, without one, a destination at
+    dword ``elem`` of ``dt``'s area."""
+    reg, sub = _RUN_AREA[dt] + elem // 8, elem % 8
+    if region is None:
+        return RegOperand(reg, sub, dt)
+    return RegOperand(reg, sub, dt, region)
+
+
+#: Source regions of the corpus by kind: (region, dwords spanned) for
+#: exec size n.
+_RUN_REGIONS = {
+    "scalar": lambda n: (Region.scalar(), 1),
+    "vector": lambda n: (Region.contiguous(n), n),
+    "stride2": lambda n: (Region(2, 1, 0), 2 * n - 1),   # every other dword
+    "pairs": lambda n: (Region(1, 2, 0), (n + 1) // 2),  # each dword twice
+}
+
+
+def _run_offsets(rng, k, width, repeat):
+    """``k`` dword offsets of ``width``-wide operands: an arithmetic
+    progression (step 0 only when ``repeat``) or scattered ones."""
+    top = _RUN_ELEMS - width
+    if rng.random() < 0.65:
+        steps = [width, width + 1, 2 * width, -width, -2 * width - 1]
+        step = int(rng.choice(steps + [0] * repeat))
+        if abs(step) * (k - 1) > top:  # keep the run inside the area
+            step = (top // (k - 1)) * (1 if step > 0 else -1)
+        span = step * (k - 1)
+        lo, hi = max(0, -span), top - max(0, span)
+        start = int(rng.integers(lo, hi + 1))
+        return [start + j * step for j in range(k)]
+    return [int(e) for e in rng.integers(0, top + 1, k)]
+
+
+def _fused_run(seed):
+    """One run of same-shape ALU instructions, hazards and interleaved
+    members included, from one seed."""
+    rng = np.random.default_rng(seed)
+    op = _RUN_OPS[rng.integers(len(_RUN_OPS))]
+    dt = D if op in _LOGIC_OPS else (D, F)[rng.integers(2)]
+    src_dt = D if op is Opcode.MOV and rng.random() < 0.3 else dt
+    n = (1, 8, 16)[rng.integers(3)]
+    width = 1 if n == 1 else n
+    k = int(rng.integers(2, 7))
+    nsrc = {Opcode.MAD: 3, Opcode.MOV: 1}.get(op, 2)
+    kinds = [("scalar", "vector", "imm", "stride2", "pairs")[
+        rng.integers(5)] for _ in range(nsrc)]
+    regions = [None if kind == "imm" else _RUN_REGIONS[kind](n)
+               for kind in kinds]
+    same_imm = rng.random() < 0.5
+    dsts = _run_offsets(rng, k, width, 0)
+    srcs = [_run_offsets(rng, k, r[1], 1) if r else None for r in regions]
+    regs = [p for p, r in enumerate(regions) if r]
+    hazard = ("none", "raw", "war", "waw")[rng.integers(4)]
+    if hazard != "none":
+        i = int(rng.integers(0, k - 1))
+        j = int(rng.integers(i + 1, k))
+        if hazard == "waw":
+            dsts[j] = dsts[i]
+        elif regs and hazard == "raw" and src_dt is dt:
+            p = regs[0]
+            srcs[p][j] = min(dsts[i], _RUN_ELEMS - regions[p][1])
+        elif regs and hazard == "war" and src_dt is dt:
+            dsts[j] = min(srcs[regs[0]][i], _RUN_ELEMS - width)
+
+    def imm():
+        v = int(rng.integers(-9, 10)) if not same_imm else 3
+        if src_dt is F:
+            return Immediate(v / 4.0, F)
+        if n == 8 and not same_imm and rng.random() < 0.5:
+            return VectorImmediate(tuple(v + lane for lane in range(8)), D)
+        return Immediate(v, src_dt)
+
+    out = []
+    for j in range(k):
+        ops = [_area_op(src_dt, srcs[p][j], r[0]) if r else imm()
+               for p, r in enumerate(regions)]
+        inst = Instruction(op, n, _area_op(dt, dsts[j]), ops)
+        extra = rng.random()
+        if extra < 0.12:    # a predicated member
+            inst = dataclasses.replace(
+                inst, pred=Predicate(FlagOperand(0), invert=extra < 0.06))
+        elif extra < 0.18 and op is not Opcode.MOV and dt is D:
+            inst = dataclasses.replace(inst, sat=True)
+        out.append(inst)
+        if extra > 0.9:     # a MATH or CMP between members
+            e = int(rng.integers(0, _RUN_ELEMS - 8))
+            if extra > 0.95:
+                out.append(Instruction(
+                    Opcode.MATH, 8, _area_op(F, e),
+                    [_area_op(F, e, Region.contiguous(8))],
+                    math_fn=MathFn.SQRT))
+            else:
+                out.append(Instruction(
+                    Opcode.CMP, 8, None,
+                    [_area_op(D, e, Region.contiguous(8)), Immediate(0, D)],
+                    cond_mod=CondMod.GT, flag=FlagOperand(0)))
+    return out
+
+
+def _fusion_groups(program):
+    """Instruction indices per megakernel statement that more than one
+    instruction shares (the listing names a fused run's members right
+    above its statement)."""
+    import re
+
+    from repro.isa.jit import JitKernel
+
+    groups, pending = [], []
+    for line in JitKernel(program).listing().splitlines():
+        mark = re.match(r"\s*# \[\s*(\d+)\]", line)
+        if mark:
+            pending.append(int(mark.group(1)))
+        elif pending:
+            if len(pending) > 1:
+                groups.append(pending)
+            pending = []
+    return groups
+
+
+def _assert_runs_match(program):
+    with np.errstate(all="ignore"):
+        seq = _run_sequential(program, 0, tids=_RUN_TIDS)
+        for chunk in (1, 2, 32):
+            _assert_bit_identical(
+                seq, _run_jit(program, 0, chunk=chunk, tids=_RUN_TIDS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+def test_fused_runs_match_sequential(seeds):
+    program = _run_prologue()
+    for seed in seeds:
+        program += _fused_run(seed)
+    _assert_runs_match(program)
+
+
+def _mul_run(dsts, scalars, rows):
+    """SIMD16 float MULs: dst[j] = scalar[j] * row[j] (dword offsets)."""
+    return [Instruction(Opcode.MUL, 16, _area_op(F, d),
+                        [_area_op(F, s, Region.scalar()),
+                         _area_op(F, r, Region.contiguous(16))])
+            for d, s, r in zip(dsts, scalars, rows)]
+
+
+@pytest.mark.parametrize("case", ["progression", "scattered", "raw", "war",
+                                  "waw", "predicated"])
+def test_fused_run_cases(case):
+    """Planted layouts and hazards: which members share a statement,
+    and that every one matches sequential dispatch."""
+    dsts, scalars, rows = [64, 80, 96, 112], [0, 3, 6, 9], [16] * 4
+    if case == "scattered":
+        dsts, scalars, rows = [64, 96, 80, 112], [5, 0, 9, 2], [16, 40, 3, 7]
+    elif case == "raw":      # member 2 reads member 1's destination
+        rows = [16, 16, 80, 16]
+    elif case == "war":      # member 2 overwrites member 0's row
+        rows, dsts = [40, 16, 16, 16], [64, 80, 40, 112]
+    elif case == "waw":      # members 1 and 3 write the same bytes
+        dsts = [64, 80, 96, 80]
+    run = _mul_run(dsts, scalars, rows)
+    if case == "predicated":
+        run[2] = dataclasses.replace(run[2], pred=Predicate(FlagOperand(0)))
+    program = _run_prologue() + run
+    first = len(program) - 4
+    expect = {
+        "progression": [[first, first + 1, first + 2, first + 3]],
+        "scattered": [[first, first + 1, first + 2, first + 3]],
+        "raw": [[first, first + 1], [first + 2, first + 3]],
+        "war": [[first, first + 1, first + 2, first + 3]],
+        "waw": [[first, first + 1, first + 2]],
+        "predicated": [[first, first + 1]],
+    }[case]
+    assert [g for g in _fusion_groups(program) if g[0] >= first] == expect
+    _assert_runs_match(program)
+
+
+def _small_word_surfaces(value):
+    """Surface tables whose every dword is ``value``: loaded words are
+    valid dword offsets, on other lines than the original addresses."""
+    def make(seed):
+        table = _make_surfaces(seed)
+        for surf in table.values():
+            surf.bytes[:] = np.full(surf.bytes.size // 4, value,
+                                    dtype=np.int32).view(np.uint8)
+        return table
+    return make
+
+
+@pytest.mark.parametrize("kind", ["gather", "atomic"])
+def test_send_overwriting_its_addresses_records_reread_addresses(kind):
+    """A GATHER whose payload is its own address register, and an ATOMIC
+    whose returned old values land on its addresses: the sequential
+    tracer reads the addresses after the SEND runs, and so must the
+    JIT's timing record."""
+    if kind == "gather":
+        msg = MessageDesc(MsgKind.GATHER, surface=0, addr_reg=_AREG,
+                          payload_reg=_AREG, payload_bytes=32,
+                          elem_dtype=D)
+        send = Instruction(Opcode.SEND, 8, None, [], msg=msg)
+        make = _small_word_surfaces(60)
+    else:
+        msg = MessageDesc(MsgKind.ATOMIC, surface=2, addr_reg=_AREG,
+                          atomic_op="inc", elem_dtype=D)
+        send = Instruction(Opcode.SEND, 8, _dst(_AREG, D), [], msg=msg)
+        make = _small_word_surfaces(0)
+    assert jit_mod._rewrites_addresses(send)
+    program = _prologue() + [send, _use(_AREG, _DATA[2])]
+    with np.errstate(all="ignore"):
+        seq = _run_sequential(program, 3, make=make)
+        for chunk in (len(_TIDS), 2):
+            _assert_bit_identical(
+                seq, _run_jit(program, 3, chunk=chunk, make=make))

@@ -478,3 +478,23 @@ class TestCodegenSize:
         stripped = [ln for ln in jitk.listing().splitlines()
                     if not ln.lstrip().startswith("# [")]
         assert stripped == jitk.source.splitlines()
+
+    def test_sgemm_simd16_chunks_fuse_back(self):
+        """Legalization splits sgemm 64x64x16's wide operations into
+        SIMD16 instructions; the megakernel re-fuses them, to at most a
+        third as many ALU statements as ALU instructions, and the
+        listing names every member of a fused run above its statement."""
+        _, kern, _ = _serve_kernel("sgemm", {"m": 64, "n": 64, "k": 16})
+        jitk, _ = get_jit(kern)
+        chunks = _listing_chunks(jitk)
+        alu = [i for i, inst in enumerate(kern.program)
+               if inst.opcode not in jit_mod._NON_ALU]
+        statements = sum(len(chunks[i]) for i in alu)
+        assert 3 * statements <= len(alu), (statements, len(alu))
+        listing = jitk.listing()
+        for i in alu:
+            assert f"# [{i:>3}] {kern.program[i].asm()}\n" in listing
+        # a run's members are listed back to back: only the last one
+        # is followed by code
+        fused = [i for i in alu if not chunks[i]]
+        assert fused and all(i + 1 in chunks for i in fused)

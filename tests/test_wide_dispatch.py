@@ -43,7 +43,7 @@ _SAXPY_SIG = [("xbuf", False), ("ybuf", False)]
 
 
 def _run_saxpy(tier, n_threads=64, max_live_threads=1024, executor=None,
-               obs=None, validate="off"):
+               obs=None, validate="off", scalars=lambda tid: {"tid": tid[0]}):
     dev = Device(obs=obs) if obs is not None else Device()
     rng = np.random.default_rng(7)
     x = rng.standard_normal(n_threads * _VEC).astype(np.float32)
@@ -52,8 +52,7 @@ def _run_saxpy(tier, n_threads=64, max_live_threads=1024, executor=None,
     ybuf = dev.buffer(y.copy())
     kern = dev.compile(_saxpy_body, "wsaxpy", _SAXPY_SIG, ["tid"])
     run = dev.run_compiled(kern, grid=(n_threads,), surfaces=[xbuf, ybuf],
-                           scalars=lambda tid: {"tid": tid[0]},
-                           name="wsaxpy", tier=tier,
+                           scalars=scalars, name="wsaxpy", tier=tier,
                            max_live_threads=max_live_threads,
                            executor=executor, validate=validate)
     expect = 2.0 * x + y
@@ -224,6 +223,30 @@ class TestDispatchPlumbing:
         assert sorted(e["args"]["threads"] for e in wide_spans) == [24, 40]
         outer = [e for e in sink.events if e["name"] == "dispatch"]
         assert outer and outer[0]["args"]["path"] == "jit"
+
+    @pytest.mark.parametrize("grid", [(5,), (4, 3), (2, 3, 4), ()])
+    def test_coordinate_columns_follow_grid_ids(self, grid):
+        from repro.sim import device as device_mod
+
+        coords = device_mod._grid_coords(grid)
+        ids = list(Device()._grid_ids(grid))
+        assert device_mod._thread_ids(coords, 0, len(ids)) == ids
+
+    @pytest.mark.parametrize("tier", ["sequential", "jit"])
+    def test_scalars_callable_gets_one_coordinate_tuple_per_chunk(self, tier):
+        calls = []
+
+        def scalars(tid):
+            calls.append(tid)
+            return {"tid": tid[0]}
+
+        _, run = _run_saxpy(tier, n_threads=10, max_live_threads=4,
+                            scalars=scalars)
+        assert [len(c) for c in calls] == [1, 1, 1]
+        assert [c[0].tolist() for c in calls] == \
+            [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        # an int value is shared by the chunk (_run_saxpy checks the sum)
+        _run_saxpy(tier, n_threads=1, scalars=lambda tid: {"tid": 0})
 
 
 class TestWideAtomicReduction:
