@@ -24,7 +24,11 @@ Two gates:
    wall-clock optimization, never a model change.
 
 The host wall clock of each side is recorded too (``*_wall_ms``, the
-compiled side on the JIT tier).  Results land in
+compiled side on the JIT tier), and so is the kernel-only simulated
+time (``*_kernel_us``, no launch-overhead model) and its ratio: each
+eager baseline serializes the 16 work-items one compiled thread packs
+into lanes, so the kernel-only ratio sits just under 16x, and the
+makespan speedup is that ratio diluted by launch overhead.  Results land in
 ``BENCH_divergent.json``.  Run directly
 (``python benchmarks/bench_divergent.py [--smoke]``) or via pytest
 (smoke sizes).
@@ -87,6 +91,10 @@ def _compare(name, eager_fn, compiled_fn, check):
         "eager_sim_us": round(eager.total_time_us, 2),
         "compiled_sim_us": round(jit.total_time_us, 2),
         "speedup": round(eager.total_time_us / jit.total_time_us, 2),
+        "eager_kernel_us": round(eager.kernel_time_us, 2),
+        "compiled_kernel_us": round(jit.kernel_time_us, 2),
+        "kernel_speedup": round(eager.kernel_time_us / jit.kernel_time_us,
+                                2),
         "eager_launches": eager.launches,
         "compiled_launches": jit.launches,
         "eager_wall_ms": round(eager_wall * 1e3, 1),
@@ -146,7 +154,8 @@ def run_benchmark(smoke=False, out_path="BENCH_divergent.json"):
               f"({r['eager_launches']:3d} launches) "
               f"compiled={r['compiled_sim_us']:7.1f}us "
               f"({r['compiled_launches']:3d} launches) "
-              f"speedup={r['speedup']:5.2f}x")
+              f"speedup={r['speedup']:5.2f}x "
+              f"kernel-only={r['kernel_speedup']:5.2f}x")
 
     doc = {
         "benchmark": "divergent",

@@ -20,8 +20,9 @@ change, and each launch asserts that ``KernelRun.path`` is the tier its
 column names.  A saxpy scaling sweep records how the speedup grows with
 grid size.  Warm-launch rows time the JIT tier alone (``validate="off"``,
 megakernel already built) on each ``serve_straight`` menu entry, the
-launches a serving process repeats.  Results land in ``BENCH_jit.json``
-with the host they were measured on.
+launches a serving process repeats, and check each entry once against
+the sequential tier (same bytes, same ``KernelTiming``).  Results land
+in ``BENCH_jit.json`` with the host they were measured on.
 
 Run directly (``python benchmarks/bench_jit.py [--smoke]``) or via
 pytest (smoke sizes).
@@ -145,6 +146,16 @@ def _saxpy_case(n_threads):
     return run, n_threads
 
 
+def _assert_identical(out, ref_out, timing, ref_timing, label):
+    """Byte-identical outputs and equal values in every
+    ``KernelTiming`` field, or an AssertionError naming ``label``."""
+    assert np.array_equal(out, ref_out), f"outputs diverged: {label}"
+    for f in dataclasses.fields(ref_timing):
+        a, b = getattr(timing, f.name), getattr(ref_timing, f.name)
+        assert a == b, \
+            f"simulated timing field {f.name} ({label}): {a} != {b}"
+
+
 def _compare(case, *args, modes=("jit", "scalar")):
     """Best-of-TRIALS wall clock per tier + identity checks.
 
@@ -165,12 +176,7 @@ def _compare(case, *args, modes=("jit", "scalar")):
         best[mode], outs[mode], tms[mode] = t, out, tm
     ref = modes[-1]
     for mode in modes[:-1]:
-        assert np.array_equal(outs[mode], outs[ref]), \
-            f"outputs diverged: {mode} vs {ref}"
-        for f in dataclasses.fields(tms[ref]):
-            a, b = getattr(tms[mode], f.name), getattr(tms[ref], f.name)
-            assert a == b, \
-                f"simulated timing field {f.name} ({mode}): {a} != {b}"
+        _assert_identical(outs[mode], outs[ref], tms[mode], tms[ref], mode)
     return {
         "grid_threads": threads,
         "jit_ms": round(best["jit"] * 1e3, 2),
@@ -185,7 +191,9 @@ def warm_launch_rows(launches):
     """Median wall clock of a warm JIT-tier launch (``validate="off"``)
     of each ``serve_straight`` menu entry: loadgen's ``shard`` mix, one
     row per parameter set.  Surfaces are bound fresh and checked after
-    every launch, outside the timed span."""
+    every launch, outside the timed span.  One more launch per entry on
+    the sequential tier must leave the same surface bytes and equal
+    values in every ``KernelTiming`` field as the last JIT launch."""
     rows = []
     for key, variants, _weight in _MIXES["shard"]:
         for params in variants:
@@ -193,23 +201,31 @@ def warm_launch_rows(launches):
             dev = Device()
             kern = dev.compile(launch.body, launch.name, launch.sig,
                                launch.scalar_params)
-            times = []
-            for i in range(launches + 1):  # launch 0 builds the megakernel
+
+            def run(tier):
                 surfaces, scalars = launch.bind(dev)
                 t0 = time.perf_counter()
-                run = dev.run_compiled(kern, launch.grid, surfaces,
-                                       scalars=scalars, tier="jit",
-                                       validate="off")
+                r = dev.run_compiled(kern, launch.grid, surfaces,
+                                     scalars=scalars, tier=tier,
+                                     validate="off")
                 dt = time.perf_counter() - t0
-                assert run.path == "jit", run.path
+                assert r.path == tier, (tier, r.path)
                 launch.finish(surfaces)
-                if i:
-                    times.append(dt)
+                out = np.concatenate([s.bytes for s in surfaces])
+                return dt, out, r.timing
+
+            # launch 0 builds the megakernel
+            times = [run("jit")[0] for _ in range(launches + 1)][1:]
+            _, out, timing = run("jit")
+            _, ref_out, ref_timing = run("sequential")
+            _assert_identical(out, ref_out, timing, ref_timing,
+                              f"{key} {params} jit vs sequential")
             rows.append({"workload": key, "params": params,
                          "threads": int(np.prod(launch.grid)),
                          "warm_launch_ms": round(
                              float(np.median(times)) * 1e3, 3),
-                         "sim_time_us": round(run.timing.time_us, 3)})
+                         "sim_time_us": round(timing.time_us, 3),
+                         "timing_identical": True})
     return rows
 
 

@@ -145,18 +145,26 @@ def _run_sharded(work, shards):
 
 def host_block():
     """Where the numbers were measured: a wall clock read on one CPU
-    says nothing about process parallelism."""
+    says nothing about process parallelism.  ``dirty`` is true when
+    tracked files differ from ``commit``: the numbers then come from an
+    uncommitted tree, not from that commit."""
+    here = os.path.dirname(os.path.abspath(__file__))
+
+    def git(*args):
+        return subprocess.run(["git", *args], capture_output=True,
+                              text=True, cwd=here, timeout=10)
+
     try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            timeout=10).stdout.strip() or None
+        commit = git("rev-parse", "HEAD").stdout.strip() or None
+        dirty = None if commit is None else \
+            git("diff", "--quiet", "HEAD").returncode != 0
     except (OSError, subprocess.TimeoutExpired):
-        commit = None
+        commit = dirty = None
     return {"cpus": os.cpu_count() or 1,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "commit": commit}
+            "commit": commit,
+            "dirty": dirty}
 
 
 def _measure(shards, requests):

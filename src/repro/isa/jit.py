@@ -22,9 +22,11 @@ with zero interpreter dispatch:
   and saturation decisions are resolved at compile time;
 - predication compiles to masked ``np.copyto`` writes against baked
   flag views;
-- SEND instructions call pre-bound closures over the vectorized message
-  handlers, which read each SEND's address columns once for execution,
-  the race recorder and the timing record.
+- SEND instructions call closures built per message kind, passing them
+  the SEND's address columns as baked typed-view slices; a closure uses
+  one read of them for execution, the race recorder and the timing
+  record, whose cache lines :mod:`repro.memory.surfaces` marks without
+  a sort across threads.
 
 **Structured SIMD control flow** compiles to plain Python control flow
 over vectorized mask state.  IF/ELSE/ENDIF/BREAK become inlined updates
@@ -954,21 +956,234 @@ def _rewrites_addresses(inst: Instruction) -> bool:
     return any(r in written for lo, hi in spans for r in _regs_of(lo, hi))
 
 
-def _send_fn(inst: Instruction, looked_up: set):
-    """The ``_send{k}`` closure: run one SEND for ``rows``, then return
-    its timing record.  Both use one read of its address columns (unless
-    the SEND overwrites them, see :func:`_rewrites_addresses`).  Of its
-    payload registers it tracks only those a consume point
-    ``looked_up``."""
+# -- SEND closures -------------------------------------------------------------
+#
+# A SEND compiles to ``_send{k}(ex, rw{L}, <address columns>)``.  The
+# columns are typed-GRF-view slices baked into the megakernel: a (T, 1)
+# scalar operand (``g2[:, 9:10]``) or the (T, n) lanes of a scattered
+# message (``g3[:, 40:56]``); an immediate operand is its int.  The
+# closure is built for the SEND's message kind, so a warm SEND does no
+# plan lookup and no kind dispatch.
+
+_BLOCK_KINDS = (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE)
+_OWORD_KINDS = (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE)
+
+
+def _column(env: dict, pb: FunctionalExecutor, s) -> str:
+    """A per-message scalar address operand: a (T, 1) column, or the
+    int of an immediate."""
+    if isinstance(s, Immediate):
+        return str(int(s.value))
+    return _src_expr(env, pb, s, 1)[0]
+
+
+def _addr_rows(col, sel, rows: np.ndarray) -> np.ndarray:
+    """A scalar address column (see :func:`_column`) as (R,) int64 for
+    the rows running the SEND (``sel`` selects them from the column)."""
+    if type(col) is int:
+        return np.full(rows.size, col, dtype=np.int64)
+    return col[sel, 0].astype(np.int64)
+
+
+def _address_args(env: dict, pb: FunctionalExecutor,
+                  inst: Instruction) -> str:
+    """The address columns a SEND's closure takes: the block origin
+    ``x, y`` of a media block message, the ``offset`` of an oword block
+    one, or the lanes and the global offset (``None`` when absent) of a
+    scattered one."""
+    msg = inst.msg
+    if msg.kind in _BLOCK_KINDS:
+        cols = [_column(env, pb, msg.addr0), _column(env, pb, msg.addr1)]
+    elif msg.kind in _OWORD_KINDS:
+        cols = [_column(env, pb, msg.addr0)]
+    else:
+        n = inst.exec_size
+        lanes = RegOperand(msg.addr_reg, 0, UD, region=_contiguous_region(n))
+        base = msg.addr0
+        cols = [_src_expr(env, pb, lanes, n)[0],
+                "None" if base is None or (isinstance(base, Immediate)
+                                           and int(base.value) == 0)
+                else _column(env, pb, base)]
+    return ", ".join(cols)
+
+
+def _event_shape(inst: Instruction) -> tuple:
+    """The message-wide fields of a SEND's timing record: event kind,
+    bytes, L3 bytes (``None``: whole lines), messages, is-read."""
+    msg = inst.msg
+    kind = msg.kind
+    if kind in _BLOCK_KINDS:
+        nbytes = l3_bytes = msg.block_width * msg.block_height
+    elif kind in _OWORD_KINDS:
+        nbytes = l3_bytes = msg.payload_bytes
+    else:  # scattered messages move whole lines
+        nbytes, l3_bytes = inst.exec_size * msg.elem_dtype.size, None
+    return (_MEM_KIND[kind], nbytes, l3_bytes, _send_messages(inst),
+            _ACCESS_KIND[kind] != "w")
+
+
+def _send_fn(inst: Instruction, looked_up: set, has_cf: bool):
+    """The ``_send{k}`` closure: run one SEND for ``rows`` at the
+    address columns the megakernel passes, feed the race recorder, mark
+    the message's cache lines and return its timing record
+    (:meth:`JitTracingExecutor._record`).
+
+    Execution, the race recorder and the record share one read of the
+    columns, unless the SEND overwrites them (see
+    :func:`_rewrites_addresses`).  Of its payload registers the record
+    tracks only those a consume point ``looked_up``.  A scattered
+    message reads its write-enable mask only when it is predicated or
+    the program has SIMD control flow (``has_cf``).
+    """
     regs = tuple(r for r in _payload_regs(inst) if r in looked_up)
     reread = _rewrites_addresses(inst)
+    shape = _event_shape(inst)
+    kind = inst.msg.kind
+    if kind in _BLOCK_KINDS:
+        return _block_send(inst, shape, regs, reread)
+    if kind in _OWORD_KINDS:
+        return _oword_send(inst, shape, regs, reread)
+    masked = inst.pred is not None or has_cf
+    return _scattered_send(inst, shape, regs, reread, masked)
 
-    def _send(ex, rows, _inst=inst, _regs=regs, _reread=reread):
-        addr = ex._send_addresses(_inst)
-        ex._execute_send(_inst, addr)
-        if _reread:
-            addr = ex._send_addresses(_inst)
-        return ex._record_send(_inst, rows, _regs, addr)
+
+def _block_send(inst: Instruction, shape: tuple, regs: tuple,
+                reread: bool):
+    msg = inst.msg
+    bti, w, h = msg.surface, msg.block_width, msg.block_height
+    base = msg.payload_reg * GRF_SIZE_BYTES
+    access = _ACCESS_KIND[msg.kind]
+
+    def read(ex, surf, sel, x, y):
+        block = surf.read_block_many(x, y, w, h)  # (R, h, w)
+        ex._store_payload(base, block.reshape(x.size, -1), sel)
+
+    def write(ex, surf, sel, x, y):
+        data = ex._load_payload(base, w * h, sel)
+        surf.write_block_many(x, y, w, h, data.reshape(x.size, h, w))
+
+    run = read if msg.kind is MsgKind.MEDIA_BLOCK_READ else write
+
+    def _send(ex, rows, xs, ys):
+        part = None if ex._row_all else rows
+        sel = slice(None) if part is None else part
+        x, y = _addr_rows(xs, sel, rows), _addr_rows(ys, sel, rows)
+        surf = ex._surface(bti)
+        run(ex, surf, sel, x, y)
+        if ex.race is not None:
+            ex.race.note_blocks(surf, access, part, x, y, w, h)
+        if reread:
+            x, y = _addr_rows(xs, sel, rows), _addr_rows(ys, sel, rows)
+        lines, new = surf.mark_lines_block2d_many(x, y, w, h, surf.pitch)
+        return ex._record(shape, surf, bti, rows, regs, lines, new)
+    return _send
+
+
+def _oword_send(inst: Instruction, shape: tuple, regs: tuple,
+                reread: bool):
+    msg = inst.msg
+    bti, nbytes = msg.surface, msg.payload_bytes
+    base = msg.payload_reg * GRF_SIZE_BYTES
+    access = _ACCESS_KIND[msg.kind]
+
+    # scratch rows are per thread; other surfaces are shared
+    def read(ex, surf, sel, part, off):
+        own = {"rows": part} if isinstance(surf, WideScratch) else {}
+        ex._store_payload(base, surf.read_linear_many(off, nbytes, **own),
+                          sel)
+
+    def write(ex, surf, sel, part, off):
+        own = {"rows": part} if isinstance(surf, WideScratch) else {}
+        surf.write_linear_many(off, ex._load_payload(base, nbytes, sel),
+                               **own)
+
+    run = read if msg.kind is MsgKind.OWORD_BLOCK_READ else write
+
+    def _send(ex, rows, offsets):
+        part = None if ex._row_all else rows
+        sel = slice(None) if part is None else part
+        off = _addr_rows(offsets, sel, rows)
+        surf = ex._surface(bti)
+        run(ex, surf, sel, part, off)
+        if ex.race is not None:
+            ex.race.note_rows(surf, access, part, off, nbytes)
+        if reread:
+            off = _addr_rows(offsets, sel, rows)
+        lines, new = surf.mark_lines_range_many(off, nbytes)
+        return ex._record(shape, surf, bti, rows, regs, lines, new)
+    return _send
+
+
+def _scattered_send(inst: Instruction, shape: tuple, regs: tuple,
+                    reread: bool, masked: bool):
+    msg = inst.msg
+    bti, n, elem = msg.surface, inst.exec_size, msg.elem_dtype
+    esz = elem.size
+    base = msg.payload_reg * GRF_SIZE_BYTES
+    access = _ACCESS_KIND[msg.kind]
+    atomic = msg.kind is MsgKind.ATOMIC
+
+    # ``flat``/``fmask``: the (R*n) lane offsets and lane mask flattened
+    # thread-major (lane order within a thread, threads in ascending
+    # id), the order the sequential dispatch loop performs them in, so
+    # overlap and atomic semantics match.  ``mask``: the (T, n) mask.
+    def gather(ex, surf, sel, flat, fmask, mask):
+        data = surf.gather(flat, elem, mask=fmask)
+        ex._store_payload(base, data.reshape(-1, n).view(np.uint8), sel)
+
+    def scatter(ex, surf, sel, flat, fmask, mask):
+        raw = np.ascontiguousarray(ex._load_payload(base, n * esz, sel))
+        surf.scatter(flat, raw.view(elem.np_dtype).reshape(-1), mask=fmask)
+
+    def atomics(ex, surf, sel, flat, fmask, mask):
+        operands = None
+        if msg.payload_bytes:
+            operands = np.ascontiguousarray(
+                ex._load_payload(base, n * esz, sel)) \
+                .view(elem.np_dtype).reshape(-1)
+        old = _wide_atomic(surf, msg.atomic_op, flat, operands, elem,
+                           fmask)
+        if inst.dst is not None:
+            # rows that left a loop keep their destination registers
+            vals = np.zeros((ex.num_threads, n), dtype=elem.np_dtype)
+            vals[sel] = old.reshape(-1, n)
+            ex._write_dst(inst.dst, vals, mask=mask)
+
+    run = {MsgKind.GATHER: gather, MsgKind.SCATTER: scatter,
+           MsgKind.ATOMIC: atomics}[msg.kind]
+
+    def offsets(lanes, gbase, sel):
+        """(R, n) byte offsets: element-granular (CM semantics)."""
+        offs = lanes[sel].astype(np.int64)
+        if type(gbase) is int:
+            offs += gbase
+        elif gbase is not None:
+            offs += gbase[sel].astype(np.int64)
+        offs *= esz
+        return offs
+
+    def _send(ex, rows, lanes, gbase):
+        part = None if ex._row_all else rows
+        sel = slice(None) if part is None else part
+        offs = offsets(lanes, gbase, sel)
+        mask = ex._exec_mask(inst) if masked else None
+        keep = None
+        if mask is not None:
+            keep = mask[sel]
+            if keep.shape != offs.shape:  # a (T, 1) loop-row mask
+                keep = np.broadcast_to(keep, offs.shape)
+        surf = ex._surface(bti)
+        if ex.race is not None:
+            ex.race.note_rows(surf, access, part, offs, esz, keep)
+        run(ex, surf, sel, offs.reshape(-1),
+            None if keep is None else keep.reshape(-1), mask)
+        if reread:
+            offs = offsets(lanes, gbase, sel)
+        lines, new = surf.mark_lines_offsets_many(offs, esz, mask=keep)
+        ev = ex._record(shape, surf, bti, rows, regs, lines, new)
+        if atomic:
+            ev.words, ev.wmask, ev.surface_id = offs // 4, keep, id(surf)
+        return ev
     return _send
 
 
@@ -1087,8 +1302,9 @@ def _codegen(program, plans: PlanTable, env: dict, cf):
             block.append(i)
             charge(out, level)  # the SEND stamps its issue position
             keep = f"e{i} = " if i in stamped else ""
-            out.append(f"{keep}_send{n_sends}(ex, {rows})")
-            env[f"_send{n_sends}"] = _send_fn(inst, looked_up)
+            args = _address_args(env, pb, inst)
+            out.append(f"{keep}_send{n_sends}(ex, {rows}, {args})")
+            env[f"_send{n_sends}"] = _send_fn(inst, looked_up, cf.has_cf)
             n_sends += 1
         elif op is Opcode.BARRIER:
             barriers += 1
@@ -1294,15 +1510,6 @@ class JitTracingExecutor(FunctionalExecutor):
 
     # -- operand access (wide) --------------------------------------------
 
-    def _fetch(self, src, exec_size: int) -> np.ndarray:
-        if isinstance(src, RegOperand):
-            # np.take (not grf2d[:, idx]): mixed basic/advanced indexing
-            # can return an F-ordered copy, which .view() rejects.
-            idx = self._src_plan(src, exec_size)
-            return np.take(self.grf2d, idx.reshape(-1),
-                           axis=1).view(src.dtype.np_dtype)
-        return super()._fetch(src, exec_size)  # immediates broadcast (n,)
-
     def _write_dst(self, operand: RegOperand, values: np.ndarray,
                    mask: np.ndarray | None = None,
                    idx: np.ndarray | None = None) -> None:
@@ -1371,14 +1578,6 @@ class JitTracingExecutor(FunctionalExecutor):
 
     # -- memory (wide) ----------------------------------------------------
 
-    def _scalar_vec(self, src) -> np.ndarray:
-        """A per-message scalar address operand as a (T,) int64 column."""
-        if isinstance(src, Immediate):
-            return np.full(self.num_threads, int(src.value), dtype=np.int64)
-        idx = self._src_plan(src, 1)
-        return np.take(self.grf2d, idx.reshape(-1), axis=1) \
-            .view(src.dtype.np_dtype).reshape(-1).astype(np.int64)
-
     def _load_payload(self, base: int, nbytes: int,
                       sel=slice(None)) -> np.ndarray:
         self._check_payload(base, nbytes)
@@ -1395,170 +1594,23 @@ class JitTracingExecutor(FunctionalExecutor):
                 f"GRF payload of {nbytes} bytes at offset {base} overruns "
                 f"the {self.grf2d.shape[1]}-byte register file")
 
-    def _send_addresses(self, inst: Instruction) -> tuple:
-        """A SEND's address columns for the rows running it: the
-        ``(R,)`` block origins ``(x, y)`` of a media block message, the
-        ``(offset,)`` of an oword block one, or the ``(R, n)`` per-lane
-        byte offsets and the ``(T, n)`` write-enable mask (or ``None``)
-        of a scattered one."""
-        msg = inst.msg
-        kind = msg.kind
-        sel = slice(None) if self._row_all else self._rows
-        if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
-            return (self._scalar_vec(msg.addr0)[sel],
-                    self._scalar_vec(msg.addr1)[sel])
-        if kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
-            return (self._scalar_vec(msg.addr0)[sel],)
-        return self._scattered_offsets(inst)[sel], self._exec_mask(inst)
-
-    def _execute_send(self, inst: Instruction,
-                      addr: Optional[tuple] = None) -> None:
-        """Run one SEND for the rows running it, at the address columns
-        ``addr`` (:meth:`_send_addresses`; read here when not given)."""
-        msg = inst.msg
-        if msg is None:
-            raise ExecutionError("send without message descriptor")
-        if addr is None:
-            addr = self._send_addresses(inst)
-        surf = self._surface(msg.surface)
-        race = self.race
-        # Inside a loop some threads have left: only the rows still
-        # looping may touch memory or their payload registers.
-        rows = None if self._row_all else self._rows
-        sel = slice(None) if rows is None else rows
-        kind = msg.kind
-        base = msg.payload_reg * GRF_SIZE_BYTES
-        if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
-            x, y = addr
-            w, h = msg.block_width, msg.block_height
-            if kind is MsgKind.MEDIA_BLOCK_READ:
-                block = surf.read_block_many(x, y, w, h)  # (R, h, w)
-                self._store_payload(base, block.reshape(x.size, -1), sel)
-            else:
-                data = np.ascontiguousarray(
-                    self._load_payload(base, w * h, sel))
-                surf.write_block_many(x, y, w, h,
-                                      data.reshape(x.size, h, w))
-            if race is not None:
-                race.note_blocks(surf, _ACCESS_KIND[kind], rows, x, y, w, h)
-        elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
-            offset, = addr
-            # scratch rows are per thread; other surfaces are shared
-            own = {"rows": rows} if isinstance(surf, WideScratch) else {}
-            if kind is MsgKind.OWORD_BLOCK_READ:
-                self._store_payload(base, surf.read_linear_many(
-                    offset, msg.payload_bytes, **own), sel)
-            else:
-                surf.write_linear_many(
-                    offset, self._load_payload(base, msg.payload_bytes, sel),
-                    **own)
-            if race is not None:
-                race.note_rows(surf, _ACCESS_KIND[kind], rows, offset,
-                               msg.payload_bytes)
-        elif kind in (MsgKind.GATHER, MsgKind.SCATTER, MsgKind.ATOMIC):
-            self._execute_scattered(inst, surf, sel, *addr)
-        else:
-            raise ExecutionError(f"unhandled message kind {kind}")
-
-    def _execute_scattered(self, inst: Instruction, surf, sel,
-                           offsets: np.ndarray, mask) -> None:
-        msg = inst.msg
-        n = inst.exec_size
-        T = self.num_threads
-        elem = msg.elem_dtype
-        nrows = offsets.shape[0]
-        base = msg.payload_reg * GRF_SIZE_BYTES
-        # Inside a loop the mask also covers the row mask, so rows that
-        # left it keep their destination registers.
-        # Flatten thread-major: lane order within a thread, threads in
-        # ascending id — the exact order the sequential dispatch loop
-        # performs these accesses, so overlap/atomic semantics match.
-        flat = offsets.reshape(-1)
-        fmask = None if mask is None else \
-            np.broadcast_to(mask[sel], (nrows, n)).reshape(-1)
-
-        if self.race is not None:
-            self.race.note_rows(
-                surf, _ACCESS_KIND[msg.kind],
-                None if isinstance(sel, slice) else sel, offsets, elem.size,
-                None if fmask is None else fmask.reshape(nrows, n))
-        if msg.kind is MsgKind.GATHER:
-            data = surf.gather(flat, elem, mask=fmask)
-            self._store_payload(
-                base, data.reshape(nrows, n).view(np.uint8), sel)
-        elif msg.kind is MsgKind.SCATTER:
-            raw = np.ascontiguousarray(
-                self._load_payload(base, n * elem.size, sel)) \
-                .view(elem.np_dtype)
-            surf.scatter(flat, raw.reshape(-1), mask=fmask)
-        else:  # ATOMIC
-            operands = None
-            if msg.payload_bytes:
-                operands = np.ascontiguousarray(
-                    self._load_payload(base, n * elem.size, sel)) \
-                    .view(elem.np_dtype).reshape(-1)
-            old = _wide_atomic(surf, msg.atomic_op, flat, operands, elem,
-                               fmask)
-            if inst.dst is not None:
-                vals = np.zeros((T, n), dtype=elem.np_dtype)
-                vals[sel] = old.reshape(nrows, n)
-                self._write_dst(inst.dst, vals, mask=mask)
-
-    def _scattered_offsets(self, inst: Instruction) -> np.ndarray:
-        """(T, n) per-lane byte offsets (same math as execution)."""
-        msg = inst.msg
-        n = inst.exec_size
-        addr_op = RegOperand(msg.addr_reg, 0, UD,
-                             region=_contiguous_region(n))
-        offsets = self._fetch(addr_op, n).astype(np.int64)
-        if msg.addr0 is not None:
-            offsets = offsets + self._scalar_vec(msg.addr0)[:, None]
-        return offsets * msg.elem_dtype.size
-
     # -- timing -------------------------------------------------------------
 
-    def _record_send(self, inst: Instruction, rows: np.ndarray,
-                     regs: tuple, addr: tuple) -> _SendEvent:
-        """Record one SEND issued by ``rows`` at the address columns
-        ``addr`` (:meth:`_send_addresses`).
+    def _record(self, shape: tuple, surf, bti: int, rows: np.ndarray,
+                regs: tuple, lines: np.ndarray,
+                new: np.ndarray) -> _SendEvent:
+        """Record one SEND issued by ``rows``: ``shape`` holds its
+        message-wide fields (:func:`_event_shape`), ``lines``/``new``
+        its per-row line footprint.
 
         Mirrors :meth:`~repro.sim.batch.TracingExecutor._account_send`
         minus its front-end charge, which the megakernel already added
-        with the block the SEND ends: mark the message's cache lines,
-        stamp each row's issue position, and point the payload
-        registers ``regs`` at the new record.
+        with the block the SEND ends: stamp each row's issue position,
+        and point the payload registers ``regs`` at the new record.
         """
-        msg = inst.msg
-        surf = self._surface(msg.surface)
-        kind = msg.kind
-        l3_bytes = None  # scattered messages move whole lines
-        words = wmask = None
-        if kind in (MsgKind.MEDIA_BLOCK_READ, MsgKind.MEDIA_BLOCK_WRITE):
-            x, y = addr
-            w, h = msg.block_width, msg.block_height
-            nbytes = l3_bytes = w * h
-            lines, new = surf.mark_lines_block2d_many(x, y, w, h, surf.pitch)
-        elif kind in (MsgKind.OWORD_BLOCK_READ, MsgKind.OWORD_BLOCK_WRITE):
-            offset, = addr
-            nbytes = l3_bytes = msg.payload_bytes
-            lines, new = surf.mark_lines_range_many(offset, nbytes)
-        else:  # GATHER / SCATTER / ATOMIC
-            n = inst.exec_size
-            byte_offs, mask = addr
-            if mask is not None:
-                mask = np.broadcast_to(mask[rows], (rows.size, n))
-            lines, new = surf.mark_lines_offsets_many(
-                byte_offs, msg.elem_dtype.size, mask=mask)
-            nbytes = n * msg.elem_dtype.size
-            if kind is MsgKind.ATOMIC:
-                words, wmask = byte_offs // 4, mask
-        ev = _SendEvent(
-            _MEM_KIND[kind], nbytes, l3_bytes, _send_messages(inst),
-            _ACCESS_KIND[kind] != "w",
-            getattr(surf, "obs_label", None) or f"bti{msg.surface}",
-            rows, lines, new, self._issue_vec[rows])
-        if words is not None:
-            ev.words, ev.wmask, ev.surface_id = words, wmask, id(surf)
+        ev = _SendEvent(*shape, getattr(surf, "obs_label", None)
+                        or f"bti{bti}", rows, lines, new,
+                        self._issue_vec[rows])
         index = len(self._events)
         self._events.append(ev)
         pend = self._pending_vec

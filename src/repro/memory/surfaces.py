@@ -80,6 +80,9 @@ def _atomic_result(op: str, cur, src, elem: DType):
 #: Cache line granularity for DRAM-traffic tracking.
 LINE = 64
 
+#: Line-tracking entry of a line not touched since the last reset.
+_UNTOUCHED = np.iinfo(np.int32).max
+
 #: Strict OOB mode: clamped/dropped out-of-bounds accesses raise
 #: :class:`OOBError` instead of silently counting.  Toggled through
 #: ``repro.sanitize.oob`` (the flag lives here so surfaces never import
@@ -108,10 +111,16 @@ class Surface:
         arr = np.ascontiguousarray(data)
         self._host = arr
         self.bytes = arr.view(np.uint8).ravel()
-        #: One bool per cache line; True once the line has been touched.
-        #: A dense mask (1/64th of the surface) beats a set here because
-        #: the wide dispatch path marks whole line *vectors* per step.
-        self._touched = np.zeros(self.bytes.size // LINE + 1, dtype=bool)
+        #: One int32 per cache line: -1 once the line has been touched,
+        #: else ``_UNTOUCHED``.  A dense array (1/16th of the surface)
+        #: beats a set here because the JIT tier marks whole line
+        #: *vectors* per SEND, and its untouched entries double as the
+        #: position scratch of :meth:`_first_touches`.
+        self._touched = np.full(self.bytes.size // LINE + 1, _UNTOUCHED,
+                                dtype=np.int32)
+        #: strided window views of the bytes, one per access shape
+        #: (see :meth:`_window`)
+        self._windows: dict = {}
         #: observability label; the device renames this to ``buf<i>`` /
         #: ``img<i>`` at bind time so breakdowns group traffic per surface.
         self.obs_label = (type(self).__name__.replace("Surface", "").lower()
@@ -177,7 +186,7 @@ class Surface:
     # -- cache-line tracking -------------------------------------------------
 
     def reset_line_tracking(self) -> None:
-        self._touched[:] = False
+        self._touched.fill(_UNTOUCHED)
 
     def mark_lines_range(self, byte_offset: int, nbytes: int):
         """Mark a contiguous access; returns (total_lines, new_lines).
@@ -189,8 +198,8 @@ class Surface:
         first = byte_offset // LINE
         last = (max(end, byte_offset + 1) - 1) // LINE
         seg = self._touched[first:last + 1]
-        new = int(seg.size) - int(seg.sum())
-        seg[:] = True
+        new = int(np.count_nonzero(seg >= 0))
+        seg[:] = -1
         return last - first + 1, new
 
     def mark_lines_offsets(self, byte_offsets, access_bytes: int = 4,
@@ -203,8 +212,8 @@ class Surface:
             return 0, 0
         lines = np.unique(spanned_lines(offs, access_bytes, LINE))
         touched = self._touched
-        new = int(lines.size) - int(touched[lines].sum())
-        touched[lines] = True
+        new = int(np.count_nonzero(touched[lines] >= 0))
+        touched[lines] = -1
         return len(lines), new
 
     def mark_lines_block2d(self, x: int, y: int, width: int, height: int,
@@ -217,102 +226,117 @@ class Surface:
             new += n
         return total, new
 
-    # -- vectorized tracking (wide dispatch: one call covers T threads) ------
+    # -- vectorized tracking (JIT tier: one call covers T threads) ----------
     #
     # Each ``*_many`` method marks in *thread order* (thread 0's lines
     # first), so a line shared between threads is compulsory DRAM traffic
     # for exactly the lowest-id thread that touches it — the same
-    # attribution the sequential per-thread loop produces.
+    # attribution the sequential per-thread loop produces.  None of them
+    # sorts across threads: :meth:`_first_touches` finds each line's
+    # first appearance in the surface's own line array.
 
-    def _mark_flat(self, lines: np.ndarray, segs: np.ndarray,
-                   nseg: int) -> np.ndarray:
-        """Mark ``lines`` (grouped by ``segs``, laid out in marking order);
-        credit each newly-touched line to the segment where it first
-        appears.  Returns new-line counts per segment."""
-        uniq, first_idx = np.unique(lines, return_index=True)
-        fresh = ~self._touched[uniq]
-        self._touched[uniq[fresh]] = True
-        return np.bincount(segs[first_idx[fresh]],
-                           minlength=nseg).astype(np.int64)
+    def _first_touches(self, lines: np.ndarray) -> np.ndarray:
+        """Mark the flat ``lines`` (marking order, repeats allowed) and
+        return a bool per entry: True where a line no earlier access
+        touched appears for the first time.
 
-    def _mark_ranges_grouped(self, first: np.ndarray, counts: np.ndarray,
-                             segs: np.ndarray, nseg: int) -> np.ndarray:
-        """Expand ragged line ranges ``[first_i, first_i + counts_i)`` in
-        the order given and mark them; returns new-line counts per seg."""
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(nseg, dtype=np.int64)
-        starts = np.cumsum(counts) - counts
-        pos = np.arange(total)
-        flat = np.repeat(first, counts) + (pos - np.repeat(starts, counts))
-        return self._mark_flat(flat, np.repeat(segs, counts), nseg)
+        An untouched line's entry takes the lowest position the line
+        appears at (``np.minimum.at``; a touched line's -1 stays), so
+        exactly one entry per new line matches its own position: the
+        lowest thread that touches a line pays for it.
+        """
+        touched = self._touched
+        pos = np.arange(lines.size, dtype=np.int32)
+        np.minimum.at(touched, lines, pos)
+        fresh = touched[lines] == pos
+        touched[lines] = -1
+        return fresh
+
+    def _line_spans(self, off: np.ndarray, nbytes: int) -> tuple:
+        """``(first, last)`` lines of contiguous accesses of ``nbytes`` at
+        ``off``, clamped to the surface like :meth:`mark_lines_range`."""
+        size = self.bytes.size
+        off = np.minimum(np.maximum(off, 0), max(size - 1, 0))
+        end = np.minimum(off + max(nbytes, 1), max(size, 1))
+        return off // LINE, (end - 1) // LINE
+
+    @staticmethod
+    def _expand(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Every line of each span ``[first, last]`` along a new last
+        axis, short spans padded by repeating their last line."""
+        k = int((last - first).max()) + 1 if first.size else 1
+        if k == 1:
+            return first[..., None]
+        return np.minimum(first[..., None] + np.arange(k), last[..., None])
 
     def mark_lines_range_many(self, byte_offsets, nbytes: int):
         """Vectorized :meth:`mark_lines_range`: one contiguous access per
         thread.  Returns ``(totals, new)`` int64 arrays of shape (T,)."""
-        size = self.bytes.size
-        off = np.clip(np.asarray(byte_offsets, dtype=np.int64),
-                      0, max(size - 1, 0))
-        end = np.minimum(off + max(nbytes, 1), size)
-        first = off // LINE
-        last = (np.maximum(end, off + 1) - 1) // LINE
-        totals = last - first + 1
-        new = self._mark_ranges_grouped(first, totals,
-                                        np.arange(len(off)), len(off))
-        return totals, new
+        first, last = self._line_spans(
+            np.asarray(byte_offsets, dtype=np.int64), nbytes)
+        lines = self._expand(first, last)
+        new = self._first_touches(lines.reshape(-1))
+        return last - first + 1, new.reshape(lines.shape).sum(axis=1)
 
     def mark_lines_offsets_many(self, byte_offsets, access_bytes: int = 4,
                                 mask=None):
         """Vectorized :meth:`mark_lines_offsets`: ``byte_offsets`` is a
         ``(T, n)`` array of per-thread lane offsets, ``mask`` an optional
-        ``(T, n)`` lane mask.  Returns ``(totals, new)`` of shape (T,)."""
+        ``(T, n)`` lane mask.  Returns ``(totals, new)`` of shape (T,).
+
+        Each thread's lines are sorted within its own row (at most a few
+        dozen values) to count its distinct lines; masked lanes become
+        -1 and sort first.
+        """
         offs = np.asarray(byte_offsets, dtype=np.int64)
-        T, n = offs.shape
-        segs = np.repeat(np.arange(T), n)
-        flat_offs = offs.reshape(-1)
+        T = offs.shape[0]
+        lines = self._expand(offs // LINE,
+                             (offs + access_bytes - 1) // LINE)
         if mask is not None:
-            keep = np.asarray(mask, dtype=bool).reshape(-1)
-            flat_offs = flat_offs[keep]
-            segs = segs[keep]
-        if flat_offs.size == 0:
-            z = np.zeros(T, dtype=np.int64)
-            return z, z.copy()
-        first = flat_offs // LINE
-        last = (flat_offs + access_bytes - 1) // LINE
-        counts = last - first + 1
-        total = int(counts.sum())
-        starts = np.cumsum(counts) - counts
-        pos = np.arange(total)
-        lines = np.repeat(first, counts) + (pos - np.repeat(starts, counts))
-        lseg = np.repeat(segs, counts)
-        # Per-thread unique-line totals (the np.unique in the scalar path).
-        order = np.lexsort((lines, lseg))
-        sl, ss = lines[order], lseg[order]
-        head = np.ones(sl.size, dtype=bool)
-        head[1:] = (ss[1:] != ss[:-1]) | (sl[1:] != sl[:-1])
-        totals = np.bincount(ss[head], minlength=T).astype(np.int64)
-        return totals, self._mark_flat(lines, lseg, T)
+            lines = np.where(np.asarray(mask, dtype=bool)[:, :, None],
+                             lines, -1)
+        lines = np.sort(lines.reshape(T, -1), axis=1)
+        head = lines >= 0
+        head[:, 1:] &= lines[:, 1:] != lines[:, :-1]
+        rows = np.nonzero(head)[0]
+        new = np.bincount(rows[self._first_touches(lines[head])],
+                          minlength=T)
+        return head.sum(axis=1), new
 
     def mark_lines_block2d_many(self, xs, ys, width: int, height: int,
                                 pitch: int):
         """Vectorized :meth:`mark_lines_block2d`: one ``width`` x
         ``height`` block per thread at ``(xs[t], ys[t])``.  Returns
         ``(totals, new)`` of shape (T,)."""
-        size = self.bytes.size
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
-        rows = np.arange(height)
-        off = np.clip((ys[:, None] + rows) * pitch + xs[:, None],
-                      0, max(size - 1, 0))
-        end = np.minimum(off + max(width, 1), size)
-        first = off // LINE
-        last = (np.maximum(end, off + 1) - 1) // LINE
-        counts = last - first + 1
-        totals = counts.sum(axis=1)
-        new = self._mark_ranges_grouped(
-            first.reshape(-1), counts.reshape(-1),
-            np.repeat(np.arange(len(xs)), height), len(xs))
-        return totals, new
+        first, last = self._line_spans(
+            (ys[:, None] + np.arange(height)) * pitch + xs[:, None], width)
+        lines = self._expand(first, last)
+        new = self._first_touches(lines.reshape(-1))
+        return ((last - first + 1).sum(axis=1),
+                new.reshape(len(xs), -1).sum(axis=1))
+
+    def _window(self, *shape: int) -> np.ndarray:
+        """A strided view of the bytes whose entry at an origin is the
+        ``shape`` window starting there: ``[offset]`` -> the ``(n,)``
+        bytes at a flat offset, ``[y, x]`` -> the ``(height, width)``
+        block at an image position.  Indexing it with one origin per
+        thread gathers (or assigns) every thread's bytes at once.  Built
+        once per surface and shape; writeable when the bytes are."""
+        win = self._windows.get(shape)
+        if win is None:
+            if len(shape) == 1:
+                n, = shape
+                dims, steps = (self.bytes.size - n + 1, n), (1, 1)
+            else:
+                h, w = shape
+                p = self.pitch
+                dims = (self.height - h + 1, p - w + 1, h, w)
+                steps = (p, 1, p, 1)
+            win = self._windows[shape] = np.ndarray(
+                dims, np.uint8, self.bytes, 0, steps)
+        return win
 
     # -- linear (oword block) access ------------------------------------
 
@@ -330,25 +354,36 @@ class Surface:
         self.bytes[byte_offset:byte_offset + raw.size] = raw
 
     def read_linear_many(self, byte_offsets, nbytes: int) -> np.ndarray:
-        """One contiguous ``nbytes`` read per thread -> (T, nbytes) uint8."""
+        """One contiguous ``nbytes`` read per thread -> (T, nbytes) uint8,
+        gathered through the ``(nbytes,)`` window view."""
         offs = np.asarray(byte_offsets, dtype=np.int64)
-        if offs.size:
-            self._check(int(offs.min()), 0)
-            self._check(int(offs.max()), nbytes)
-        return self.bytes[offs[:, None] + np.arange(nbytes)]
+        if not offs.size:
+            return np.empty((0, nbytes), dtype=np.uint8)
+        self._check(int(offs.min()), 0)
+        self._check(int(offs.max()), nbytes)
+        return self._window(nbytes)[offs]
 
     def write_linear_many(self, byte_offsets, data: np.ndarray) -> None:
         """One contiguous write per thread from ``data`` rows (T, nbytes).
 
         Overlapping writes resolve in thread order (the later thread
-        wins), matching the sequential per-thread dispatch loop.
+        wins), matching the sequential per-thread dispatch loop: only
+        ranges in ascending, disjoint order go through the window view.
         """
         offs = np.asarray(byte_offsets, dtype=np.int64)
-        raw = np.ascontiguousarray(data).view(np.uint8).reshape(len(offs), -1)
-        if offs.size:
-            self._check(int(offs.min()), 0)
-            self._check(int(offs.max()), raw.shape[1])
-        self.bytes[offs[:, None] + np.arange(raw.shape[1])] = raw
+        raw = np.asarray(data)
+        if raw.dtype != np.uint8:
+            raw = np.ascontiguousarray(raw).view(np.uint8)
+        raw = raw.reshape(len(offs), -1)
+        if not offs.size:
+            return
+        n = raw.shape[1]
+        self._check(int(offs.min()), 0)
+        self._check(int(offs.max()), n)
+        if n and (offs.size == 1 or (np.diff(offs) >= n).all()):
+            self._window(n)[offs] = raw
+        else:
+            self.bytes[offs[:, None] + np.arange(n)] = raw
 
     # -- scattered access --------------------------------------------------
 
@@ -514,11 +549,25 @@ class Image2DSurface(Surface):
             self._san_rec.note_rect(self, "w", x0, x1, y0, y1, self.pitch)
         img[y0:y1, x0:x1] = block[y0 - y:y1 - y, x0 - x:x1 - x]
 
+    def _inside(self, xs: np.ndarray, ys: np.ndarray, width: int,
+                height: int) -> bool:
+        """Whether every block lies wholly inside the surface."""
+        return bool(xs.size) and int(xs.min()) >= 0 and \
+            int(ys.min()) >= 0 and \
+            int(xs.max()) <= self.pitch - width and \
+            int(ys.max()) <= self.height - height
+
     def read_block_many(self, xs, ys, width: int, height: int) -> np.ndarray:
         """Vectorized :meth:`read_block`: one block per thread at
-        ``(xs[t], ys[t])`` -> (T, height, width) uint8, edge-clamped."""
+        ``(xs[t], ys[t])`` -> (T, height, width) uint8, edge-clamped.
+
+        In-bounds blocks are gathered through the ``(height, width)``
+        window view; the clamped gather runs only when a block crosses
+        an edge."""
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
+        if self._inside(xs, ys, width, height):
+            return self._window(height, width)[ys, xs]
         vis = (np.clip(np.minimum(ys + height, self.height)
                        - np.maximum(ys, 0), 0, height)
                * np.clip(np.minimum(xs + width, self.pitch)
@@ -538,10 +587,23 @@ class Image2DSurface(Surface):
         """Vectorized :meth:`write_block` from ``data`` (T, height, width).
 
         Out-of-bounds texels are dropped; overlapping in-bounds texels
-        resolve in thread order (the later thread wins).
+        resolve in thread order (the later thread wins).  In-bounds
+        blocks on distinct tiles of a ``width`` x ``height`` grid cannot
+        overlap and are assigned through the window view; any other
+        placement takes the ordered, clipped scatter.
         """
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
+        raw = np.asarray(data)
+        if raw.dtype != np.uint8:
+            raw = np.ascontiguousarray(raw).view(np.uint8)
+        raw = raw.reshape(len(xs), height, width)
+        if self._inside(xs, ys, width, height) and \
+                not (xs % width).any() and not (ys % height).any():
+            tiles = (ys // height) * (self.pitch // width) + xs // width
+            if np.bincount(tiles).max() == 1:
+                self._window(height, width)[ys, xs] = raw
+                return
         rows = ys[:, None] + np.arange(height)
         cols = xs[:, None] + np.arange(width)
         ok = ((rows >= 0) & (rows < self.height))[:, :, None] & \
@@ -556,8 +618,6 @@ class Image2DSurface(Surface):
                             ok.shape)
         c = np.broadcast_to(np.clip(cols, 0, self.pitch - 1)[:, None, :],
                             ok.shape)
-        raw = np.ascontiguousarray(data).view(np.uint8)
-        raw = raw.reshape(len(xs), height, width)
         img[r[ok], c[ok]] = raw[ok]
 
     # -- sampler-style typed access (OpenCL images) -------------------------
