@@ -215,8 +215,9 @@ def warm_launch_rows(launches):
                 return dt, out, r.timing
 
             # launch 0 builds the megakernel
-            times = [run("jit")[0] for _ in range(launches + 1)][1:]
-            _, out, timing = run("jit")
+            res = [run("jit") for _ in range(launches + 1)]
+            times = [dt for dt, _, _ in res[1:]]
+            _, out, timing = res[-1]
             _, ref_out, ref_timing = run("sequential")
             _assert_identical(out, ref_out, timing, ref_timing,
                               f"{key} {params} jit vs sequential")

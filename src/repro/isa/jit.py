@@ -1022,7 +1022,7 @@ def _event_shape(inst: Instruction) -> tuple:
             _ACCESS_KIND[kind] != "w")
 
 
-def _send_fn(inst: Instruction, looked_up: set, has_cf: bool):
+def _send_fn(inst: Instruction, looked_up: set):
     """The ``_send{k}`` closure: run one SEND for ``rows`` at the
     address columns the megakernel passes, feed the race recorder, mark
     the message's cache lines and return its timing record
@@ -1031,9 +1031,7 @@ def _send_fn(inst: Instruction, looked_up: set, has_cf: bool):
     Execution, the race recorder and the record share one read of the
     columns, unless the SEND overwrites them (see
     :func:`_rewrites_addresses`).  Of its payload registers the record
-    tracks only those a consume point ``looked_up``.  A scattered
-    message reads its write-enable mask only when it is predicated or
-    the program has SIMD control flow (``has_cf``).
+    tracks only those a consume point ``looked_up``.
     """
     regs = tuple(r for r in _payload_regs(inst) if r in looked_up)
     reread = _rewrites_addresses(inst)
@@ -1043,8 +1041,7 @@ def _send_fn(inst: Instruction, looked_up: set, has_cf: bool):
         return _block_send(inst, shape, regs, reread)
     if kind in _OWORD_KINDS:
         return _oword_send(inst, shape, regs, reread)
-    masked = inst.pred is not None or has_cf
-    return _scattered_send(inst, shape, regs, reread, masked)
+    return _scattered_send(inst, shape, regs, reread)
 
 
 def _block_send(inst: Instruction, shape: tuple, regs: tuple,
@@ -1115,7 +1112,7 @@ def _oword_send(inst: Instruction, shape: tuple, regs: tuple,
 
 
 def _scattered_send(inst: Instruction, shape: tuple, regs: tuple,
-                    reread: bool, masked: bool):
+                    reread: bool):
     msg = inst.msg
     bti, n, elem = msg.surface, inst.exec_size, msg.elem_dtype
     esz = elem.size
@@ -1166,7 +1163,7 @@ def _scattered_send(inst: Instruction, shape: tuple, regs: tuple,
         part = None if ex._row_all else rows
         sel = slice(None) if part is None else part
         offs = offsets(lanes, gbase, sel)
-        mask = ex._exec_mask(inst) if masked else None
+        mask = ex._exec_mask(inst)
         keep = None
         if mask is not None:
             keep = mask[sel]
@@ -1304,7 +1301,7 @@ def _codegen(program, plans: PlanTable, env: dict, cf):
             keep = f"e{i} = " if i in stamped else ""
             args = _address_args(env, pb, inst)
             out.append(f"{keep}_send{n_sends}(ex, {rows}, {args})")
-            env[f"_send{n_sends}"] = _send_fn(inst, looked_up, cf.has_cf)
+            env[f"_send{n_sends}"] = _send_fn(inst, looked_up)
             n_sends += 1
         elif op is Opcode.BARRIER:
             barriers += 1

@@ -588,9 +588,10 @@ class Image2DSurface(Surface):
 
         Out-of-bounds texels are dropped; overlapping in-bounds texels
         resolve in thread order (the later thread wins).  In-bounds
-        blocks on distinct tiles of a ``width`` x ``height`` grid cannot
-        overlap and are assigned through the window view; any other
-        placement takes the ordered, clipped scatter.
+        blocks on strictly ascending tiles of a ``width`` x ``height``
+        grid (grid order, x fastest) cannot overlap and are assigned
+        through the window view; any other placement takes the ordered,
+        clipped scatter.
         """
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
@@ -601,7 +602,7 @@ class Image2DSurface(Surface):
         if self._inside(xs, ys, width, height) and \
                 not (xs % width).any() and not (ys % height).any():
             tiles = (ys // height) * (self.pitch // width) + xs // width
-            if np.bincount(tiles).max() == 1:
+            if (np.diff(tiles) > 0).all():
                 self._window(height, width)[ys, xs] = raw
                 return
         rows = ys[:, None] + np.arange(height)

@@ -50,7 +50,8 @@ def images(draw):
 @st.composite
 def blocks(draw, tiled=None):
     """``(make, xs, ys, width, height)``: T blocks that may cross any
-    edge and overlap, or (``tiled``) sit on distinct in-bounds tiles."""
+    edge and overlap, or (``tiled``) sit on in-bounds tiles, possibly
+    repeated, in drawn or ascending order."""
     make = draw(images())
     probe = make()
     w = draw(st.integers(1, min(20, probe.pitch)))
@@ -61,7 +62,9 @@ def blocks(draw, tiled=None):
     if tiled:
         nx, ny = probe.pitch // w, probe.height // h
         tiles = draw(st.lists(st.integers(0, nx * ny - 1), min_size=1,
-                              max_size=min(t, nx * ny), unique=True))
+                              max_size=t))
+        if draw(st.booleans()):
+            tiles.sort()
         xs = [(k % nx) * w for k in tiles]
         ys = [(k // nx) * h for k in tiles]
     else:
