@@ -934,6 +934,38 @@ def _regs_of(lo: int, hi: int) -> range:
     return range(lo // GRF_SIZE_BYTES, (hi - 1) // GRF_SIZE_BYTES + 1)
 
 
+def _grf_extent(program) -> int:
+    """How wide the stacked register file must be for ``program``
+    (:attr:`JitKernel.grf_bytes`): one past the highest GRF byte an
+    operand, SEND address or SEND payload touches, rounded up to whole
+    registers so every typed view of a row is aligned."""
+    top = 0
+    for inst in program:
+        n = inst.exec_size
+        dst = inst.dst
+        if dst is not None:
+            top = max(top, dst.byte_offset + (
+                (n - 1) * dst.dst_stride + 1) * dst.dtype.size)
+        srcs = [(s, n) for s in inst.srcs]
+        msg = inst.msg
+        if inst.opcode is Opcode.SEND and msg is not None:
+            srcs += [(msg.addr0, 1), (msg.addr1, 1)]
+            if msg.kind in _BLOCK_KINDS:
+                nbytes = msg.block_width * msg.block_height
+            elif msg.kind in _OWORD_KINDS:
+                nbytes = msg.payload_bytes
+            else:  # scattered: per-lane dword offsets, then the data
+                top = max(top, msg.addr_reg * GRF_SIZE_BYTES + 4 * n)
+                nbytes = 0 if msg.kind is MsgKind.ATOMIC and \
+                    not msg.payload_bytes else n * msg.elem_dtype.size
+            top = max(top, msg.payload_reg * GRF_SIZE_BYTES + nbytes)
+        for s, k in srcs:
+            if isinstance(s, RegOperand):
+                top = max(top, s.byte_offset
+                          + (s.region.span(k) + 1) * s.dtype.size)
+    return -(-top // GRF_SIZE_BYTES) * GRF_SIZE_BYTES
+
+
 def _rewrites_addresses(inst: Instruction) -> bool:
     """Whether a SEND writes a register it reads its addresses from.
 
@@ -1370,6 +1402,8 @@ class JitKernel:
         exec(compile(self.source, "<jit-megakernel>", "exec"), env)
         self.fn = env["_mega"]
         self._costs: dict = {}
+        #: bytes of each thread's register file the program touches
+        self.grf_bytes = _grf_extent(program)
 
     def matches(self, program) -> bool:
         return program is self.program
@@ -1425,8 +1459,9 @@ class JitTracingExecutor(FunctionalExecutor):
                  num_regs: int = 128, num_threads: int = 0) -> None:
         super().__init__(surfaces, num_regs)
         self.num_threads = num_threads
-        self.grf2d = np.zeros((num_threads, self.grf.bytes.size),
-                              dtype=np.uint8)
+        #: columns of :attr:`grf2d` (see :meth:`reset`)
+        self._width = self.grf.bytes.size
+        self.grf2d = np.zeros((num_threads, self._width), dtype=np.uint8)
         # SIMD-CF state, live only while a control-flow program runs:
         # the (T, 32) active mask, the innermost loop's rows / (T, 1)
         # row mask, and whether those rows cover every thread.
@@ -1447,14 +1482,24 @@ class JitTracingExecutor(FunctionalExecutor):
         self._jit: Optional[JitKernel] = None
 
     def bind_jit(self, jitk: Optional[JitKernel]) -> None:
+        """Bind the megakernel the next runs use; later resets size the
+        register file to the bytes it touches (:meth:`reset`)."""
         self._jit = jitk
+        full = self.grf.bytes.size
+        self._width = full if jitk is None else min(jitk.grf_bytes, full)
 
     def reset(self, num_threads: Optional[int] = None) -> None:
-        """Zero architectural state, optionally resizing to a new T."""
-        if num_threads is not None and num_threads != self.num_threads:
-            self.num_threads = num_threads
-            self.grf2d = np.zeros((num_threads, self.grf.bytes.size),
-                                  dtype=np.uint8)
+        """Zero architectural state, optionally resizing to a new T.
+
+        The stacked register file is as wide as the bound megakernel's
+        program reaches (the whole file while none is bound, or when
+        the program reaches past it, so such an access still raises):
+        the bytes past it are never read or written.
+        """
+        T = self.num_threads if num_threads is None else num_threads
+        if self.grf2d.shape != (T, self._width):
+            self.num_threads = T
+            self.grf2d = np.zeros((T, self._width), dtype=np.uint8)
         else:
             self.grf2d.fill(0)
         self.flags.clear()
@@ -1498,6 +1543,11 @@ class JitTracingExecutor(FunctionalExecutor):
         jitk = self._jit
         if jitk is None or not jitk.matches(program):
             jitk = self._jit = JitKernel(program, self.plans)
+        width = min(jitk.grf_bytes, self.grf.bytes.size)
+        if self.grf2d.shape[1] < width:  # sized for another program
+            wide = np.zeros((self.num_threads, width), dtype=np.uint8)
+            wide[:, :self.grf2d.shape[1]] = self.grf2d
+            self.grf2d = wide
         self.plans = jitk.plans
         bn, bc = jitk.block_costs(self.machine)
         try:
@@ -1630,12 +1680,21 @@ class JitTracingExecutor(FunctionalExecutor):
         pend = self._pending_vec
         for reg in regs:
             vec = pend.get(reg)
-            if vec is None:
+            if vec is None or not rows.size:
                 continue
             evi = vec[rows]
-            for e in np.unique(evi[evi >= 0]).tolist():
+            first = int(evi[0])
+            if (evi == first).all():  # the usual case: one record
+                groups = [(first, rows)] if first >= 0 else []
+            else:
+                groups = [(e, rows[evi == e])
+                          for e in np.unique(evi[evi >= 0]).tolist()]
+            for e, erows in groups:
                 ev = self._events[e]
-                erows = rows[evi == e]
+                if erows.size == ev.rows.size:  # every row it issued for
+                    fresh = ev.consumed_at < 0
+                    ev.consumed_at[fresh] = self._issue_vec[ev.rows[fresh]]
+                    continue
                 pos = np.searchsorted(ev.rows, erows)
                 fresh = ev.consumed_at[pos] < 0
                 ev.consumed_at[pos[fresh]] = self._issue_vec[erows[fresh]]

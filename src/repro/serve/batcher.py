@@ -16,13 +16,20 @@ drive all N launches through one pooled
 Batching never reorders across a key: members keep their FIFO order,
 and batches are emitted in order of their *earliest* member, so a
 disabled batcher (``max_batch=1``) degenerates to plain FIFO.
+
+Batches form twice, and neither time waits.  The dispatcher coalesces
+whatever one drain of the submission queue holds (:meth:`form`); a
+device worker, when it picks the next batch off its inbox, folds in
+every batch queued behind it with the same key (:meth:`merge_queued`).
+An idle device therefore starts a lone request at once, while a busy
+one gathers everything that queued up behind its running batch.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.serve.request import Request
 
@@ -110,3 +117,34 @@ class DynamicBatcher:
             batches.append((pos, entry))
         batches.sort(key=lambda e: e[0])
         return [b for _, b in batches]
+
+    def merge_queued(self, head: Batch,
+                     queued: Iterable[Any]) -> Tuple[Batch, List[Batch]]:
+        """Fold the batches ``queued`` behind ``head`` that share its
+        key into one batch of at most ``max_batch`` requests.
+
+        Returns the merged batch and the batches it absorbed, in queue
+        order.  The merged batch keeps ``head``'s id, and its estimate
+        is the sum of the parts.  A same-key batch that would overflow
+        the cap ends the merge, so each key keeps its FIFO order.
+        Entries that are not batches are skipped.  Eager work, and
+        every batch of a disabled batcher, stays as it is.
+        """
+        key = head.items[0].batch_key
+        if key is None or not self.enabled:
+            return head, []
+        size = head.size
+        joined: List[Batch] = []
+        for other in queued:
+            if not isinstance(other, Batch) or \
+                    other.items[0].batch_key != key:
+                continue
+            if size + other.size > self.max_batch:
+                break
+            joined.append(other)
+            size += other.size
+        if not joined:
+            return head, []
+        parts = [head] + joined
+        return Batch(items=[it for b in parts for it in b.items], id=head.id,
+                     estimate_us=sum(b.estimate_us for b in parts)), joined

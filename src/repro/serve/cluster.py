@@ -10,11 +10,14 @@ Pipeline::
   request against the workload registry, lets the
   :class:`~repro.serve.batcher.DynamicBatcher` coalesce compatible
   compiled requests, and routes every batch to a device via the
-  configured :class:`~repro.serve.scheduler.Policy`.
+  configured :class:`~repro.serve.scheduler.Policy`.  It never waits
+  for more requests to arrive: dispatch is work-conserving.
 - Each **DeviceWorker** owns one simulated :class:`Device` plus a lock,
   so the device and its :class:`KernelCache` are never touched by two
   threads at once; workers run concurrently with each other, which is
-  where the wall-clock parallelism comes from.
+  where the wall-clock parallelism comes from.  When a worker picks a
+  batch off its inbox it merges in every same-key batch queued behind
+  it, so requests that arrive while a device is busy still coalesce.
 - Two clocks are kept per request: wall time (thread reality) and the
   simulated-microsecond timeline, where each device is a serial resource
   — a batch head pays the full launch overhead, coalesced followers pay
@@ -39,7 +42,7 @@ import queue as _stdqueue
 import threading
 import time
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -108,23 +111,51 @@ class DeviceWorker(threading.Thread):
             self.busy_sim_us += busy_us
 
     def run(self) -> None:
+        inbox = self.inbox
         while True:
-            batch = self.inbox.get()
-            if batch is _SHUTDOWN:
+            head = inbox.get()
+            if head is _SHUTDOWN:
                 break
+            joined: List[Batch] = []
             try:
-                self._execute(batch)
+                # Coalesce only once the device is ours: whatever queued
+                # behind the head while the device was busy rides along.
+                with self.lock:
+                    batch, joined = self._pick_up(head)
+                    self._serve(batch)
             finally:
-                self.inbox.task_done()
+                for _ in range(1 + len(joined)):
+                    inbox.task_done()
+
+    def _pick_up(self, head: Batch) -> Tuple[Batch, List[Batch]]:
+        """Merge into ``head`` the batches queued on the inbox behind it
+        that share its key (:meth:`DynamicBatcher.merge_queued`), and
+        take those off the inbox."""
+        inbox = self.inbox
+        with inbox.mutex:
+            queued = inbox.queue
+            if not queued:
+                return head, []
+            batch, joined = self.cluster.batcher.merge_queued(head, queued)
+            if joined:
+                taken = set(map(id, joined))
+                kept = [b for b in queued if id(b) not in taken]
+                queued.clear()
+                queued.extend(kept)
+        return batch, joined
 
     # -- batch execution ---------------------------------------------------
 
     def _execute(self, batch: Batch) -> None:
+        with self.lock:
+            self._serve(batch)
+
+    def _serve(self, batch: Batch) -> None:
+        """Run ``batch`` on the device; the caller holds :attr:`lock`."""
         cluster = self.cluster
         machine = self.device.machine
-        with self.lock, trace_span("serve:batch", device=self.index,
-                                   kernel=batch.kernel_name,
-                                   size=batch.size):
+        with trace_span("serve:batch", device=self.index,
+                        kernel=batch.kernel_name, size=batch.size):
             batch_busy_us = 0.0
             # Pooled JIT executor: coalesced compiled batches —
             # straight-line or divergent (SIMD control flow) alike —
@@ -523,7 +554,15 @@ class FrontDoor:
 
 
 class ServeCluster(FrontDoor):
-    """A pool of simulated devices behind a scheduling front end."""
+    """A pool of simulated devices behind a scheduling front end.
+
+    Dispatch is work-conserving: the dispatcher takes what is queued (up
+    to ``dispatch_window`` requests), forms batches and routes them at
+    once, so a request never waits while its device idles.  Batching
+    happens at the last moment instead: a device worker coalesces the
+    same-key batches queued behind the one it picks up, up to
+    ``max_batch`` (see :mod:`repro.serve.batcher`).
+    """
 
     def __init__(self, num_devices: int = 2,
                  machine: Union[MachineConfig,
@@ -536,7 +575,6 @@ class ServeCluster(FrontDoor):
                  high_watermark: Optional[int] = None,
                  lanes: bool = False,
                  dispatch_window: int = 64,
-                 batch_linger_s: float = 0.001,
                  obs=None,
                  validate: str = "first",
                  slo=None,
@@ -561,7 +599,6 @@ class ServeCluster(FrontDoor):
         self.policy: Policy = make_policy(policy)
         self.batcher = DynamicBatcher(max_batch=max_batch, enabled=batching)
         self.dispatch_window = dispatch_window
-        self.batch_linger_s = batch_linger_s
         # Device i simulates machines[i % len]; the tuned registry is
         # pre-seeded into each device's kernel cache at start().
         self.workers = [
@@ -580,7 +617,7 @@ class ServeCluster(FrontDoor):
             for status in RequestStatus
         }
         self._m_batches = self.registry.counter(
-            "serve_batches", "batches dispatched")
+            "serve_batches", "batches executed")
         self._m_coalesced = self.registry.counter(
             "serve_coalesced_requests",
             "requests that rode a batch as non-head members")
@@ -657,21 +694,6 @@ class ServeCluster(FrontDoor):
                 if self.queue.closed and not len(self.queue):
                     return
                 continue
-            if self.batcher.enabled and len(items) < self.dispatch_window \
-                    and self.batch_linger_s > 0:
-                # Linger briefly so near-simultaneous compatible requests
-                # can coalesce instead of heading out as singletons.
-                deadline = time.perf_counter() + self.batch_linger_s
-                while len(items) < self.dispatch_window:
-                    left = deadline - time.perf_counter()
-                    if left <= 0:
-                        break
-                    more = self.queue.take(
-                        max_items=self.dispatch_window - len(items),
-                        timeout=left)
-                    if not more:
-                        break
-                    items.extend(more)
             tracer = get_tracer()
             t_take = tracer.now_us()
             for req in items:
@@ -692,9 +714,6 @@ class ServeCluster(FrontDoor):
                 idx = self.policy.select(batch, self.workers)
                 batch.estimate_us = self._estimate_batch_us(batch)
                 self.workers[idx].note_assigned(batch.estimate_us)
-                self._m_batches.inc()
-                if batch.size > 1:
-                    self._m_coalesced.inc(batch.size - 1)
                 t_sched = tracer.now_us()
                 for pos, it in enumerate(batch.items):
                     tr = it.request.trace
@@ -759,6 +778,9 @@ class ServeCluster(FrontDoor):
 
     def _batch_finished(self, batch: Batch, worker: DeviceWorker,
                         busy_us: float) -> None:
+        self._m_batches.inc()
+        if batch.size > 1:
+            self._m_coalesced.inc(batch.size - 1)
         self.registry.counter("serve_device_busy_sim_us",
                               device=worker.index).inc(busy_us)
         self.registry.counter("serve_device_requests",

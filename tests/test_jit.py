@@ -27,7 +27,7 @@ from repro.isa.dtypes import D
 from repro.isa.executor import FunctionalExecutor
 from repro.isa.grf import RegOperand
 from repro.isa.instructions import (
-    Immediate, Instruction, MessageDesc, Opcode,
+    Immediate, Instruction, MessageDesc, MsgKind, Opcode,
 )
 from repro.isa import jit as jit_mod
 from repro.isa.jit import (
@@ -498,3 +498,81 @@ class TestCodegenSize:
         # is followed by code
         fused = [i for i in alu if not chunks[i]]
         assert fused and all(i + 1 in chunks for i in fused)
+
+
+# -- the stacked register file is as wide as the program reaches -------------
+
+
+def _serve_launch(dev, kern, launch, tier, executor=None):
+    surfaces, scalars = launch.bind(dev)
+    run = dev.run_compiled(kern, launch.grid, surfaces, scalars=scalars,
+                           name=launch.name, tier=tier, executor=executor,
+                           validate="off")
+    return run, launch.finish(surfaces)
+
+
+def _oword_read(payload_reg):
+    return [Instruction(Opcode.SEND, 8, msg=MessageDesc(
+        MsgKind.OWORD_BLOCK_READ, surface=0, addr0=Immediate(0, D),
+        payload_reg=payload_reg, payload_bytes=64))]
+
+
+class TestSizedRegisterFile:
+    def test_pooled_executor_resizes_per_kernel(self):
+        """One pooled executor runs kernels of different widths in turn;
+        each launch sizes the file to its program and matches the
+        sequential tier in output and every timing field."""
+        dev = Device()
+        pooled = JitTracingExecutor()
+        menu = [("saxpy", {"n": 1024}), ("sgemm", {"m": 32, "n": 32, "k": 8}),
+                ("bitonic_cf", {"n": 64}), ("saxpy", {"n": 1024})]
+        widths = []
+        for key, params in menu:
+            _, kern, launch = _serve_kernel(key, params, dev)
+            run, out = _serve_launch(dev, kern, launch, "jit", pooled)
+            run_s, out_s = _serve_launch(Device(), kern, launch,
+                                         "sequential")
+            assert out == out_s and _timing_equal(run.timing, run_s.timing)
+            width = get_jit(kern)[0].grf_bytes
+            assert pooled.grf2d.shape[1] == width
+            widths.append(width)
+        assert widths[0] == widths[3] < 4096 and len(set(widths)) == 3
+        assert all(w % 32 == 0 for w in widths)
+
+    def test_payload_past_the_register_file_still_raises(self):
+        from repro.memory.surfaces import BufferSurface
+
+        for reg, ok in [(126, True), (127, False)]:  # ends at 4096 / 4128
+            prog = _oword_read(reg)
+            table = {0: BufferSurface.allocate(256)}
+            seq = FunctionalExecutor(table)
+            jx = JitTracingExecutor(table)
+            jx.bind_jit(JitKernel(prog))
+            jx.reset(2)
+            jx.begin_launch(GEN11_ICL)
+            if ok:
+                seq.run(prog)
+                jx.run(prog)
+                assert jx.grf2d.shape[1] == 4096
+            else:
+                with pytest.raises(IndexError):
+                    seq.run(prog)
+                with pytest.raises(IndexError):
+                    jx.run(prog)
+
+    def test_unbound_run_widens_a_narrow_file(self):
+        """A run whose program reaches past the width the bound kernel
+        sized the file to widens it, keeping the seeded bytes."""
+        jx = JitTracingExecutor()
+        jx.bind_jit(JitKernel([_add_imm(1)]))  # reaches byte 96
+        jx.reset(2)
+        jx.begin_launch(GEN11_ICL)
+        assert jx.grf2d.shape[1] == 96
+        jx.grf2d[:, 32:64] = np.arange(8, dtype=np.int32).view(np.uint8)
+        wide = Instruction(Opcode.ADD, 8, RegOperand(20, 0, D),
+                           [RegOperand(1, 0, D, _packed(8)),
+                            Immediate(5, D)])
+        jx.run([wide])
+        assert jx.grf2d.shape[1] == 21 * 32
+        assert jx.grf2d[1, 640:672].view(np.int32).tolist() == \
+            list(range(5, 13))

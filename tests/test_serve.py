@@ -18,7 +18,8 @@ from repro.serve import (
     Backpressure, DynamicBatcher, Request, RequestStatus, ServeCluster,
     SubmissionQueue, make_policy, percentiles,
 )
-from repro.serve.batcher import WorkItem
+from repro.serve.batcher import Batch, WorkItem
+from repro.serve.cluster import sim_end_us
 from repro.serve.loadgen import build_trace, run_loadgen
 from repro.serve.workloads import get_workload
 from repro.sim.device import Device
@@ -254,6 +255,104 @@ class TestClusterExecution:
             assert req.status is RequestStatus.DONE, req.error
             assert req.launches > 1  # prefix sum enqueues several kernels
             assert req.kernel_sim_us > 0
+
+
+class TestPickUpCoalescing:
+    """Work-conserving dispatch: the dispatcher never waits for more
+    requests, and a device worker merges the same-key batches queued
+    behind the one it picks up."""
+
+    @staticmethod
+    def _queue(cluster, worker, specs):
+        """Put one singleton batch per ``(workload, params)`` on the
+        worker's inbox, as the dispatcher routes them."""
+        reqs = []
+        for workload, params in specs:
+            req = Request(workload=workload, params=params)
+            batch = Batch(items=[cluster._resolve(req)], estimate_us=10.0)
+            worker.note_assigned(batch.estimate_us)
+            worker.inbox.put(batch)
+            reqs.append(req)
+        return reqs
+
+    @staticmethod
+    def _finish(worker, reqs):
+        for req in reqs:
+            assert req.wait(60.0)
+            assert req.status is RequestStatus.DONE, req.error
+        worker.inbox.join()  # every merged inbox entry was task_done()
+        assert worker.pending_sim_us == 0.0  # estimates balanced
+
+    def test_worker_merges_same_key_batches_queued_behind_the_head(self):
+        with ServeCluster(num_devices=1, max_batch=8) as cluster:
+            worker = cluster.workers[0]
+            machine = worker.device.machine
+            # the device is busy: everything queues behind the head
+            with worker.lock:
+                reqs = self._queue(cluster, worker, [
+                    ("saxpy", {"n": 128, "seed": 1}),
+                    ("scale", {"n": 128, "seed": 2}),
+                    ("saxpy", {"n": 128, "seed": 3}),
+                    ("saxpy", {"n": 128, "seed": 4})])
+            self._finish(worker, reqs)
+        same, other = [reqs[0], reqs[2], reqs[3]], reqs[1]
+        assert [r.batch_size for r in same] == [3, 3, 3]
+        assert len({r.batch_id for r in same}) == 1
+        assert [r.overhead_sim_us for r in same] == [
+            machine.launch_overhead_us] + [machine.pipelined_launch_us] * 2
+        # the other key runs after the merged batch, as a batch of its own
+        assert other.batch_size == 1 and other.batch_id != reqs[0].batch_id
+        assert other.overhead_sim_us == machine.launch_overhead_us
+        assert other.start_sim_us == pytest.approx(sim_end_us(reqs[3]))
+        assert worker.batches_done == 2
+
+    def test_max_batch_caps_a_pick_up_merge(self):
+        with ServeCluster(num_devices=1, max_batch=2) as cluster:
+            worker = cluster.workers[0]
+            with worker.lock:
+                reqs = self._queue(cluster, worker, [
+                    ("saxpy", {"n": 128, "seed": s}) for s in range(3)])
+            self._finish(worker, reqs)
+        assert [r.batch_size for r in reqs] == [2, 2, 1]
+        assert reqs[0].batch_id == reqs[1].batch_id != reqs[2].batch_id
+        assert worker.batches_done == 2
+
+    def test_eager_work_never_merges_at_pick_up(self):
+        batcher = DynamicBatcher(max_batch=8)
+        items = TestBatcher()._items([None, None, "a", "a"])
+        eager = [Batch(items=[it]) for it in items[:2]]
+        assert batcher.merge_queued(eager[0], eager[1:]) == (eager[0], [])
+        head, tail = Batch(items=[items[2]]), Batch(items=[items[3]])
+        merged, joined = batcher.merge_queued(head, [eager[1], tail])
+        assert joined == [tail] and merged.id == head.id
+        assert merged.items == [items[2], items[3]]
+
+    def test_lone_request_reaches_its_device_after_one_take(
+            self, monkeypatch):
+        cluster = ServeCluster(num_devices=1)
+        worker = cluster.workers[0]
+        events = []
+        real_take, real_put = cluster.queue.take, worker.inbox.put
+
+        def take(*args, **kwargs):
+            got = real_take(*args, **kwargs)
+            events.append(("take", len(got)))
+            return got
+
+        def put(item, *args, **kwargs):
+            events.append(("put", getattr(item, "size", None)))
+            real_put(item, *args, **kwargs)
+
+        monkeypatch.setattr(cluster.queue, "take", take)
+        monkeypatch.setattr(worker.inbox, "put", put)
+        with cluster:
+            req = cluster.submit("saxpy", {"n": 128, "seed": 1})
+            assert req.wait(60.0)
+        assert req.status is RequestStatus.DONE, req.error
+        first = events.index(("take", 1))
+        # routed straight from the take that returned it: no second,
+        # timed take waited for company
+        assert events[first + 1] == ("put", 1)
 
 
 def _run_trace(policy, batching, trace, devices=2):
